@@ -246,7 +246,7 @@ def _quantum_bits(cfg):
         raise ConfigError(
             "interacting modes need a particle with alpha > 0")
     phase = EikonalPhase(cfg.poisson.obstacle, cfg.particle,
-                         cfg.particle.v_long, cfg.quad)
+                         cfg.particle.v_long)
     eta = capture_eta(cfg.poisson.obstacle, cfg.particle, cfg.particle.v_long)
     return phase, eta
 
@@ -257,7 +257,7 @@ def _pattern(cfg, u, phase, eta):
         family = None
         if phase is not None:
             family = lambda v: EikonalPhase(cfg.poisson.obstacle,
-                                            cfg.particle, v, cfg.quad)
+                                            cfg.particle, v)
         return psn.wavelength_averaged_pattern(
             u, cfg.poisson, family, cfg.quad,
             source_averaging=cfg.source_averaging)

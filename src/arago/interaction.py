@@ -2,17 +2,19 @@
 
 A fast particle passing the obstacle at radial distance r = s R accumulates
 the eikonal phase phi(s) = -integral V dz / (hbar v_z) along its straight
-line of flight. For a thin disc the wall potential -C4/(r-R)^4 acts during
-the transit time b/v_z and phi has a closed form; for a sphere the potential
-of the tangential plane, -C4/(sqrt(x^2+y^2+z^2)-R)^4 around the sphere
-center, is integrated over the full line numerically. The same phi(s) feeds
-the quantum pattern (phase factor e^{i phi}) and the classical counter-model
-(momentum kick hbar dphi/dr), which is the point of sharing it as one object.
+line of flight. Both obstacles give phi = prefactor(v_z) * shape(s) in closed
+form: for a thin disc the wall potential -C4/(r-R)^4 acts during the transit
+time b/v_z, so the shape is (s-1)^-4; for a sphere the potential of the
+tangential plane, -C4/(sqrt(x^2+y^2+z^2)-R)^4 around the sphere center,
+integrates along the whole line to an elementary function of s. The same
+phi(s) feeds the quantum pattern (phase factor e^{i phi}) and the classical
+counter-model (momentum kick hbar dphi/dr), which is the point of sharing it
+as one object.
 
-Phases are tabulated once per obstacle/particle/velocity triple on a grid
-logarithmic in (s-1) and interpolated as a cubic spline in log-log space; a
-power-law continuation handles the far tail below the phase floor. For the
-disc's exact power law the spline representation is exact to rounding.
+The capture radius follows from the same potential: for a sphere from the
+minimum of the effective potential barrier (capture_eta), for a disc from
+the transit-time cutoff. capture_eta_shooting integrates trajectories
+instead and serves only as the reference the tests compare against.
 """
 
 import math
@@ -20,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .constants_units import CONST
 from .farfield import cutoff_distance
-from .numerics import DEFAULT_SPEC, NumericsError, bisect, integrate_adaptive
+from .numerics import NumericsError, bisect
 
 
 @dataclass(frozen=True)
@@ -54,46 +55,46 @@ def disc_phase(C4, b, v_z, R, s):
     return float(out) if out.ndim == 0 else out
 
 
-_SPHERE_X_FAR = 1e6  # truncation radius (units of R) of the line integral
+def _sphere_shape(s):
+    """Line integral int dz / (sqrt(s^2 + z^2) - 1)^4 over all z (units of R).
 
-
-def sphere_phase(C4, v_z, R, s, quad=None):
-    """Eikonal phase of a sphere along a straight line at distance s R.
-
-    (C4 / (hbar v_z R^3)) * 2 s * int_0^T cosh(t) / (s cosh(t) - 1)^4 dt
-    after substituting z = s R sinh(t); the upper limit T corresponds to a
-    radial distance of 1e6 R, beyond which the neglected tail is below
-    ~1e-12 of the result (integrand ~ (8/s^3) e^{-3t} out there).
+    Elementary in s with q = s^2 - 1. Both terms are positive, so the form
+    does not cancel as s -> 1; the far tail is pi / (2 s^3).
     """
-    if not float(s) > 1.0:
-        raise ValueError("phase is defined outside the obstacle only (s > 1)")
-    s = float(s)
-    spec = quad or DEFAULT_SPEC
-    T = math.acosh(_SPHERE_X_FAR / s)
+    q = (s - 1.0) * (s + 1.0)
+    s2 = s * s
+    return ((13.0 * s2 + 2.0) / (3.0 * q ** 3)
+            + s2 * (s2 + 4.0) * np.arccos(-1.0 / s) / q ** 3.5)
 
-    def integrand(t):
-        ch = np.cosh(t)
-        return ch / (s * ch - 1.0) ** 4
 
-    res = integrate_adaptive(integrand, 0.0, T, spec,
-                             points=(1e-3, 1e-2, 0.1, 1.0))
-    res.require_converged("sphere phase integral")
-    pref = C4 / (CONST.hbar * v_z * R ** 3)
-    return pref * 2.0 * s * float(np.real(res.value))
+def _sphere_shape_ds(s):
+    """d/ds of _sphere_shape; a sum of negative terms, again cancellation-free."""
+    q = (s - 1.0) * (s + 1.0)
+    s2 = s * s
+    return (-s * (55.0 * s2 + 50.0) / (3.0 * q ** 4)
+            - s * (3.0 * s2 * s2 + 24.0 * s2 + 8.0) * np.arccos(-1.0 / s)
+            / q ** 4.5)
+
+
+# (shape, d shape/ds) of phi / prefactor for each obstacle kind
+_SHAPES = {
+    "disc": (lambda s: (s - 1.0) ** -4, lambda s: -4.0 * (s - 1.0) ** -5),
+    "sphere": (_sphere_shape, _sphere_shape_ds),
+}
 
 
 class EikonalPhase:
-    """Tabulated interaction phase phi(s) for one obstacle/particle/velocity.
+    """Interaction phase phi(s) = prefactor * shape(s) for one
+    obstacle/particle/velocity, in closed form.
 
-    Exposes phi(s) and dphi_ds(s) for s > 1, with power-law continuation
-    outside the tabulated window [1 + s1_min, s_negligible]. s_negligible is
-    where phi falls below phase_floor; integrals against (e^{i phi} - 1)
-    truncate there with an error bounded by phase_floor times the remaining
-    envelope.
+    The prefactor is C4 b / (hbar v_z R^4) for a disc and C4 / (hbar v_z R^3)
+    for a sphere, so phi scales exactly as 1/v_z. Exposes phi(s) and
+    dphi_ds(s) for s > 1. s_negligible is where phi falls below phase_floor;
+    integrals against (e^{i phi} - 1) truncate there with an error bounded by
+    phase_floor times the remaining envelope.
     """
 
-    def __init__(self, obstacle, particle, v_z, quad=None,
-                 phase_floor=1e-4, n_table=400, s1_min=1e-3):
+    def __init__(self, obstacle, particle, v_z, phase_floor=1e-4):
         if phase_floor <= 0:
             raise ValueError("phase_floor must be positive")
         self.obstacle = obstacle
@@ -105,94 +106,56 @@ class EikonalPhase:
             raise ValueError("EikonalPhase needs an attractive interaction; "
                              "use phase=None for the ideal case")
         R = obstacle.R
+        self._shape, self._shape_ds = _SHAPES[obstacle.kind]
 
         if obstacle.kind == "disc":
-            pref = C4 * obstacle.b / (CONST.hbar * v_z * R ** 4)
-            self.s_negligible = 1.0 + (pref / phase_floor) ** 0.25
-            raw = lambda s: disc_phase(C4, obstacle.b, v_z, R, s)
+            self.prefactor = C4 * obstacle.b / (CONST.hbar * v_z * R ** 4)
+            self.s_negligible = 1.0 + (self.prefactor / phase_floor) ** 0.25
         else:
-            raw = lambda s: sphere_phase(C4, v_z, R, s, quad)
-            # far tail ~ pref * pi/(2 s^3); bracket the floor crossing there
-            pref = C4 / (CONST.hbar * v_z * R ** 3)
-            hi = max(4.0, (pref * math.pi / (2 * phase_floor)) ** (1 / 3.0) * 2)
-            while raw(hi) > phase_floor:
+            self.prefactor = C4 / (CONST.hbar * v_z * R ** 3)
+            # the shape exceeds its far tail pi/(2 s^3), so phi is still above
+            # the floor at s_far; hi doubles until phi is below it
+            s_far = (self.prefactor * math.pi / (2 * phase_floor)) ** (1 / 3.0)
+            hi = max(4.0, 2.0 * s_far)
+            while self.phi(hi) > phase_floor:
                 hi *= 2.0
-                if hi > 1e5:
-                    raise NumericsError("phase never falls below the floor")
-            self.s_negligible = bisect(
-                lambda s: raw(s) - phase_floor, 1.0 + s1_min, hi, 1e-6)
-
-        if self.s_negligible <= 1.0 + s1_min:
-            raise ValueError("interaction too weak to tabulate: phase floor "
-                             "reached inside the near-wall grid")
-        x = np.linspace(math.log(s1_min), math.log(self.s_negligible - 1.0),
-                        n_table)
-        phi_vals = np.array([raw(1.0 + math.exp(xi)) for xi in x])
-        if not (np.all(phi_vals > 0) and np.all(np.diff(phi_vals) < 0)):
-            raise NumericsError("phase table must be positive and strictly "
-                                "decreasing in s")
-        self._spline = CubicSpline(x, np.log(phi_vals))
-        self._dspline = self._spline.derivative()
-        self._x_lo, self._x_hi = x[0], x[-1]
-        self._slope_lo = float(self._dspline(self._x_lo))
-        self._slope_hi = float(self._dspline(self._x_hi))
+            self.s_negligible = bisect(lambda s: self.phi(s) - phase_floor,
+                                       max(s_far, 1.0 + 1e-9), hi, 1e-6)
 
     def phi(self, s):
         """Phase in radians, vectorized over s (> 1 required)."""
         s = np.asarray(s, dtype=float)
         if np.any(s <= 1.0):
             raise ValueError("phi(s) requires s > 1")
-        x = np.log(s - 1.0)
-        x_in = np.clip(x, self._x_lo, self._x_hi)
-        logphi = self._spline(x_in)
-        # power-law continuation beyond the table on both sides
-        logphi = logphi + np.where(x > self._x_hi,
-                                   self._slope_hi * (x - self._x_hi), 0.0)
-        logphi = logphi + np.where(x < self._x_lo,
-                                   self._slope_lo * (x - self._x_lo), 0.0)
-        out = np.exp(logphi)
+        out = self.prefactor * self._shape(s)
         return float(out) if out.ndim == 0 else out
 
     def dphi_ds(self, s):
-        """Derivative dphi/ds (negative), from the spline representation."""
+        """Derivative dphi/ds (negative), vectorized over s (> 1 required)."""
         s = np.asarray(s, dtype=float)
         if np.any(s <= 1.0):
             raise ValueError("dphi_ds(s) requires s > 1")
-        x = np.log(s - 1.0)
-        slope = np.where(x > self._x_hi, self._slope_hi,
-                         np.where(x < self._x_lo, self._slope_lo,
-                                  self._dspline(np.clip(x, self._x_lo,
-                                                        self._x_hi))))
-        out = self.phi(s) * slope / (s - 1.0)
+        out = self.prefactor * self._shape_ds(s)
         return float(out) if out.ndim == 0 else out
 
 
-def classical_kick(phase, s, from_table=False):
-    """Radial momentum kick q = hbar dphi/dr (kg m/s, negative = inward).
-
-    Uses the closed-form derivative for a disc unless from_table forces the
-    tabulated route; spheres always use the table.
-    """
-    obst = phase.obstacle
-    if obst.kind == "disc" and not from_table:
-        C4 = phase.particle.C4
-        s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr <= 1.0):
-            raise ValueError("kick requires s > 1")
-        out = -4.0 * C4 * obst.b / (phase.v_z * obst.R ** 5
-                                    * (s_arr - 1.0) ** 5)
-        return float(out) if out.ndim == 0 else out
-    return CONST.hbar / obst.R * phase.dphi_ds(s)
+def classical_kick(phase, s):
+    """Radial momentum kick q = hbar dphi/dr (kg m/s, negative = inward),
+    from the closed-form phase derivative: dphi/dr = dphi_ds / R."""
+    return CONST.hbar / phase.obstacle.R * phase.dphi_ds(s)
 
 
 def capture_eta(obstacle, particle, v_z, roughness=0.5e-9):
     """Fractional effective enlargement: particles inside (1+eta) R are lost.
 
-    Sphere: shoot classical trajectories (planar, incident parallel to z at
-    impact parameter rho) through the attractive potential and bisect the
-    boundary between wall-hitting and escaping; approaches within the surface
-    roughness scale count as captured. Disc: the transit-time capture cutoff
-    of the wall formula with the disc thickness, eta = x_c / R.
+    Sphere: in scaled units (lengths in R, speed 1) the potential is
+    -(A/4)/(r-1)^4 with A = 4 C4 / (m v_z^2 R^4), and a ray of impact
+    parameter b reaches radius r iff b^2 <= B(r) = r^2 (1 + (A/2)/(r-1)^4).
+    It is captured iff it reaches the roughness shell r = 1 + delta, so
+    (1 + eta)^2 is the minimum of B over r >= 1 + delta (the fall-to-centre
+    capture cross-section). B has a single minimum, at the root r* of
+    (r-1)^5 = (A/2)(r+1). Disc: the transit-time capture cutoff of the wall
+    formula with the disc thickness, eta = x_c / R.
     """
     if not v_z > 0:
         raise ValueError("v_z must be positive")
@@ -203,7 +166,27 @@ def capture_eta(obstacle, particle, v_z, roughness=0.5e-9):
     if obstacle.kind == "disc":
         return cutoff_distance(C4, obstacle.b, particle.mass, v_z) / R
 
-    A = 4.0 * C4 / (particle.mass_kg * v_z ** 2 * R ** 4)
+    half_A = 2.0 * C4 / (particle.mass_kg * v_z ** 2 * R ** 4)
+    delta = roughness / R
+    # at r - 1 = 2 + A^(1/4) the left side already exceeds the right
+    r_star = bisect(lambda r: (r - 1.0) ** 5 - half_A * (r + 1.0), 1.0,
+                    3.0 + (2.0 * half_A) ** 0.25, 1e-12)
+    r_min = max(r_star, 1.0 + delta)
+    return r_min * math.sqrt(1.0 + half_A / (r_min - 1.0) ** 4) - 1.0
+
+
+def capture_eta_shooting(obstacle, particle, v_z, roughness=0.5e-9):
+    """Reference for capture_eta on a sphere, by shooting trajectories.
+
+    Integrates planar rays, incident parallel to z at impact parameter b,
+    through the attractive potential and bisects the boundary between
+    wall-hitting and escaping rays; approaches within the surface roughness
+    count as captured. The step is capped at 0.02 R so the solver cannot
+    step across the sphere in fast beams. Slow (seconds per call); the
+    tests compare capture_eta with it.
+    """
+    R = obstacle.R
+    A = 4.0 * particle.C4 / (particle.mass_kg * v_z ** 2 * R ** 4)
     delta = roughness / R
 
     def rhs(t, y):
@@ -224,7 +207,8 @@ def capture_eta(obstacle, particle, v_z, roughness=0.5e-9):
 
     def outcome(b_imp):
         sol = solve_ivp(rhs, (0.0, 200.0), (b_imp, -20.0, 0.0, 1.0),
-                        events=(hit, escaped), rtol=1e-10, atol=1e-12)
+                        events=(hit, escaped), rtol=1e-10, atol=1e-12,
+                        max_step=0.02)
         if not sol.success:
             raise NumericsError(f"trajectory integration failed: {sol.message}")
         if sol.t_events[1].size:
@@ -245,5 +229,4 @@ def capture_eta(obstacle, particle, v_z, roughness=0.5e-9):
         hi *= 1.3
         if hi > 10.0:
             raise NumericsError("no escaping trajectory found out to 10 R")
-    b_crit = bisect(outcome, lo, hi, 1e-6)
-    return b_crit - 1.0
+    return bisect(outcome, lo, hi, 1e-5 * delta) - 1.0

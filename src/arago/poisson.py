@@ -205,7 +205,7 @@ def _amplitude_grid(u_grid, k, ell, phase=None, quad=None, capture=0.0):
 
     if phase is not None:
         if phase.s_negligible <= a:
-            raise ValueError("capture radius swallows the tabulated phase; "
+            raise ValueError("capture radius swallows the interaction zone; "
                              "nothing left to integrate")
 
         a_int = a

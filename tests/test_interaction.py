@@ -9,9 +9,9 @@ from arago.interaction import (
     EikonalPhase,
     Obstacle,
     capture_eta,
+    capture_eta_shooting,
     classical_kick,
     disc_phase,
-    sphere_phase,
 )
 from arago.particles import ParticleSpecies, species_preset
 
@@ -51,22 +51,35 @@ def test_disc_phase_velocity_scaling():
     assert r == pytest.approx(2.0, rel=1e-12)
 
 
-def test_sphere_phase_against_line_integral():
-    # independent route: integrate C4/d^4 along the straight trajectory with
-    # generic quadrature (splitting at z = R and adding the analytic z^-4 tail)
-    C4, R, v = AU.C4, 500e-9, AU.v_long
-
-    def oracle(s, Z=2000.0):
+def _line_integral_phase(s, derivative=False):
+    """Independent route to the sphere phase (or its s-derivative): integrate
+    C4/d^4 (or its derivative in s) along the straight trajectory with generic
+    quadrature, splitting at z = R and adding the analytic far tail beyond
+    z = Z R, Z = 2000 s."""
+    C4, R, Z = AU.C4, 500e-9, 2000.0 * s
+    if derivative:
+        f = lambda z: (-4.0 * C4 * s * R * R / math.hypot(s * R, z)
+                       / (math.hypot(s * R, z) - R) ** 5)
+        tail = -4.0 * C4 * s * R * R / (5.0 * (Z * R) ** 5)
+    else:
         f = lambda z: C4 / (math.hypot(s * R, z) - R) ** 4
-        val1, _ = scipy.integrate.quad(f, 0, R, epsabs=0, epsrel=1e-12,
-                                       limit=2000)
-        val2, _ = scipy.integrate.quad(f, R, Z * R, epsabs=0, epsrel=1e-12,
-                                       limit=2000)
         tail = C4 / (3.0 * (Z * R) ** 3)
-        return 2.0 * (val1 + val2 + tail) / (CONST.hbar * v)
+    val1, _ = scipy.integrate.quad(f, 0, R, epsabs=0, epsrel=1e-12,
+                                   limit=2000)
+    val2, _ = scipy.integrate.quad(f, R, Z * R, epsabs=0, epsrel=1e-12,
+                                   limit=2000)
+    return 2.0 * (val1 + val2 + tail) / (CONST.hbar * AU.v_long)
 
-    for s in (1.05, 1.5, 3.0):
-        assert sphere_phase(C4, v, R, s) == pytest.approx(oracle(s), rel=1e-9)
+
+def test_sphere_phase_against_line_integral():
+    phase = EikonalPhase(SPHERE, AU, AU.v_long)
+    for s in (1.001, 1.01, 1.05, 1.5, 3.0, 30.0, 99.0):
+        # abs=0: the phase is ~1e-7 rad at s = 99, where approx's default
+        # abs=1e-12 alone would allow a relative error of ~1e-5
+        assert phase.phi(s) == pytest.approx(_line_integral_phase(s),
+                                             rel=1e-9, abs=0)
+        assert phase.dphi_ds(s) == pytest.approx(
+            _line_integral_phase(s, derivative=True), rel=1e-9, abs=0)
 
 
 def test_sphere_phase_anchors():
@@ -105,8 +118,8 @@ def test_phase_table_matches_raw():
     sp = EikonalPhase(SPHERE, AU, AU.v_long)
     dp = EikonalPhase(DISC, AU, AU.v_long)
     for s in np.geomspace(1.01, 8.0, 20):
-        assert float(sp.phi(s)) == pytest.approx(
-            sphere_phase(AU.C4, AU.v_long, 500e-9, s), rel=1e-8)
+        assert float(sp.phi(s)) == pytest.approx(_line_integral_phase(s),
+                                                 rel=1e-8)
         assert float(dp.phi(s)) == pytest.approx(
             disc_phase(AU.C4, 10e-9, AU.v_long, 500e-9, s), rel=1e-8)
 
@@ -150,8 +163,6 @@ def test_classical_kick_disc_closed_form():
     s = 1.2
     expected = -4.0 * AU.C4 * 10e-9 / (2.0 * (500e-9) ** 5 * 0.2 ** 5)
     assert classical_kick(phase, s) == pytest.approx(expected, rel=1e-10)
-    assert classical_kick(phase, s, from_table=True) == pytest.approx(
-        expected, rel=1e-4)
 
 
 def test_classical_kick_attractive():
@@ -181,10 +192,16 @@ def test_capture_eta_shrinks_with_velocity():
 
 
 def test_capture_eta_fast_passage():
-    # at 10x the nominal velocity the sphere capture zone collapses to the
-    # roughness floor; this used to break the bisection bracket
+    # fast beams: the capture radius stays far above the roughness floor
+    # (delta = 1e-3 of R here). The shooting reference caps its step, so it
+    # cannot step across the sphere and miss the wall.
     fast = ParticleSpecies("au100", 19700.0, 5e-28, 20.2553946)
     eta_s = capture_eta(SPHERE, fast, fast.v_long)
-    assert 0.0009 < eta_s < 0.0012
+    assert eta_s == pytest.approx(0.030873894804279, rel=1e-6)
+    for R, v in ((500e-9, 20.2553946), (1e-6, 10.0), (500e-9, 50.0)):
+        obs = Obstacle("sphere", R)
+        p = ParticleSpecies("au100", 19700.0, 5e-28, v)
+        assert capture_eta(obs, p, v) == pytest.approx(
+            capture_eta_shooting(obs, p, v), rel=2e-5)
     eta_d = capture_eta(DISC, fast, fast.v_long)
     assert eta_d == pytest.approx(0.01590623277593229, rel=1e-6)

@@ -257,11 +257,15 @@ def test_quantum_spot_enhancement():
 
 
 def test_fast_beam_wall_strip_regressions():
-    # 10x velocity pushes the boundary phase to 2.2e3 (disc) and 3.1e8
-    # (sphere); these exercise the endpoint-series path of the integrator
+    # 10x velocity: the boundary phase phi(1 + eta) is 2.2e3 for the disc,
+    # above _PHI_SPLIT, so the disc takes the endpoint-series path of the
+    # integrator; the sphere's is 1.94e3, just below it, so the sphere is
+    # integrated by adaptive quadrature alone. The sphere's capture radius
+    # (eta = 3.0874e-2) is checked against trajectory shooting in
+    # test_interaction.test_capture_eta_fast_passage.
     v = 20.2553946
     for kind, b, expected in (("disc", 10e-9, 4.143044563259182),
-                              ("sphere", None, 9.565945522655028)):
+                              ("sphere", None, 9.5653730311359)):
         obs = Obstacle(kind, 500e-9, b)
         setup = _setup(v=v, obstacle=obs, alpha=5e-28)
         phase = EikonalPhase(obs, setup.particle, v)
