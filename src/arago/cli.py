@@ -1,7 +1,6 @@
 """Command-line front end.
 
     simulate <config> [--out DIR] [--preset NAME] [--sweep KEY=v1,v2,...]
-             [--threads N]
 
 Scenario files use the flat key=value grammar (see `config`); `--preset`
 loads a packaged scenario by name instead. Far-field scenarios write a
@@ -15,7 +14,6 @@ produces byte-identical artifacts.
 """
 
 import argparse
-import concurrent.futures
 import importlib.resources
 import math
 import os
@@ -367,7 +365,7 @@ def _apply_override(raw, key, value):
     return parse_config(serialize_kv(items))
 
 
-def sweep(cfg, key, values, out_dir, threads=1):
+def sweep(cfg, key, values, out_dir):
     """Run the scenario once per value of `key`, plus a summary CSV.
 
     The key must address a known scalar config field; every value is
@@ -378,21 +376,8 @@ def sweep(cfg, key, values, out_dir, threads=1):
     configs = [(v, _apply_override(cfg.raw, key, v)) for v in values]
 
     slug = key.replace(".", "_")
-    jobs = []
-    for i, (val, c) in enumerate(configs):
-        sub = os.path.join(out_dir, f"{slug}_{i:02d}")
-        jobs.append((val, c, sub))
-
-    results = [None] * len(jobs)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-            futs = {pool.submit(run_scenario, c, sub): i
-                    for i, (_, c, sub) in enumerate(jobs)}
-            for fut in concurrent.futures.as_completed(futs):
-                results[futs[fut]] = fut.result()
-    else:
-        for i, (_, c, sub) in enumerate(jobs):
-            results[i] = run_scenario(c, sub)
+    results = [run_scenario(c, os.path.join(out_dir, f"{slug}_{i:02d}"))
+               for i, (_, c) in enumerate(configs)]
 
     os.makedirs(out_dir, exist_ok=True)
     summary = os.path.join(out_dir, "summary.csv")
@@ -400,7 +385,7 @@ def sweep(cfg, key, values, out_dir, threads=1):
         fh.write(f"# sweep over {key}; w0 = profile value at the first grid "
                  "node, spot_radius = first local minimum (units of R)\n")
         fh.write("value,w0,spot_radius,distinguishability\n")
-        for (val, _, _), res in zip(jobs, results):
+        for (val, _), res in zip(configs, results):
             fh.write(f"{val},{_fmt(res.w0)},{_fmt(res.spot_radius)},"
                      f"{_fmt(res.distinguishability)}\n")
     return summary
@@ -419,8 +404,6 @@ def main(argv=None):
                         help=f"packaged scenario: {', '.join(PRESET_NAMES)}")
     parser.add_argument("--sweep", metavar="KEY=V1,V2,...",
                         help="run once per value of a config key")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel scenarios during sweeps")
     args = parser.parse_args(argv)
 
     try:
@@ -446,8 +429,6 @@ def main(argv=None):
             sweep_values = [v.strip() for v in rest.split(",") if v.strip()]
             if not sweep_values:
                 raise ConfigError("--sweep got an empty value list")
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
             # validate all overrides before any computation
             for v in sweep_values:
                 _apply_override(cfg.raw, sweep_key, v)
@@ -457,8 +438,7 @@ def main(argv=None):
 
     try:
         if sweep_key is not None:
-            summary = sweep(cfg, sweep_key, sweep_values, args.out,
-                            args.threads)
+            summary = sweep(cfg, sweep_key, sweep_values, args.out)
             print(summary)
         else:
             result = run_scenario(cfg, args.out)

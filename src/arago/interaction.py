@@ -46,15 +46,6 @@ class Obstacle:
             raise ValueError("disc obstacle requires a positive thickness b")
 
 
-def disc_phase(C4, b, v_z, R, s):
-    """Eikonal phase of a disc edge: C4 b / (hbar v_z R^4 (s-1)^4)."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 1.0):
-        raise ValueError("phase is defined outside the obstacle only (s > 1)")
-    out = C4 * b / (CONST.hbar * v_z * R ** 4 * (s - 1.0) ** 4)
-    return float(out) if out.ndim == 0 else out
-
-
 def _sphere_shape(s):
     """Line integral int dz / (sqrt(s^2 + z^2) - 1)^4 over all z (units of R).
 

@@ -51,6 +51,7 @@ class QuadratureResult:
     error: object          # float scalar or float ndarray (m,)
     converged: bool
     subdivisions: int
+    cuts: tuple            # interior boundaries of the final panels
 
     def require_converged(self, what="quadrature"):
         if not self.converged:
@@ -109,7 +110,9 @@ def integrate_adaptive(f, a, b, spec=None, points=()):
     f maps an ndarray of abscissae to an ndarray of values, either shape
     (n,) or (n, m) for m simultaneous components; values may be complex.
     `points` seeds the initial subdivision with known breakpoints (phase
-    levels, kinks); they are clipped to the open interval.
+    levels, kinks); they are clipped to the open interval. The result's
+    `cuts` are the interior boundaries of the final panels: passing them as
+    `points` to a related integrand starts it on the panels this one needed.
 
     Returns a QuadratureResult. Componentwise convergence criterion:
     err_i <= max(abs_tol, rel_tol * |I_i|) for every component i.
@@ -120,7 +123,7 @@ def integrate_adaptive(f, a, b, spec=None, points=()):
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     if a == b:
-        return QuadratureResult(0.0 + 0.0j, 0.0, True, 0)
+        return QuadratureResult(0.0 + 0.0j, 0.0, True, 0, ())
 
     cuts = [a] + sorted({float(p) for p in points if a < p < b}) + [b]
     segs = []            # heap of (-max_err, tiebreak, lo, hi, I, err)
@@ -155,7 +158,9 @@ def integrate_adaptive(f, a, b, spec=None, points=()):
         serial += 2
         n += 1
 
-    return QuadratureResult(total, total_err, ok(total, total_err), n)
+    leaves = sorted(seg[2] for seg in segs)   # panel lower ends, a first
+    return QuadratureResult(total, total_err, ok(total, total_err), n,
+                            tuple(leaves[1:]))
 
 
 def bisect(f, lo, hi, tol):

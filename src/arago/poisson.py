@@ -19,9 +19,17 @@ bound. The capture parameter eta removes adsorbed particles by starting the
 obstacle integrals at s = 1 + eta; the last integral truncates where phi
 falls below the phase floor, with a truncation error bounded by the floor.
 
+The interaction integral is evaluated for all screen radii at once: its
+panels are adapted on a probe subset of the radii first, and the whole grid
+is then integrated once on those panels and refined wherever any radius
+still needs it, under the same componentwise error test.
+
 Finite sources average |psi|^2 over the projected source disc (radius
-beta = (L2/L1)(R0/R) in u units); velocity spreads average over deterministic
-velocity nodes with the interaction phase rebuilt per node.
+beta = (L2/L1)(R0/R) in u units). The points of the disc at distance r from
+the origin form an arc, so the disc mean is a 1-D integral of the radial
+pattern against an arc-length kernel (annular_average). Velocity spreads
+average over deterministic velocity nodes with the interaction phase
+rebuilt per node.
 """
 
 import hashlib
@@ -182,8 +190,27 @@ def _wall_strip(u, k, ell, phase, a, b):
     return val_a + val_b, 2.0 * (err_a + err_b)
 
 
+# probe radii for the interaction panels: every 32nd screen radius + the largest
+_PROBE_STRIDE = 32
+
+
+def _integrate_on_probed_panels(integrand, u, a, b, spec, points):
+    """int_a^b integrand(s, u) ds for every radius in u.
+
+    Adapting on a probe subset of the radii first, and seeding the full pass
+    with the probe's final panels, spares the full grid the evaluations on
+    panels that are later split. The full pass still refines wherever any
+    radius fails the componentwise error test.
+    """
+    probe = np.unique(np.append(u[::_PROBE_STRIDE], u.max()))
+    if u.size > probe.size:
+        points = integrate_adaptive(lambda s: integrand(s, probe), a, b,
+                                    spec, points).cuts
+    return integrate_adaptive(lambda s: integrand(s, u), a, b, spec, points)
+
+
 def _amplitude_grid(u_grid, k, ell, phase=None, quad=None, capture=0.0):
-    """psi(u) for a whole grid of screen radii in one adaptive pass."""
+    """psi(u) for a whole grid of screen radii at once."""
     spec = quad or DEFAULT_SPEC
     u = np.atleast_1d(np.asarray(u_grid, dtype=float))
     if np.any(u < 0):
@@ -222,15 +249,16 @@ def _amplitude_grid(u_grid, k, ell, phase=None, quad=None, capture=0.0):
             psi = psi + res_m.value + strip_val
             a_int = s_split
 
-        def interacting(s):
+        def interacting(s, radii):
             s = np.asarray(s)
             radial = (two_pi_k * ell * s
                       * np.exp(1j * math.pi * k * ell * s * s)
                       * (np.exp(1j * phase.phi(s)) - 1.0))
-            return radial[:, None] * bessel_j0(two_pi_k * np.outer(s, u))
+            return radial[:, None] * bessel_j0(two_pi_k * np.outer(s, radii))
 
-        res1 = integrate_adaptive(interacting, a_int, phase.s_negligible,
-                                  spec, points=_phase_breakpoints(phase, a_int))
+        res1 = _integrate_on_probed_panels(
+            interacting, u, a_int, phase.s_negligible, spec,
+            _phase_breakpoints(phase, a_int))
         res1.require_converged("interaction integral")
         psi = psi + res1.value
         if strip_err is not None:
@@ -259,28 +287,45 @@ def point_source_pattern(u_grid, params, phase=None, quad=None, capture=0.0):
                                "averaging": "none"})
 
 
-def annular_average(u_grid, beta, radial_fn, n_t=48, n_theta=256):
-    """Average a radial function over a disc of radius beta around each u.
+# Gauss-Legendre nodes on [-1, 1] for both pieces of the arc-length kernel
+_XK, _WK = np.polynomial.legendre.leggauss(64)
 
-    Computes (2/beta^2) int_0^beta t dt <f(sqrt(u^2 + t^2 + 2 u t cos
-    theta))>_theta with Gauss-Legendre nodes in t and a midpoint rule in
-    theta. Shared by the quantum and classical engines so finite-source
-    smearing is bit-identical between the two.
+
+def annular_average(u_grid, beta, radial_fn):
+    """Mean of a radial function f over the disc of radius beta around each u.
+
+    The points at distance r from the origin fill an arc of the disc, so the
+    mean is the 1-D integral int f(r) K(u, r) dr with the arc-length kernel
+
+        K = (2 r / (pi beta^2)) arccos((u^2 + r^2 - beta^2) / (2 u r))
+
+    on |u - beta| < r < u + beta, plus K = 2 r / beta^2 (full circles) on
+    r < beta - u. The circles, present for u < beta only, take 64
+    Gauss-Legendre nodes in r; the arcs take 64 nodes in phi in [0, pi] with
+    r = m - h cos(phi), m and h the midpoint and half-width of the arc band,
+    which makes the square-root edges of the arccos smooth. f is called once
+    with every node. The factor r of K cancels a 1/r focal divergence of f.
     """
     u = np.asarray(u_grid, dtype=float)
     if beta == 0.0:
         return radial_fn(u)
-    x_t, w_t = np.polynomial.legendre.leggauss(n_t)
-    t = 0.5 * beta * (x_t + 1.0)
-    wt = 0.5 * beta * w_t
-    theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
-    cos_t = np.cos(theta)
-    out = np.zeros_like(u)
-    for ti, wi in zip(t, wt):
-        r = np.sqrt(np.maximum(u[:, None] ** 2 + ti * ti
-                               + 2.0 * u[:, None] * ti * cos_t[None, :], 0.0))
-        out += wi * ti * radial_fn(r.ravel()).reshape(r.shape).mean(axis=1)
-    return out * (2.0 / beta ** 2)
+    inner = u < beta
+    c = (beta - u[inner])[:, None]
+    r_in = 0.5 * c * (1.0 + _XK)
+    m = np.maximum(u, beta)[:, None]
+    h = np.minimum(u, beta)[:, None]
+    phi = 0.5 * math.pi * (1.0 + _XK)
+    r_arc = m - h * np.cos(phi)
+    two_ur = 2.0 * u[:, None] * r_arc
+    cos_arc = (u[:, None] ** 2 + r_arc ** 2 - beta ** 2) / np.where(
+        two_ur > 0.0, two_ur, 1.0)
+    w_arc = (_WK * h * np.sin(phi)) * r_arc * np.arccos(
+        np.clip(cos_arc, -1.0, 1.0))
+    f = radial_fn(np.concatenate([r_arc.ravel(), r_in.ravel()]))
+    out = (w_arc * f[:r_arc.size].reshape(r_arc.shape)).sum(axis=1)
+    out[inner] += (c * _WK * r_in
+                   * f[r_arc.size:].reshape(r_in.shape)).sum(axis=1)
+    return out / beta ** 2
 
 
 def _auto_capture(setup, phase, v):
@@ -289,14 +334,16 @@ def _auto_capture(setup, phase, v):
     return _capture_eta(setup.obstacle, setup.particle, v)
 
 
-def source_averaged_pattern(u_grid, setup, phase=None, quad=None,
-                            n_samples=48, v=None, capture=None):
+def source_averaged_pattern(u_grid, setup, phase=None, quad=None, v=None,
+                            capture=None):
     """Pattern averaged over the finite source disc (radius R0).
 
-    The point-source pattern is evaluated once on a working grid extended by
-    the projected source radius beta, interpolated, and folded with the
-    annular-offset kernel. capture=None computes the adsorption radius from
-    the obstacle and particle when an interaction phase is given.
+    The point-source pattern is evaluated once on a working grid (spacing
+    ell/200) that reaches beta beyond the largest screen radius, interpolated
+    by a cubic spline, and averaged over the disc of radius beta around each
+    screen radius with the arc-length kernel of annular_average. capture=None
+    computes the adsorption radius from the obstacle and particle when an
+    interaction phase is given.
     """
     v_eff = setup.particle.v_long if v is None else v
     p = setup.dimensionless(v_eff)
@@ -313,8 +360,7 @@ def source_averaged_pattern(u_grid, setup, phase=None, quad=None,
     work = np.linspace(0.0, top, max(int(math.ceil(top / du)) + 1, 64))
     wp = point_source_pattern(work, p, phase, quad, capture)
     interp = CubicSpline(wp.u, wp.w)
-    w = annular_average(u, p.beta, lambda r: np.maximum(interp(r), 0.0),
-                        n_t=n_samples)
+    w = annular_average(u, p.beta, lambda r: np.maximum(interp(r), 0.0))
     model = "ideal" if phase is None else "quantum"
     return RadialProfile(u, np.maximum(w, 0.0),
                          meta={"model": model, "k": p.k, "ell": p.ell,

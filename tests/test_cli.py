@@ -177,7 +177,7 @@ def test_sweep_velocity_scaling(tmp_path):
     cfg = parse_config(load_preset("fig2b"))  # k = 2 at 20.2553946 m/s
     summary = sweep(cfg, "particle.v_long",
                     ["10.1276973", "20.2553946", "40.5107892"],
-                    str(tmp_path), threads=3)
+                    str(tmp_path))
     rows = [ln.split(",") for ln in open(summary).read().splitlines()[2:]]
     radii = [float(r[2]) for r in rows]
     assert radii[0] > radii[1] > radii[2]
@@ -257,8 +257,7 @@ def test_main_numerical_failure(tmp_path, capsys):
 
 
 def test_main_sweep(tmp_path, capsys):
-    code = main(["--preset", "fig2a", "--out", str(tmp_path), "--threads",
-                 "2", "--sweep",
+    code = main(["--preset", "fig2a", "--out", str(tmp_path), "--sweep",
                  "particle.v_long=2.02553946,4.0510789"])
     assert code == 0
     assert (tmp_path / "summary.csv").exists()

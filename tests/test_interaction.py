@@ -11,13 +11,18 @@ from arago.interaction import (
     capture_eta,
     capture_eta_shooting,
     classical_kick,
-    disc_phase,
 )
 from arago.particles import ParticleSpecies, species_preset
 
 AU = species_preset("au100")          # 19700 amu, alpha 5e-28 m^3, v 2 m/s
 SPHERE = Obstacle("sphere", 500e-9)
 DISC = Obstacle("disc", 500e-9, 10e-9)
+
+
+def disc_phase(C4, b, v_z, R, s):
+    """Disc oracle: the edge potential -C4/(r-R)^4 acting for the transit
+    time b/v_z gives C4 b / (hbar v_z R^4 (s-1)^4)."""
+    return C4 * b / (CONST.hbar * v_z * R ** 4 * (np.asarray(s) - 1.0) ** 4)
 
 
 def test_obstacle_validation():
@@ -37,17 +42,19 @@ def test_disc_phase_closed_form():
     expected = AU.C4 * 10e-9 / (CONST.hbar * 2.0 * (500e-9) ** 4 * 0.2 ** 4)
     assert disc_phase(AU.C4, 10e-9, 2.0, 500e-9, s) == pytest.approx(
         expected, rel=1e-12)
+    assert EikonalPhase(DISC, AU, 2.0).phi(s) == pytest.approx(expected,
+                                                               rel=1e-12)
 
 
 def test_disc_phase_power_law():
-    r = disc_phase(AU.C4, 10e-9, 2.0, 500e-9, 1.1) \
-        / disc_phase(AU.C4, 10e-9, 2.0, 500e-9, 1.2)
+    phase = EikonalPhase(DISC, AU, 2.0)
+    r = phase.phi(1.1) / phase.phi(1.2)
     assert r == pytest.approx(16.0, rel=1e-12)
 
 
 def test_disc_phase_velocity_scaling():
-    r = disc_phase(AU.C4, 10e-9, 2.0, 500e-9, 1.3) \
-        / disc_phase(AU.C4, 10e-9, 4.0, 500e-9, 1.3)
+    r = EikonalPhase(DISC, AU, 2.0).phi(1.3) \
+        / EikonalPhase(DISC, AU, 4.0).phi(1.3)
     assert r == pytest.approx(2.0, rel=1e-12)
 
 
@@ -177,6 +184,21 @@ def test_capture_eta_sphere():
     eta = capture_eta(SPHERE, AU, AU.v_long)
     assert eta == pytest.approx(0.078445686340332, rel=1e-4)
     assert eta * 500e-9 == pytest.approx(39.2e-9, rel=0.02)
+    # brute-force oracle, independent of the r* bisection: (1 + eta)^2 is the
+    # minimum of B(r) = r^2 (1 + (A/2)/(r-1)^4) over r in [1 + delta, 3],
+    # here on 1e5 nodes geometric in r - 1. Measured: 1.0e-9 relative at
+    # fig3 (the grid's quadratic error at the interior minimum r*); exactly
+    # 0 for alpha = 5e-38 m^3, where r* - 1 = 6.2e-4 < delta = 1e-3 and the
+    # roughness floor r_min = 1 + delta binds (r* there would give 7.8e-4).
+    delta = 0.5e-9 / 500e-9
+    r = 1.0 + np.geomspace(delta, 2.0, 100_000)
+    for alpha, floor_binds in ((5e-28, False), (5e-38, True)):
+        p = ParticleSpecies("au100", 19700.0, alpha, 2.0)
+        half_A = 2.0 * p.C4 / (p.mass_kg * 2.0 ** 2 * 500e-9 ** 4)
+        B = r * r * (1.0 + half_A / (r - 1.0) ** 4)
+        assert (np.argmin(B) == 0) == floor_binds
+        assert capture_eta(SPHERE, p, 2.0) == pytest.approx(
+            math.sqrt(B.min()) - 1.0, rel=1e-8)
 
 
 def test_capture_eta_disc():

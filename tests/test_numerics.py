@@ -76,6 +76,23 @@ def test_breakpoint_seeding():
     assert res.value == pytest.approx(0.29, rel=1e-12)
 
 
+def test_seeding_with_final_cuts():
+    # the final panels of one call, passed back as breakpoints, are already
+    # converged: the seeded call evaluates them once and splits nothing
+    def f(x):
+        return np.exp(-x) * np.sin(50.0 * x)
+
+    res = integrate_adaptive(f, 0.0, 10.0)
+    assert res.converged and len(res.cuts) > 10
+    assert list(res.cuts) == sorted(res.cuts)
+    assert 0.0 < min(res.cuts) and max(res.cuts) < 10.0
+    seeded = integrate_adaptive(f, 0.0, 10.0, points=res.cuts)
+    assert seeded.converged
+    assert seeded.subdivisions == len(res.cuts) + 1
+    assert seeded.value == pytest.approx(res.value, rel=1e-14)
+    assert seeded.cuts == res.cuts
+
+
 def test_budget_exhaustion_flagged():
     spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=2)
     res = integrate_adaptive(lambda x: np.sin(1000.0 * x), 0.0, 10.0, spec=spec)

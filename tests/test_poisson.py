@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import arago.poisson
+from arago.classical import _polar_average
 from arago.interaction import EikonalPhase, Obstacle, capture_eta
 from arago.numerics import QuadratureSpec, bessel_j0
 from arago.particles import ParticleSpecies
@@ -141,18 +142,47 @@ def test_radial_profile_value_at():
     assert prof.value_at(0.5) == pytest.approx(2.0)
 
 
+# u in units of beta: on the axis, inside the disc, on its rim, outside
+ANNULAR_U = np.array([0.0, 0.3, 1.0, 1.7, 5.0])
+ANNULAR_BETA = (0.7, 1.0)
+
+
 def test_annular_average_constant():
-    out = annular_average(np.array([0.0, 1.0, 2.5]), 0.7,
-                          lambda r: np.ones_like(r))
-    assert np.allclose(out, 1.0, rtol=1e-12)
+    for beta in ANNULAR_BETA:
+        out = annular_average(ANNULAR_U * beta, beta,
+                              lambda r: np.ones_like(r))
+        assert np.allclose(out, 1.0, rtol=1e-12)
 
 
 def test_annular_average_quadratic():
     # <(u + t)^2> over the offset disc has the closed form u^2 + beta^2 / 2
-    beta = 0.8
-    u = np.array([0.0, 0.5, 1.7])
-    out = annular_average(u, beta, lambda r: r ** 2)
-    assert np.allclose(out, u ** 2 + beta ** 2 / 2.0, rtol=1e-9)
+    for beta in ANNULAR_BETA:
+        u = ANNULAR_U * beta
+        out = annular_average(u, beta, lambda r: r ** 2)
+        assert np.allclose(out, u ** 2 + beta ** 2 / 2.0, rtol=1e-9)
+
+
+def test_annular_average_focal_divergence():
+    # the kernel's factor r cancels a classical focal 1/r: on the axis the
+    # mean of 1/r over the disc is (2 / beta^2) int_0^beta dr = 2 / beta
+    for beta in ANNULAR_BETA:
+        out = annular_average(np.array([0.0]), beta, lambda r: 1.0 / r)
+        assert out[0] == pytest.approx(2.0 / beta, rel=1e-14)
+
+
+def test_annular_average_matches_polar_rule():
+    # independent route: the classical engine's polar rule (Gauss-Legendre in
+    # the offset, midpoints in the angle) pushed to 400 x 8192 nodes, on a
+    # smooth oscillatory f shaped like a point-source pattern at k = 4.
+    # Measured: <= 1.5e-11 absolute.
+    def f(r):
+        return bessel_j0(8.0 * math.pi * r) ** 2 + np.cos(30.0 * r)
+
+    for beta in ANNULAR_BETA:
+        u = ANNULAR_U * beta
+        ref = _polar_average(u, beta, f, n_t=400, n_theta=8192)
+        assert np.allclose(annular_average(u, beta, f), ref, rtol=0,
+                           atol=1e-9)
 
 
 def test_source_averaging_beta_zero_identity():
@@ -293,6 +323,27 @@ def test_wall_strip_matches_pure_adaptive(monkeypatch):
     w_brute = point_source_pattern(grid, par, phase=phase, quad=quad,
                                    capture=eta).w
     assert np.allclose(w_strip, w_brute, rtol=1e-8, atol=1e-10)
+
+
+def test_probed_panels_match_single_radius_amplitude():
+    # the 703-point fig3 working grid takes its interaction panels from a
+    # probe subset of the radii; every radius, the largest included, must
+    # still come out as the single-radius amplitude (which skips the probe).
+    # Measured: <= 3.6e-15 relative.
+    for obs in (Obstacle("sphere", 500e-9), Obstacle("disc", 500e-9, 10e-9)):
+        setup = _setup(R0=500e-9, v=2.0, obstacle=obs, alpha=5e-28)
+        par = setup.dimensionless()
+        phase = EikonalPhase(obs, setup.particle, 2.0)
+        eta = capture_eta(obs, setup.particle, 2.0)
+        du = par.ell / 200.0
+        top = 3.0 * par.ell + par.beta + 2 * du
+        work = np.linspace(0.0, top, int(math.ceil(top / du)) + 1)
+        assert work.size == 703
+        psi = arago.poisson._amplitude_grid(work, par.k, par.ell, phase,
+                                            capture=eta)
+        for i in (0, 101, 350, 555, 702):
+            single = amplitude(work[i], par, phase, capture=eta)
+            assert abs(psi[i] - single) <= 1e-8 * abs(single)
 
 
 def test_shadow_edge_moves_outward_with_attraction():
