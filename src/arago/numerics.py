@@ -1,12 +1,16 @@
 """Shared numerical machinery: Bessel J0, adaptive quadrature, bisection.
 
-The quadrature engine is a worst-interval-first adaptive scheme built on an
-embedded Gauss-Legendre 10/21 point pair. It accepts complex and vector-valued
-integrands: an integrand may return an array of shape (n_points,) or
-(n_points, m), in which case all m components are integrated simultaneously
-over the same subdivision tree with a componentwise error test. That is what
-lets the diffraction code evaluate one oscillatory integral for an entire
-screen grid in a single pass.
+The quadrature engine is a worst-interval-first adaptive scheme built on the
+embedded Gauss-Kronrod 15/31 point rule: every one of the 31 evaluations of
+a panel goes into its K31 value, and |K31 - G15| is its error estimate. It
+accepts complex and vector-valued integrands: an integrand may return an
+array of shape (n_points,) or (n_points, m), in which case all m components
+are integrated simultaneously over the same subdivision tree with a
+componentwise error test. It may also return a pair (g, K), a complex factor
+of shape (n_points,) and a real matrix of shape (n_points, m) whose product
+g[:, None] * K is the integrand; the panel sums then never form that complex
+product. That is what lets the diffraction code evaluate one oscillatory
+Hankel integral for an entire screen grid in a single pass.
 
 Semi-infinite oscillatory integrals never reach this module; the callers reduce
 them to finite intervals plus analytic closed forms first, so only robust
@@ -79,36 +83,78 @@ def bessel_j0(x):
     return float(out) if out.ndim == 0 else out
 
 
-# Embedded Gauss-Legendre pair. Generated, not transcribed, so the nodes are
-# reproducible from numpy alone.
-_X10, _W10 = np.polynomial.legendre.leggauss(10)
-_X21, _W21 = np.polynomial.legendre.leggauss(21)
-_XPAIR = np.concatenate([_X10, _X21])
+# G15/K31 Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk31; Piessens et al.,
+# QUADPACK, 1983): the 16 nodes x >= 0 in descending order, their K31
+# weights, and the G15 weights of the odd-numbered ones (the 15-point
+# Gauss-Legendre nodes). Embedded as constants because computing the Kronrod
+# nodes at import costs memory; tests/test_numerics.py checks them against
+# leggauss(15) and polynomial exactness.
+_XK_HALF = np.array([
+    0.9980022986933971, 0.9879925180204854, 0.9677390756791391,
+    0.937273392400706, 0.8972645323440819, 0.8482065834104272,
+    0.790418501442466, 0.7244177313601701, 0.650996741297417,
+    0.5709721726085388, 0.4850818636402397, 0.3941513470775634,
+    0.29918000715316884, 0.20119409399743451, 0.1011420669187175, 0.0])
+_WK_HALF = np.array([
+    0.005377479872923349, 0.015007947329316122, 0.02546084732671532,
+    0.03534636079137585, 0.04458975132476488, 0.05348152469092809,
+    0.06200956780067064, 0.06985412131872826, 0.07684968075772038,
+    0.08308050282313302, 0.08856444305621176, 0.09312659817082532,
+    0.09664272698362368, 0.09917359872179196, 0.10076984552387559,
+    0.10133000701479154])
+_WG_HALF = np.zeros(16)
+_WG_HALF[1::2] = [
+    0.03075324199611727, 0.07036604748810812, 0.10715922046717194,
+    0.13957067792615432, 0.16626920581699392, 0.1861610000155622,
+    0.19843148532711158, 0.2025782419255613]
+
+
+# all 31 nodes ascending; the G15 nodes are _X31[1::2], and _W15 is zero
+# on the 16 Kronrod-only nodes
+_X31 = np.concatenate([-_XK_HALF[:-1], _XK_HALF[::-1]])
+_W31 = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
+_W15 = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
+# rows: the K31 value and the K31 - G15 difference
+_RULES = np.stack([_W31, _W31 - _W15])
 
 
 def _panel(f, lo, hi):
-    """One 10/21 panel on [lo, hi]: returns (I21, |I21 - I10| per component)."""
+    """One G15/K31 panel on [lo, hi]: returns (K31, |K31 - G15|) per component.
+
+    The integrand is read as g(x)[:, None] * K(x). f returns either the pair
+    (g, K), or a plain array K, which is the case g = 1. With
+    c = (K31 weights, K31 - G15 weights) * g, both sums come from the one
+    matrix product [Re c; Im c] @ K, so for a complex g and a real K no
+    complex array of the size of K is formed. Non-finite values in either
+    factor raise NumericsError.
+    """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    y = np.asarray(f(mid + half * _XPAIR))
-    if y.ndim == 0:
-        y = np.full(_XPAIR.shape, y[()])
-    if y.shape[0] != _XPAIR.shape[0]:
+    y = f(mid + half * _X31)
+    g, kern = y if isinstance(y, tuple) else (1.0, y)
+    g, kern = np.asarray(g), np.asarray(kern)
+    if kern.ndim == 0:
+        kern = np.full(_X31.shape, kern[()])
+    if kern.shape[0] != _X31.size or g.shape not in ((), _X31.shape):
         raise ValueError("integrand must return one value per abscissa")
-    if not np.all(np.isfinite(y.view(float) if np.iscomplexobj(y) else y)):
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(kern))):
         raise NumericsError(
             f"integrand returned non-finite values on [{lo:.6g}, {hi:.6g}]")
-    y10, y21 = y[:10], y[10:]
-    coarse = half * np.tensordot(_W10, y10, axes=(0, 0))
-    fine = half * np.tensordot(_W21, y21, axes=(0, 0))
-    return fine, np.abs(fine - coarse)
+    c = half * _RULES * g
+    p = np.concatenate([c.real, c.imag]) @ kern
+    value, diff = p[:2] + 1j * p[2:]
+    return value, np.abs(diff)
 
 
 def integrate_adaptive(f, a, b, spec=None, points=()):
     """Adaptive quadrature of f over the finite interval [a, b].
 
-    f maps an ndarray of abscissae to an ndarray of values, either shape
-    (n,) or (n, m) for m simultaneous components; values may be complex.
+    f maps an ndarray of abscissae to the integrand in one of two forms:
+    an ndarray of values, shape (n,) or (n, m) for m simultaneous
+    components, possibly complex; or a pair (g, K) of a factor g of shape
+    (n,) and a matrix K of shape (n, m), meaning g[:, None] * K (g complex,
+    K real: a radial factor times a Bessel kernel, summed without forming
+    the complex product).
     `points` seeds the initial subdivision with known breakpoints (phase
     levels, kinks); they are clipped to the open interval. The result's
     `cuts` are the interior boundaries of the final panels: passing them as

@@ -132,16 +132,20 @@ def default_grid(params, n=600, u_max=None):
 
 
 def _phase_breakpoints(phase, a):
-    """Abscissae where phi crosses successive quarter levels, as quad seeds."""
+    """Abscissae where phi crosses successive quarter levels, as quad seeds.
+
+    The disc phase P (s-1)^-4 crosses a level in closed form; the sphere's
+    crossings are bisected.
+    """
     lo = max(a, 1.0 + 1e-9)
-    pts = []
-    lvl = phase.phi(lo)
+    levels = [phase.phi(lo)]
     floor = max(phase.phase_floor * 4.0, 1e-3)
-    while lvl > floor:
-        lvl /= 4.0
-        pts.append(bisect(lambda s: phase.phi(s) - lvl, lo,
-                          phase.s_negligible, 1e-10))
-    return pts
+    while levels[-1] > floor:
+        levels.append(levels[-1] / 4.0)
+    if phase.obstacle.kind == "disc":
+        return [1.0 + (phase.prefactor / lvl) ** 0.25 for lvl in levels[1:]]
+    return [bisect(lambda s: phase.phi(s) - lvl, lo, phase.s_negligible,
+                   1e-10) for lvl in levels[1:]]
 
 
 # Boundary phase (rad) beyond which the interaction integrand oscillates too
@@ -220,10 +224,16 @@ def _amplitude_grid(u_grid, k, ell, phase=None, quad=None, capture=0.0):
     a = 1.0 + capture
     two_pi_k = 2.0 * math.pi * k
 
+    # integrands as (complex radial factor, real J0 matrix), the pair form
+    # of integrate_adaptive
     def bare(s):
         s = np.asarray(s)
-        radial = two_pi_k * ell * s * np.exp(1j * math.pi * k * ell * s * s)
-        return radial[:, None] * bessel_j0(two_pi_k * np.outer(s, u))
+        return (two_pi_k * ell * s * np.exp(1j * math.pi * k * ell * s * s),
+                bessel_j0(two_pi_k * np.outer(s, u)))
+
+    def shadow(s):
+        radial, j0 = bare(s)
+        return -radial, j0
 
     free = 1j * np.exp(-1j * math.pi * k * u * u / ell)
     res0 = integrate_adaptive(bare, 0.0, a, spec)
@@ -243,7 +253,7 @@ def _amplitude_grid(u_grid, k, ell, phase=None, quad=None, capture=0.0):
             # oscillatory part by the endpoint series instead
             s_split = bisect(lambda s: phase.phi(s) - _PHI_SPLIT, a,
                              phase.s_negligible, 1e-12)
-            res_m = integrate_adaptive(lambda s: -bare(s), a, s_split, spec)
+            res_m = integrate_adaptive(shadow, a, s_split, spec)
             res_m.require_converged("wall-strip shadow integral")
             strip_val, strip_err = _wall_strip(u, k, ell, phase, a, s_split)
             psi = psi + res_m.value + strip_val
@@ -254,7 +264,7 @@ def _amplitude_grid(u_grid, k, ell, phase=None, quad=None, capture=0.0):
             radial = (two_pi_k * ell * s
                       * np.exp(1j * math.pi * k * ell * s * s)
                       * (np.exp(1j * phase.phi(s)) - 1.0))
-            return radial[:, None] * bessel_j0(two_pi_k * np.outer(s, radii))
+            return radial, bessel_j0(two_pi_k * np.outer(s, radii))
 
         res1 = _integrate_on_probed_panels(
             interacting, u, a_int, phase.s_negligible, spec,

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from arago.numerics import (
+    _W15,
+    _W31,
+    _X31,
     NumericsError,
     QuadratureSpec,
     bessel_j0,
@@ -109,6 +112,77 @@ def test_empty_interval():
 def test_reversed_interval_rejected():
     with pytest.raises(ValueError):
         integrate_adaptive(lambda x: x, 1.0, 0.0)
+
+
+def test_gauss_subset_is_leggauss15():
+    # the G15 rule embedded in K31 is the 15-point Gauss-Legendre rule, on
+    # every second node; the 16 Kronrod-only nodes carry no G15 weight
+    x, w = np.polynomial.legendre.leggauss(15)
+    assert np.max(np.abs(_X31[1::2] - x)) <= 1e-15
+    assert np.max(np.abs(_W15[1::2] - w)) <= 1e-15
+    assert np.all(_W15[::2] == 0.0)
+
+
+def test_kronrod_nodes_symmetric():
+    assert _X31.shape == (31,)
+    assert np.all(np.diff(_X31) > 0) and -1.0 < _X31[0]
+    assert np.array_equal(_X31, -_X31[::-1])
+    assert np.array_equal(_W31, _W31[::-1])
+    assert np.array_equal(_W15, _W15[::-1])
+
+
+def test_kronrod_polynomial_exactness():
+    # K31 integrates x^d exactly for d <= 3*15 + 1 (47 by symmetry), G15
+    # for d <= 29; x^30 is the first monomial G15 gets wrong
+    def moment_error(w, d):
+        return abs(np.sum(w * _X31 ** d) - (1 + (-1) ** d) / (d + 1))
+
+    assert max(moment_error(_W31, d) for d in range(47)) <= 1e-15
+    assert max(moment_error(_W15, d) for d in range(30)) <= 1e-15
+    assert moment_error(_W15, 30) > 1e-10
+
+
+def _hankel_pair(u, k=3.0):
+    # s exp(i pi k s^2) J0(2 pi k u s): a complex radial factor and a real
+    # J0 matrix over the radii u
+    def pair(s):
+        return (s * np.exp(1j * math.pi * k * s * s),
+                bessel_j0(2.0 * math.pi * k * np.outer(s, u)))
+    return pair
+
+
+def test_pair_integrand_matches_plain_array():
+    u = np.linspace(0.0, 3.0, 50)
+    pair = _hankel_pair(u)
+
+    def plain(s):
+        g, kern = pair(s)
+        return g[:, None] * kern
+
+    res = integrate_adaptive(pair, 0.0, 1.5)
+    ref = integrate_adaptive(plain, 0.0, 1.5)
+    assert res.converged and ref.converged
+    assert res.value.shape == ref.value.shape == (50,)
+    assert np.all(np.abs(res.value - ref.value) <= 1e-13 * np.abs(ref.value))
+
+
+def test_pair_integrand_non_finite_rejected():
+    u = np.linspace(0.0, 3.0, 50)
+    pair = _hankel_pair(u)
+
+    def bad_factor(s):
+        g, kern = pair(s)
+        g[3] = np.nan
+        return g, kern
+
+    def bad_kernel(s):
+        g, kern = pair(s)
+        kern[5, 7] = np.inf
+        return g, kern
+
+    for f in (bad_factor, bad_kernel):
+        with pytest.raises(NumericsError, match="non-finite"):
+            integrate_adaptive(f, 0.0, 1.5)
 
 
 def test_bessel_j0_small_argument():

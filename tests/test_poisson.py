@@ -325,6 +325,23 @@ def test_wall_strip_matches_pure_adaptive(monkeypatch):
     assert np.allclose(w_strip, w_brute, rtol=1e-8, atol=1e-10)
 
 
+def test_phase_breakpoints_hit_quarter_levels():
+    # phi at the j-th breakpoint is phi(1 + eta) / 4^j, down to the floor;
+    # the disc's crossings are closed forms, the sphere's are bisected to
+    # 1e-10 in s
+    disc = Obstacle("disc", 500e-9, 10e-9)
+    for obs, v, rtol in ((disc, 2.0, 1e-13), (disc, 20.2553946, 1e-13),
+                         (Obstacle("sphere", 500e-9), 2.0, 1e-6)):
+        setup = _setup(v=v, obstacle=obs, alpha=5e-28)
+        phase = EikonalPhase(obs, setup.particle, v)
+        a = 1.0 + capture_eta(obs, setup.particle, v)
+        pts = np.array(arago.poisson._phase_breakpoints(phase, a))
+        levels = phase.phi(a) / 4.0 ** np.arange(1, pts.size + 1)
+        assert pts.size > 5 and np.all(np.diff(pts) > 0)
+        assert levels[-2] > 1e-3 >= levels[-1]
+        assert np.allclose(phase.phi(pts), levels, rtol=rtol, atol=0.0)
+
+
 def test_probed_panels_match_single_radius_amplitude():
     # the 703-point fig3 working grid takes its interaction panels from a
     # probe subset of the radii; every radius, the largest included, must
