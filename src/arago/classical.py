@@ -72,11 +72,8 @@ def ray_map(params, phase, particle, v_z, eta, s_max=8.0, n=4000):
                 f"ray map not ballistic at s_max={s_max}: residual kick "
                 f"{tail:.2e}; enlarge s_max")
 
-    jac = np.gradient(u_fin, s)
-    caustics = np.flatnonzero(np.diff(np.signbit(jac)))
-    return RayMap(s, u_fin, np.abs(jac),
-                  meta={"ell": params.ell, "k": params.k, "eta": eta,
-                        "caustic_nodes": caustics.tolist()})
+    return RayMap(s, u_fin, np.abs(np.gradient(u_fin, s)),
+                  meta={"ell": params.ell})
 
 
 def _branch_sum(targets, rmap):
@@ -141,10 +138,7 @@ def classical_point_pattern(u_grid, rmap):
     pin = _branch_sum(np.array([3.0 * ell]), rmap)[0]
     if pin <= 0:
         raise ValueError("ray map does not reach u = 3 ell; enlarge s_max")
-    w = _branch_sum(u, rmap) / pin
-    return RadialProfile(u, w, meta={"model": "classical", "ell": ell,
-                                     "eta": rmap.meta["eta"],
-                                     "averaging": "none"})
+    return RadialProfile(u, _branch_sum(u, rmap) / pin)
 
 
 def _polar_average(u, beta, radial_fn, n_t=48, n_theta=256):
@@ -177,9 +171,7 @@ def classical_source_averaged(u_grid, setup, rmap, v=None):
     p = setup.dimensionless(v_eff)
     u = np.asarray(u_grid, dtype=float)
     if p.beta == 0.0:
-        prof = classical_point_pattern(u, rmap)
-        prof.meta["averaging"] = "source(beta=0)"
-        return prof
+        return classical_point_pattern(u, rmap)
     top = u.max() + p.beta
     ell = rmap.meta["ell"]
     work = np.unique(np.concatenate([
@@ -188,10 +180,7 @@ def classical_source_averaged(u_grid, setup, rmap, v=None):
     g = work * classical_point_pattern(work, rmap).w  # u*w, finite at 0
     w = _polar_average(u, p.beta, lambda r: np.interp(r, work, g)
                        / np.maximum(r, 1e-300))
-    return RadialProfile(u, np.maximum(w, 0.0),
-                         meta={"model": "classical", "ell": ell,
-                               "beta": p.beta, "eta": rmap.meta["eta"],
-                               "averaging": "source"})
+    return RadialProfile(u, np.maximum(w, 0.0))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@
 
 Scenario files use the flat key=value grammar (see `config`); `--preset`
 loads a packaged scenario by name instead. Far-field scenarios write a
-constraint report (plain text and machine-readable key-value); near-field
-scenarios write radial-profile CSVs; compare mode writes both profiles plus
-a distinguishability report. Exit codes: 0 success, 2 configuration error,
-3 numerical failure (partial outputs are removed).
+constraint report (plain text and machine-readable key-value). Near-field
+scenarios run one pipeline: a visibility report, the radial-profile CSVs
+that _NEAR_FIELD_PROFILES lists for the mode, and a distinguishability
+report when compare mode has both. Exit codes: 0 success, 2 configuration
+error (nothing is written), 3 numerical failure (partial outputs, a whole
+sweep's included, are removed).
 
 Output files are deterministic for a fixed config: rerunning a scenario
 produces byte-identical artifacts.
@@ -18,9 +20,7 @@ import importlib.resources
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import asdict, dataclass, fields
 
 from . import classical as cls
 from . import poisson as psn
@@ -33,24 +33,38 @@ from .particles import ParticleSpecies, species_preset
 PRESET_NAMES = ("fig2a", "fig2b", "fig3-sphere", "fig3-disc",
                 "farfield-30k", "farfield-au5000")
 
-_MODES = ("farfield", "poisson_ideal", "poisson_quantum",
-          "poisson_classical", "poisson_compare")
-
-_KNOWN_KEYS = {
-    "mode",
-    "particle.preset", "particle.name", "particle.mass", "particle.alpha",
-    "particle.v_long", "particle.dv_rel",
-    "poisson.R0", "poisson.R", "poisson.L1", "poisson.L2",
-    "poisson.obstacle", "poisson.thickness",
-    "farfield.D", "farfield.Y", "farfield.L1", "farfield.L2",
-    "farfield.d", "farfield.b", "farfield.Theta", "farfield.eps1",
-    "farfield.eps2", "farfield.eps3", "farfield.latitude", "farfield.H",
-    "farfield.T_source", "farfield.eta_trans", "farfield.tau",
-    "farfield.N_target", "farfield.d_open",
-    "numerics.rel_tol", "numerics.abs_tol", "numerics.max_subdivisions",
-    "grid.n_u", "grid.u_max",
-    "averaging.source", "averaging.velocity",
+# the profiles each near-field mode writes; the first one gives the summary
+# metrics, and two of them are compared
+_NEAR_FIELD_PROFILES = {
+    "poisson_ideal": ("ideal",),
+    "poisson_quantum": ("quantum",),
+    "poisson_classical": ("classical",),
+    "poisson_compare": ("quantum", "classical"),
 }
+
+_MODES = ("farfield",) + tuple(_NEAR_FIELD_PROFILES)
+
+# float-valued poisson.* keys, passed to PoissonSetup under the same names
+_POISSON_LENGTHS = ("R0", "R", "L1", "L2")
+
+
+def _names(table):
+    return tuple(f.name for f in fields(table))
+
+
+# the keys accepted per config section, as parse_config reads them
+_SECTIONS = {
+    "particle": ("preset",) + _names(ParticleSpecies),
+    "poisson": _POISSON_LENGTHS + ("obstacle", "thickness"),
+    "farfield": _names(FarFieldSetup),
+    "numerics": _names(QuadratureSpec),
+    "grid": ("n_u", "u_max"),
+    "averaging": ("source", "velocity"),
+}
+
+_KNOWN_KEYS = {"mode"} | {f"{section}.{name}"
+                          for section, names in _SECTIONS.items()
+                          for name in names}
 
 
 @dataclass
@@ -70,24 +84,21 @@ class ScenarioConfig:
 
 
 def _parse_particle(items):
-    fields = {}
+    values = {}
     if "particle.preset" in items:
-        base = species_preset(items["particle.preset"])
-        fields = dict(name=base.name, mass=base.mass, alpha=base.alpha,
-                      v_long=base.v_long, dv_rel=base.dv_rel)
-    for short in ("mass", "alpha", "v_long", "dv_rel"):
+        values = asdict(species_preset(items["particle.preset"]))
+    for short in _names(ParticleSpecies):
         key = f"particle.{short}"
         if key in items:
-            fields[short] = as_float(items, key)
-    if "particle.name" in items:
-        fields["name"] = items["particle.name"]
-    missing = {"name", "mass", "alpha", "v_long"} - set(fields)
+            values[short] = (items[key] if short == "name"
+                             else as_float(items, key))
+    missing = {"name", "mass", "alpha", "v_long"} - set(values)
     if missing:
         raise ConfigError(
             f"particle underspecified: missing {sorted(missing)} "
             f"(set particle.preset or the explicit fields)")
     try:
-        return ParticleSpecies(**fields)
+        return ParticleSpecies(**values)
     except ValueError as exc:
         raise ConfigError(f"particle: {exc}") from None
 
@@ -124,9 +135,7 @@ def parse_config(text):
     ps = None
     if mode == "farfield":
         kwargs = {}
-        for short in ("D", "Y", "L1", "L2", "d", "b", "Theta", "eps1",
-                      "eps2", "eps3", "latitude", "H", "T_source",
-                      "eta_trans", "tau", "N_target", "d_open"):
+        for short in _SECTIONS["farfield"]:
             key = f"farfield.{short}"
             if key in items:
                 kwargs[short] = as_float(items, key)
@@ -147,21 +156,18 @@ def parse_config(text):
                                 as_float(items, "poisson.thickness")
                                 if kind == "disc" else None)
             ps = psn.PoissonSetup(
-                R0=as_float(items, "poisson.R0"),
-                R=as_float(items, "poisson.R"),
-                L1=as_float(items, "poisson.L1"),
-                L2=as_float(items, "poisson.L2"),
-                obstacle=obstacle,
-                particle=particle)
+                obstacle=obstacle, particle=particle,
+                **{n: as_float(items, f"poisson.{n}")
+                   for n in _POISSON_LENGTHS})
         except ValueError as exc:
             raise ConfigError(f"poisson setup: {exc}") from None
 
     try:
-        quad = QuadratureSpec(
-            rel_tol=as_float(items, "numerics.rel_tol", default=1e-8),
-            abs_tol=as_float(items, "numerics.abs_tol", default=1e-12),
-            max_subdivisions=int(as_float(items, "numerics.max_subdivisions",
-                                          default=2000)))
+        # each field's type (float or int) converts its value
+        quad = QuadratureSpec(**{
+            f.name: f.type(as_float(items, f"numerics.{f.name}",
+                                    default=f.default))
+            for f in fields(QuadratureSpec)})
     except ValueError as exc:
         raise ConfigError(f"numerics: {exc}") from None
 
@@ -177,6 +183,8 @@ def parse_config(text):
         raise ConfigError("averaging.velocity = on needs particle.dv_rel > 0")
     if mode != "farfield" and source_avg and ps.R0 == 0.0:
         raise ConfigError("averaging.source = on needs poisson.R0 > 0")
+    if mode == "poisson_quantum" and particle.alpha == 0.0:
+        raise ConfigError("poisson_quantum needs particle.alpha > 0")
 
     return ScenarioConfig(mode=mode, particle=particle, farfield=ff,
                           poisson=ps, quad=quad, n_u=n_u, u_max=u_max,
@@ -238,15 +246,13 @@ class ScenarioResult:
     distinguishability: float
 
 
-def _quantum_bits(cfg):
-    """Interaction phase and capture radius for the configured obstacle."""
-    if cfg.particle.alpha <= 0:
-        raise ConfigError(
-            "interacting modes need a particle with alpha > 0")
-    phase = EikonalPhase(cfg.poisson.obstacle, cfg.particle,
-                         cfg.particle.v_long)
-    eta = capture_eta(cfg.poisson.obstacle, cfg.particle, cfg.particle.v_long)
-    return phase, eta
+def _discard(paths, remove=os.unlink):
+    """Remove what a failed run wrote; skip what is gone or not empty."""
+    for path in paths:
+        try:
+            remove(path)
+        except OSError:
+            pass
 
 
 def _pattern(cfg, u, phase, eta):
@@ -264,6 +270,17 @@ def _pattern(cfg, u, phase, eta):
                                            capture=eta)
     p = cfg.poisson.dimensionless()
     return psn.point_source_pattern(u, p, phase, cfg.quad, capture=eta)
+
+
+def _classical_pattern(cfg, u, phase, eta):
+    """Classical pattern on the origin-free grid u; the deflection model
+    averages over the source, never over velocities."""
+    p = cfg.poisson.dimensionless()
+    rmap = cls.ray_map(p, phase, cfg.particle, cfg.particle.v_long, eta,
+                       s_max=max(8.0, u[-1] / p.ell + 2.0))
+    if cfg.source_averaging:
+        return cls.classical_source_averaged(u, cfg.poisson, rmap)
+    return cls.classical_point_pattern(u, rmap)
 
 
 def run_scenario(cfg, out_dir):
@@ -289,64 +306,39 @@ def run_scenario(cfg, out_dir):
             _write_report_kv(target("farfield_report.kv"), rows)
             return ScenarioResult(list(written), math.nan, math.nan, math.nan)
 
-        p = cfg.poisson.dimensionless()
-        top = cfg.u_max if cfg.u_max is not None else 3.0 * p.ell
-        grid_full = np.linspace(0.0, top, cfg.n_u)
-        grid_pos = grid_full[1:]  # classical profiles exclude the origin
+        names = _NEAR_FIELD_PROFILES[cfg.mode]
+        u = psn.default_grid(cfg.poisson.dimensionless(), cfg.n_u, cfg.u_max)
+        if "classical" in names:
+            u = u[1:]  # the classical pattern diverges at the origin
+        _write_report_kv(target("visibility.kv"),
+                         psn.visibility_checks(cfg.poisson))
 
-        vis = psn.visibility_checks(cfg.poisson)
-        _write_report_kv(target("visibility.kv"), vis)
+        # alpha = 0 leaves the ideal obstacle and straight rays
+        phase, eta = None, 0.0
+        if names != ("ideal",) and cfg.particle.alpha > 0:
+            phase = EikonalPhase(cfg.poisson.obstacle, cfg.particle,
+                                 cfg.particle.v_long)
+            eta = capture_eta(cfg.poisson.obstacle, cfg.particle,
+                              cfg.particle.v_long)
+        profiles = []
+        for name in names:
+            engine = _classical_pattern if name == "classical" else _pattern
+            profiles.append(engine(cfg, u, phase, eta))
+            _write_profile_csv(target(f"profile_{name}.csv"), profiles[-1])
 
-        w0 = spot = dist = math.nan
-        if cfg.mode == "poisson_ideal":
-            prof = _pattern(cfg, grid_full, None, 0.0)
-            _write_profile_csv(target("profile_ideal.csv"), prof)
-            w0, spot = float(prof.w[0]), _first_minimum(prof)
-        elif cfg.mode == "poisson_quantum":
-            phase, eta = _quantum_bits(cfg)
-            prof = _pattern(cfg, grid_full, phase, eta)
-            _write_profile_csv(target("profile_quantum.csv"), prof)
-            w0, spot = float(prof.w[0]), _first_minimum(prof)
-        elif cfg.mode == "poisson_classical":
-            phase, eta = (None, 0.0) if cfg.particle.alpha == 0 \
-                else _quantum_bits(cfg)
-            rmap = cls.ray_map(p, phase, cfg.particle, cfg.particle.v_long,
-                               eta, s_max=max(8.0, top / p.ell + 2.0))
-            if cfg.source_averaging:
-                prof = cls.classical_source_averaged(grid_pos, cfg.poisson,
-                                                     rmap)
-            else:
-                prof = cls.classical_point_pattern(grid_pos, rmap)
-            _write_profile_csv(target("profile_classical.csv"), prof)
-            w0, spot = float(prof.w[0]), _first_minimum(prof)
-        elif cfg.mode == "poisson_compare":
-            phase, eta = (None, 0.0) if cfg.particle.alpha == 0 \
-                else _quantum_bits(cfg)
-            q_prof = _pattern(cfg, grid_pos, phase, eta)
-            rmap = cls.ray_map(p, phase, cfg.particle, cfg.particle.v_long,
-                               eta, s_max=max(8.0, top / p.ell + 2.0))
-            if cfg.source_averaging:
-                c_prof = cls.classical_source_averaged(grid_pos, cfg.poisson,
-                                                       rmap)
-            else:
-                c_prof = cls.classical_point_pattern(grid_pos, rmap)
-            _write_profile_csv(target("profile_quantum.csv"), q_prof)
-            _write_profile_csv(target("profile_classical.csv"), c_prof)
-            rep = cls.distinguishability(grid_pos, cfg.poisson, q_prof, c_prof)
+        dist = math.nan
+        if len(profiles) == 2:
+            rep = cls.distinguishability(u, cfg.poisson, *profiles)
             with open(target("distinguishability.kv"), "w", newline="\n",
                       encoding="utf-8") as fh:
                 fh.write(f"ratio = {_fmt(rep.ratio)}\n")
                 fh.write(f"l1_shadow = {_fmt(rep.l1_shadow)}\n")
                 fh.write(f"u_probe = {_fmt(rep.u_probe)}\n")
-            w0, spot = float(q_prof.w[0]), _first_minimum(q_prof)
             dist = rep.ratio
-        return ScenarioResult(list(written), w0, spot, dist)
+        return ScenarioResult(list(written), float(profiles[0].w[0]),
+                              _first_minimum(profiles[0]), dist)
     except Exception:
-        for path in written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        _discard(written)
         raise
 
 
@@ -369,15 +361,28 @@ def sweep(cfg, key, values, out_dir):
     """Run the scenario once per value of `key`, plus a summary CSV.
 
     The key must address a known scalar config field; every value is
-    validated into a full ScenarioConfig before any computation starts.
+    validated into a full ScenarioConfig before any computation starts. If
+    a scenario fails, the files of the earlier ones and the scenario
+    directories the sweep created are removed (a directory only if empty),
+    and the exception propagates.
     """
     if key not in _KNOWN_KEYS or key == "mode":
         raise ConfigError(f"cannot sweep over {key!r}")
     configs = [(v, _apply_override(cfg.raw, key, v)) for v in values]
 
     slug = key.replace(".", "_")
-    results = [run_scenario(c, os.path.join(out_dir, f"{slug}_{i:02d}"))
-               for i, (_, c) in enumerate(configs)]
+    dirs = [os.path.join(out_dir, f"{slug}_{i:02d}")
+            for i in range(len(configs))]
+    made = [d for d in dirs if not os.path.isdir(d)]
+    results = []
+    try:
+        for d, (_, c) in zip(dirs, configs):
+            results.append(run_scenario(c, d))
+    except Exception:
+        # the failed scenario has removed its own files already
+        _discard([path for res in results for path in res.paths])
+        _discard(made, os.rmdir)
+        raise
 
     os.makedirs(out_dir, exist_ok=True)
     summary = os.path.join(out_dir, "summary.csv")
@@ -421,29 +426,21 @@ def main(argv=None):
             raise ConfigError("need a config file or --preset")
         cfg = parse_config(text)
 
-        sweep_key = sweep_values = None
         if args.sweep:
             if "=" not in args.sweep:
                 raise ConfigError("--sweep wants KEY=V1,V2,...")
-            sweep_key, _, rest = args.sweep.partition("=")
-            sweep_values = [v.strip() for v in rest.split(",") if v.strip()]
-            if not sweep_values:
+            key, _, rest = args.sweep.partition("=")
+            values = [v.strip() for v in rest.split(",") if v.strip()]
+            if not values:
                 raise ConfigError("--sweep got an empty value list")
-            # validate all overrides before any computation
-            for v in sweep_values:
-                _apply_override(cfg.raw, sweep_key, v)
+            # sweep validates every value before it computes anything
+            print(sweep(cfg, key, values, args.out))
+        else:
+            for path in run_scenario(cfg, args.out).paths:
+                print(path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        if sweep_key is not None:
-            summary = sweep(cfg, sweep_key, sweep_values, args.out)
-            print(summary)
-        else:
-            result = run_scenario(cfg, args.out)
-            for path in result.paths:
-                print(path)
     except (NumericsError, ValueError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -6,15 +6,29 @@ lines ignored:
     poisson.R = 500e-9      # obstacle radius, m
     mode = poisson_ideal
 
-Scenario files, shipped presets and the species data file all use this grammar.
+Scenario files, shipped presets and the species data file all use this grammar,
+and report rows (ConstraintReport) are written in it as
+`<name>.value/.bound/.satisfied/.note` keys.
 Kept deliberately dependency-free and bit-exact to specify: the canonical form
 (sorted keys, single spaces, LF endings) round-trips through parse/serialize
 unchanged.
 """
 
 import re
+from dataclasses import dataclass
 
 _KEY_RE = re.compile(r"^[A-Za-z0-9_]+(\.[A-Za-z0-9_]+)*$")
+
+
+@dataclass(frozen=True)
+class ConstraintReport:
+    """One check of a report: computed value vs limiting bound."""
+
+    name: str
+    value: float
+    bound: float
+    satisfied: bool
+    note: str = ""
 
 
 class ConfigError(ValueError):

@@ -25,8 +25,9 @@ Conventions that matter here:
 import math
 from dataclasses import dataclass
 
-from .constants_units import CONST, amu_to_kg
-from .particles import de_broglie_wavelength
+from .config import ConstraintReport
+from .constants_units import CONST
+from .interaction import cutoff_distance
 
 
 @dataclass(frozen=True)
@@ -77,31 +78,6 @@ class FarFieldSetup:
     def open_width(self):
         """Open slit width used by the clogging check (default d/2)."""
         return self.d_open if self.d_open is not None else 0.5 * self.d
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    """One feasibility check: computed value vs limiting bound."""
-
-    name: str
-    value: float
-    bound: float
-    satisfied: bool
-    note: str = ""
-
-
-def cutoff_distance(C4, b, mass, v):
-    """Capture cutoff x_c = (18 C4 b^2 / (m v^2))^(1/6).
-
-    A particle of mass (amu) passing a wall of thickness b (m) at speed v is
-    adsorbed if it comes closer than x_c to the surface; the numerical factor
-    follows from requiring the attractive deflection during the transit b/v to
-    exceed the remaining wall distance.
-    """
-    if not (C4 > 0 and b > 0 and mass > 0 and v > 0):
-        raise ValueError("cutoff_distance requires positive inputs")
-    m = amu_to_kg(mass)
-    return (18.0 * C4 * b * b / (m * v * v)) ** (1.0 / 6.0)
 
 
 def mass_limit(d, T, Theta):

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .constants_units import CONST
-from .farfield import cutoff_distance
+from .constants_units import CONST, amu_to_kg
 from .numerics import NumericsError, bisect
 
 
@@ -134,6 +133,20 @@ def classical_kick(phase, s):
     """Radial momentum kick q = hbar dphi/dr (kg m/s, negative = inward),
     from the closed-form phase derivative: dphi/dr = dphi_ds / R."""
     return CONST.hbar / phase.obstacle.R * phase.dphi_ds(s)
+
+
+def cutoff_distance(C4, b, mass, v):
+    """Capture cutoff x_c = (18 C4 b^2 / (m v^2))^(1/6).
+
+    A particle of mass (amu) passing a wall of thickness b (m) at speed v is
+    adsorbed if it comes closer than x_c to the surface; the numerical factor
+    follows from requiring the attractive deflection during the transit b/v to
+    exceed the remaining wall distance.
+    """
+    if not (C4 > 0 and b > 0 and mass > 0 and v > 0):
+        raise ValueError("cutoff_distance requires positive inputs")
+    m = amu_to_kg(mass)
+    return (18.0 * C4 * b * b / (m * v * v)) ** (1.0 / 6.0)
 
 
 def capture_eta(obstacle, particle, v_z, roughness=0.5e-9):

@@ -32,15 +32,14 @@ average over deterministic velocity nodes with the interaction phase
 rebuilt per node.
 """
 
-import hashlib
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .farfield import ConstraintReport
+from .config import ConstraintReport
 from .interaction import capture_eta as _capture_eta
 from .numerics import (DEFAULT_SPEC, NumericsError, bessel_j0, bisect,
                        integrate_adaptive)
@@ -108,7 +107,6 @@ class RadialProfile:
 
     u: np.ndarray
     w: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
@@ -119,10 +117,6 @@ class RadialProfile:
             raise ValueError("u grid must be strictly increasing")
         if np.any(self.w < 0):
             raise ValueError("intensities must be non-negative")
-
-    def value_at(self, u0):
-        """Linear interpolation of w at u0 (convenience for diagnostics)."""
-        return float(np.interp(u0, self.u, self.w))
 
 
 def default_grid(params, n=600, u_max=None):
@@ -290,11 +284,7 @@ def amplitude(u, params, phase=None, quad=None, capture=0.0):
 def point_source_pattern(u_grid, params, phase=None, quad=None, capture=0.0):
     """w_p(u) = |psi(u)|^2 for a point source on axis."""
     psi = _amplitude_grid(u_grid, params.k, params.ell, phase, quad, capture)
-    model = "ideal" if phase is None else "quantum"
-    return RadialProfile(np.asarray(u_grid, dtype=float), np.abs(psi) ** 2,
-                         meta={"model": model, "k": params.k,
-                               "ell": params.ell, "capture": capture,
-                               "averaging": "none"})
+    return RadialProfile(np.asarray(u_grid, dtype=float), np.abs(psi) ** 2)
 
 
 # Gauss-Legendre nodes on [-1, 1] for both pieces of the arc-length kernel
@@ -361,9 +351,7 @@ def source_averaged_pattern(u_grid, setup, phase=None, quad=None, v=None,
         capture = _auto_capture(setup, phase, v_eff)
     u = np.asarray(u_grid, dtype=float)
     if p.beta == 0.0:
-        prof = point_source_pattern(u, p, phase, quad, capture)
-        prof.meta["averaging"] = "source(beta=0)"
-        return prof
+        return point_source_pattern(u, p, phase, quad, capture)
 
     du = p.ell / 200.0  # the default grid density, 600 points per 3 ell
     top = u.max() + p.beta + 2 * du
@@ -371,11 +359,7 @@ def source_averaged_pattern(u_grid, setup, phase=None, quad=None, v=None,
     wp = point_source_pattern(work, p, phase, quad, capture)
     interp = CubicSpline(wp.u, wp.w)
     w = annular_average(u, p.beta, lambda r: np.maximum(interp(r), 0.0))
-    model = "ideal" if phase is None else "quantum"
-    return RadialProfile(u, np.maximum(w, 0.0),
-                         meta={"model": model, "k": p.k, "ell": p.ell,
-                               "beta": p.beta, "capture": capture,
-                               "averaging": "source"})
+    return RadialProfile(u, np.maximum(w, 0.0))
 
 
 def wavelength_averaged_pattern(u_grid, setup, phase_family=None, quad=None,
@@ -399,10 +383,7 @@ def wavelength_averaged_pattern(u_grid, setup, phase_family=None, quad=None,
             cap = _auto_capture(setup, phase_i, v_i)
             prof = point_source_pattern(u, p_i, phase_i, quad, cap)
         acc += w_i * prof.w
-    model = "ideal" if phase_family is None else "quantum"
-    return RadialProfile(u, acc, meta={
-        "model": model, "averaging": "source+velocity" if source_averaging
-        else "velocity", "n_v": len(vs)})
+    return RadialProfile(u, acc)
 
 
 def spot_radius(params):
@@ -440,11 +421,3 @@ def visibility_checks(setup, v=None):
             "transverse scales must stay far below the distances"),
     ]
     return rows
-
-
-def profile_fingerprint(profile):
-    """Stable hash of a profile's numbers, for determinism checks."""
-    h = hashlib.sha256()
-    h.update(profile.u.tobytes())
-    h.update(profile.w.tobytes())
-    return h.hexdigest()

@@ -3,6 +3,7 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
 from arago.cli import (
@@ -147,6 +148,45 @@ def test_run_compare_mode(tmp_path):
     assert float(q[2].split(",")[0]) > 0
 
 
+# artifacts of each near-field mode; compare writes both engines' profiles
+NEAR_FIELD_ARTIFACTS = {
+    "poisson_ideal": ["profile_ideal.csv", "visibility.kv"],
+    "poisson_quantum": ["profile_quantum.csv", "visibility.kv"],
+    "poisson_classical": ["profile_classical.csv", "visibility.kv"],
+    "poisson_compare": ["distinguishability.kv", "profile_classical.csv",
+                        "profile_quantum.csv", "visibility.kv"],
+}
+
+
+@pytest.mark.parametrize("source", ["on", "off"])
+def test_near_field_modes(tmp_path, source):
+    # every near-field mode through run_scenario on the fig3-disc geometry;
+    # a single-engine mode writes the profile compare mode writes for it
+    text = (load_preset("fig3-disc")
+            .replace("grid.n_u = 241", "grid.n_u = 40")
+            .replace("averaging.source = on", f"averaging.source = {source}"))
+    for mode, artifacts in NEAR_FIELD_ARTIFACTS.items():
+        cfg = parse_config(text.replace("mode = poisson_compare",
+                                        f"mode = {mode}"))
+        assert (cfg.mode, cfg.n_u, cfg.source_averaging) == (
+            mode, 40, source == "on")
+        res = run_scenario(cfg, str(tmp_path / mode))
+        assert sorted(os.path.basename(p) for p in res.paths) == artifacts
+
+    def profile(mode, name):
+        return tmp_path / mode / f"profile_{name}.csv"
+
+    assert filecmp.cmp(profile("poisson_classical", "classical"),
+                       profile("poisson_compare", "classical"), shallow=False)
+    # the compare grid is the single-mode grid without its origin
+    q_only, q_cmp = (np.loadtxt(profile(mode, "quantum"), delimiter=",",
+                                skiprows=2)
+                     for mode in ("poisson_quantum", "poisson_compare"))
+    assert q_only.shape == (40, 2) and q_only[0, 0] == 0.0
+    assert np.array_equal(q_only[1:, 0], q_cmp[:, 0])
+    np.testing.assert_allclose(q_only[1:, 1], q_cmp[:, 1], rtol=1e-9, atol=0)
+
+
 def test_rerun_byte_identical(tmp_path):
     cfg = parse_config(load_preset("fig2a"))
     a, b = tmp_path / "a", tmp_path / "b"
@@ -240,6 +280,11 @@ def test_main_requires_exactly_one_source(tmp_path, capsys):
 def test_main_bad_sweep_value(tmp_path, capsys):
     assert main(["--preset", "fig2a", "--out", str(tmp_path),
                  "--sweep", "particle.v_long=2.0,oops"]) == 2
+    # a key that cannot be swept is a configuration error too
+    assert main(["--preset", "fig2a", "--out", str(tmp_path),
+                 "--sweep", "mode=poisson_ideal"]) == 2
+    assert "cannot sweep over 'mode'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_main_numerical_failure(tmp_path, capsys):
@@ -262,3 +307,40 @@ def test_main_sweep(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "summary.csv").exists()
     assert (tmp_path / "particle_v_long_01" / "profile_ideal.csv").exists()
+
+
+def test_main_quantum_needs_alpha(tmp_path, capsys):
+    # without an interaction there is no quantum profile to compute: a
+    # configuration error before anything is written, also inside a sweep
+    text = (load_preset("fig3-sphere")
+            .replace("mode = poisson_compare", "mode = poisson_quantum")
+            + "particle.alpha = 0\n")
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--out", str(out)]) == 2
+    assert "particle.alpha" in capsys.readouterr().err
+    cfg_path.write_text(text.replace("particle.alpha = 0\n", ""))
+    assert main([str(cfg_path), "--out", str(out),
+                 "--sweep", "particle.alpha=5e-28,0"]) == 2
+    assert not out.exists()
+    # the other near-field modes fall back to the ideal obstacle
+    for mode in ("poisson_ideal", "poisson_classical", "poisson_compare"):
+        cfg = parse_config(text.replace("mode = poisson_quantum",
+                                        f"mode = {mode}"))
+        assert cfg.particle.alpha == 0.0
+
+
+def test_main_failed_sweep_removes_its_outputs(tmp_path, capsys):
+    # the second value starves the quadrature; the first scenario's files
+    # and the scenario directories the sweep made go, nothing else does
+    out = tmp_path / "out"
+    kept = out / "numerics_max_subdivisions_00" / "notes.txt"
+    kept.parent.mkdir(parents=True)
+    kept.write_text("not written by the sweep\n")
+    assert main(["--preset", "fig2b", "--out", str(out), "--sweep",
+                 "numerics.max_subdivisions=2000,2"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+        "numerics_max_subdivisions_00",
+        "numerics_max_subdivisions_00/notes.txt"]
