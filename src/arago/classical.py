@@ -25,7 +25,7 @@ re-recorded.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,12 +35,11 @@ from .poisson import RadialProfile
 
 @dataclass
 class RayMap:
-    """Obstacle-plane radii mapped to signed screen radii, plus |du/ds|."""
+    """Obstacle-plane radii mapped to signed screen radii."""
 
     s_grid: np.ndarray
     u_final: np.ndarray      # signed: negative means the ray crossed the axis
-    jacobian: np.ndarray     # |du_final/ds|
-    meta: dict = field(default_factory=dict)
+    ell: float               # (L1 + L2)/L1 of the geometry it was built for
 
 
 def ray_map(params, phase, particle, v_z, eta, s_max=8.0, n=4000):
@@ -72,8 +71,7 @@ def ray_map(params, phase, particle, v_z, eta, s_max=8.0, n=4000):
                 f"ray map not ballistic at s_max={s_max}: residual kick "
                 f"{tail:.2e}; enlarge s_max")
 
-    return RayMap(s, u_fin, np.abs(np.gradient(u_fin, s)),
-                  meta={"ell": params.ell})
+    return RayMap(s, u_fin, params.ell)
 
 
 def _branch_sum(targets, rmap):
@@ -82,7 +80,7 @@ def _branch_sum(targets, rmap):
     targets are positive screen radii; both map signs contribute (a ray at
     u_final = -u lands at radius u).
     """
-    ell = rmap.meta["ell"]
+    ell = rmap.ell
     s, u_f = rmap.s_grid, rmap.u_final
     du = np.diff(u_f)
     ds = np.diff(s)
@@ -134,7 +132,7 @@ def classical_point_pattern(u_grid, rmap):
     if np.any(u <= 0):
         raise ValueError("classical pattern diverges at u = 0; "
                          "use a grid of strictly positive radii")
-    ell = rmap.meta["ell"]
+    ell = rmap.ell
     pin = _branch_sum(np.array([3.0 * ell]), rmap)[0]
     if pin <= 0:
         raise ValueError("ray map does not reach u = 3 ell; enlarge s_max")
@@ -173,7 +171,7 @@ def classical_source_averaged(u_grid, setup, rmap, v=None):
     if p.beta == 0.0:
         return classical_point_pattern(u, rmap)
     top = u.max() + p.beta
-    ell = rmap.meta["ell"]
+    ell = rmap.ell
     work = np.unique(np.concatenate([
         np.geomspace(1e-6 * ell, 0.2 * ell, 500),
         np.linspace(0.2 * ell, top * 1.001, 2000)]))

@@ -27,9 +27,13 @@ still needs it, under the same componentwise error test.
 Finite sources average |psi|^2 over the projected source disc (radius
 beta = (L2/L1)(R0/R) in u units). The points of the disc at distance r from
 the origin form an arc, so the disc mean is a 1-D integral of the radial
-pattern against an arc-length kernel (annular_average). Velocity spreads
-average over deterministic velocity nodes with the interaction phase
-rebuilt per node.
+pattern against an arc-length kernel (annular_average). The kernel's nodes
+read psi from a Chebyshev interpolant on [0, u_max + beta]: psi is an entire
+function of u (the free chirp plus Hankel transforms of radial functions
+supported on [0, s_neg]), so its Chebyshev coefficients decay geometrically
+once the degree passes its bandwidth, and the decay of the coefficient tail
+certifies the degree. Velocity spreads average over deterministic velocity
+nodes with the interaction phase rebuilt per node.
 """
 
 import math
@@ -37,7 +41,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .config import ConstraintReport
 from .interaction import capture_eta as _capture_eta
@@ -334,16 +337,52 @@ def _auto_capture(setup, phase, v):
     return _capture_eta(setup.obstacle, setup.particle, v)
 
 
+# a source average whose amplitude needs more Chebyshev nodes than this is
+# refused; a 500 nm disc at 200 m/s (k = 19.7) needs 2154
+_CHEB_MAX_NODES = 8192
+
+
+def _chebyshev_amplitude(top, params, phase, quad, capture):
+    """Certified Chebyshev coefficients of psi on [0, top], shape (n, 2).
+
+    psi is sampled once per attempt at the n first-kind Chebyshev points
+    r_j = top (1 + cos theta_j) / 2, theta_j = pi (j + 1/2) / n; the
+    coefficients are the cosine sums c_m = (2/n) sum_j psi_j cos(m theta_j)
+    (c_0 halved), taken with one FFT of the even extension of the samples.
+    The starting n covers the bandwidth 2 pi k s_max with a 1.5 margin; it
+    is doubled until the largest of the last max(n/8, 4) coefficients is
+    below 1e-3 rel_tol times the largest one. Columns are the real and
+    imaginary parts.
+    """
+    spec = quad or DEFAULT_SPEC
+    s_max = phase.s_negligible if phase is not None else 1.0 + capture
+    n = int(math.ceil(1.5 * math.pi * params.k * s_max * top)) + 24
+    while n <= _CHEB_MAX_NODES:
+        theta = math.pi * (np.arange(n) + 0.5) / n
+        psi = _amplitude_grid(0.5 * top * (1.0 + np.cos(theta)), params.k,
+                              params.ell, phase, spec, capture)
+        c = np.fft.fft(np.concatenate([psi, psi[::-1]]))[:n] * (
+            np.exp(-0.5j * math.pi * np.arange(n) / n) / n)
+        c[0] *= 0.5
+        size = np.abs(c)
+        if size[-max(n // 8, 4):].max() <= 1e-3 * spec.rel_tol * size.max():
+            return np.column_stack([c.real, c.imag])
+        n *= 2
+    raise NumericsError(
+        f"source average: the amplitude on [0, {top:.4g}] is not resolved "
+        f"by {_CHEB_MAX_NODES} Chebyshev nodes")
+
+
 def source_averaged_pattern(u_grid, setup, phase=None, quad=None, v=None,
                             capture=None):
     """Pattern averaged over the finite source disc (radius R0).
 
-    The point-source pattern is evaluated once on a working grid (spacing
-    ell/200) that reaches beta beyond the largest screen radius, interpolated
-    by a cubic spline, and averaged over the disc of radius beta around each
-    screen radius with the arc-length kernel of annular_average. capture=None
-    computes the adsorption radius from the obstacle and particle when an
-    interaction phase is given.
+    The amplitude psi is represented on [0, u_max + beta] by the certified
+    Chebyshev interpolant of _chebyshev_amplitude, and |psi|^2 from it is
+    averaged over the disc of radius beta around each screen radius with the
+    arc-length kernel of annular_average. capture=None computes the
+    adsorption radius from the obstacle and particle when an interaction
+    phase is given.
     """
     v_eff = setup.particle.v_long if v is None else v
     p = setup.dimensionless(v_eff)
@@ -353,13 +392,14 @@ def source_averaged_pattern(u_grid, setup, phase=None, quad=None, v=None,
     if p.beta == 0.0:
         return point_source_pattern(u, p, phase, quad, capture)
 
-    du = p.ell / 200.0  # the default grid density, 600 points per 3 ell
-    top = u.max() + p.beta + 2 * du
-    work = np.linspace(0.0, top, max(int(math.ceil(top / du)) + 1, 64))
-    wp = point_source_pattern(work, p, phase, quad, capture)
-    interp = CubicSpline(wp.u, wp.w)
-    w = annular_average(u, p.beta, lambda r: np.maximum(interp(r), 0.0))
-    return RadialProfile(u, np.maximum(w, 0.0))
+    top = u.max() + p.beta
+    coef = _chebyshev_amplitude(top, p, phase, quad, capture)
+
+    def intensity(r):
+        re, im = np.polynomial.chebyshev.chebval(2.0 * r / top - 1.0, coef)
+        return re * re + im * im
+
+    return RadialProfile(u, annular_average(u, p.beta, intensity))
 
 
 def wavelength_averaged_pattern(u_grid, setup, phase_family=None, quad=None,

@@ -96,7 +96,7 @@ def test_flux_conservation():
         u = np.linspace(1e-3, U, 4001)
         prof = classical_point_pattern(u, rmap)
         lhs = np.trapezoid(prof.w * 2.0 * u, u)
-        ell = rmap.meta["ell"]
+        ell = rmap.ell
         pin_u = np.array([3.0 * ell])
         pin = classical_point_pattern(pin_u, rmap).w[0]  # 1 by construction
         inside = np.abs(rmap.u_final) <= U

@@ -2,10 +2,13 @@ import filecmp
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import arago
 from arago.cli import (
     PRESET_NAMES,
     load_preset,
@@ -16,6 +19,18 @@ from arago.cli import (
     sweep,
 )
 from arago.config import ConfigError, parse_kv
+
+
+def test_cli_import_skips_scipy_interpolate():
+    # the package needs no scipy.interpolate; a fresh interpreter importing
+    # the command line must not load it
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(arago.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, arago.cli; "
+         "print('scipy.interpolate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_parse_fig2a():

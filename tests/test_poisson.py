@@ -6,7 +6,7 @@ import pytest
 import arago.poisson
 from arago.classical import _polar_average
 from arago.interaction import EikonalPhase, Obstacle, capture_eta
-from arago.numerics import QuadratureSpec, bessel_j0
+from arago.numerics import NumericsError, QuadratureSpec, bessel_j0
 from arago.particles import ParticleSpecies
 from arago.poisson import (
     DimensionlessParams,
@@ -196,6 +196,57 @@ def test_source_averaging_lowers_spot():
     assert w_full == pytest.approx(0.677814, abs=2e-4)
 
 
+# (obstacle kind, velocity): fig3-sphere at the ends of the benchmark's
+# velocity lattice, fig3-disc at its design velocity, and the same disc ten
+# times faster (k = 1.97), where the former ell/200 spline grid was 1.7e-6 off
+SOURCE_ORACLE_CASES = (("sphere", 1.5), ("sphere", 4.0), ("disc", 2.0),
+                       ("disc", 20.0))
+
+
+def _fig3_source(kind, v):
+    obs = Obstacle(kind, 500e-9, 10e-9 if kind == "disc" else None)
+    setup = _setup(R0=500e-9, v=v, obstacle=obs, alpha=5e-28)
+    return (setup, EikonalPhase(obs, setup.particle, v),
+            capture_eta(obs, setup.particle, v))
+
+
+@pytest.mark.parametrize("kind,v", SOURCE_ORACLE_CASES)
+def test_source_average_matches_direct_amplitude(kind, v, monkeypatch):
+    # oracle: the same arc-length kernel fed with |psi(r)|^2 from a direct
+    # quadrature at every one of its nodes, with no working representation
+    # in between. Measured: <= 7.8e-15 relative (the spline it replaced was
+    # 3.5e-10 to 1.7e-6 off here). The fig3 cases are certified by their
+    # first Chebyshev degree and sample the amplitude once.
+    setup, phase, eta = _fig3_source(kind, v)
+    par = setup.dimensionless()
+    u = np.linspace(0.0, 3.0 * par.ell, 61)
+    ref = annular_average(u, par.beta, lambda r: np.abs(
+        arago.poisson._amplitude_grid(r, par.k, par.ell, phase,
+                                      capture=eta)) ** 2)
+    calls = []
+    direct = arago.poisson._amplitude_grid
+
+    def counted(*args):
+        calls.append(args)
+        return direct(*args)
+
+    monkeypatch.setattr(arago.poisson, "_amplitude_grid", counted)
+    w = source_averaged_pattern(u, setup, phase, capture=eta).w
+    assert np.max(np.abs(w - ref) / ref) <= 1e-12
+    if v < 5.0:
+        assert len(calls) == 1
+
+
+def test_source_average_refuses_past_degree_cap(monkeypatch):
+    # the fast disc needs 322 Chebyshev nodes: the first degree (161) fails
+    # the coefficient-tail test, and past a cap of 200 the doubling raises
+    setup, phase, eta = _fig3_source("disc", 20.0)
+    u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 11)
+    monkeypatch.setattr(arago.poisson, "_CHEB_MAX_NODES", 200)
+    with pytest.raises(NumericsError, match="Chebyshev"):
+        source_averaged_pattern(u, setup, phase, capture=eta)
+
+
 def test_velocity_averaging_identity_at_zero_spread():
     grid = np.linspace(0.0, 2.0, 11)
     a = source_averaged_pattern(grid, _setup(R0=500e-9))
@@ -340,9 +391,10 @@ def test_phase_breakpoints_hit_quarter_levels():
 
 
 def test_probed_panels_match_single_radius_amplitude():
-    # the 703-point fig3 working grid takes its interaction panels from a
-    # probe subset of the radii; every radius, the largest included, must
-    # still come out as the single-radius amplitude (which skips the probe).
+    # a wide point-source output grid (here 703 radii at spacing ell/200 on
+    # fig3 geometry) takes its interaction panels from a probe subset of the
+    # radii; every radius, the largest included, must still come out as the
+    # single-radius amplitude (which skips the probe).
     # Measured: <= 3.6e-15 relative.
     for obs in (Obstacle("sphere", 500e-9), Obstacle("disc", 500e-9, 10e-9)):
         setup = _setup(R0=500e-9, v=2.0, obstacle=obs, alpha=5e-28)
