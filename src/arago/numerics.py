@@ -1,27 +1,30 @@
 """Shared numerical machinery: Bessel J0, adaptive quadrature, bisection.
 
-The quadrature engine is a worst-interval-first adaptive scheme built on the
-embedded Gauss-Kronrod 15/31 point rule: every one of the 31 evaluations of
-a panel goes into its K31 value, and |K31 - G15| is its error estimate. It
-accepts complex and vector-valued integrands: an integrand may return an
-array of shape (n_points,) or (n_points, m), in which case all m components
-are integrated simultaneously over the same subdivision tree with a
-componentwise error test. It may also return a pair (g, K), a complex factor
-of shape (n_points,) and a real matrix of shape (n_points, m) whose product
-g[:, None] * K is the integrand; the panel sums then never form that complex
-product. That is what lets the diffraction code evaluate one oscillatory
-Hankel integral for an entire screen grid in a single pass.
+The quadrature engine refines in rounds on the embedded Gauss-Kronrod 15/31
+point rule (QUADPACK's qk31): every one of the 31 evaluations of a panel
+goes into its K31 value, and |K31 - G15| is its error estimate. Each round
+halves the worst panels, just enough of them that the rest would meet the
+error budget, and evaluates all the new panels through one integrand call
+(or a few, to bound the memory of a call), so the per-call overhead is paid
+per round, not per panel. It accepts complex and vector-valued integrands:
+an integrand may return an array of shape (n_points,) or (n_points, m), in
+which case all m components are integrated simultaneously over the same
+panels with a componentwise error test. It may also return a pair (g, K), a
+complex factor of shape (n_points,) and a real matrix of shape (n_points, m)
+whose product g[:, None] * K is the integrand; the panel sums then never
+form that complex product. That is what lets the diffraction code evaluate
+one oscillatory Hankel integral for an entire screen grid in a single pass.
+
+Bisection is elementwise, so one call finds the crossings of many levels.
 
 Semi-infinite oscillatory integrals never reach this module; the callers reduce
 them to finite intervals plus analytic closed forms first, so only robust
 finite-interval quadrature is needed here.
 """
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 import scipy.special
 
 
@@ -118,32 +121,66 @@ _W15 = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 _RULES = np.stack([_W31, _W31 - _W15])
 
 
-def _panel(f, lo, hi):
-    """One G15/K31 panel on [lo, hi]: returns (K31, |K31 - G15|) per component.
+# work per integrand call: at most this many abscissa-component pairs (the
+# J0 matrix entries of a Hankel integrand, 512 KB in float64), which bounds
+# the memory that one call holds
+_CALL_SIZE = 2 ** 16
 
-    The integrand is read as g(x)[:, None] * K(x). f returns either the pair
-    (g, K), or a plain array K, which is the case g = 1. With
-    c = (K31 weights, K31 - G15 weights) * g, both sums come from the one
-    matrix product [Re c; Im c] @ K, so for a complex g and a real K no
-    complex array of the size of K is formed. Non-finite values in either
-    factor raise NumericsError.
+
+def _panels(f, lo, hi):
+    """G15/K31 on the panels [lo_j, hi_j] through one call of f.
+
+    Returns (K31, |K31 - G15|) per panel and component, of shape (n, m), or
+    (n,) for a scalar integrand. The abscissae of all n panels go to f as
+    one array. The integrand is read as g(x)[:, None] * K(x). f returns
+    either the pair (g, K), or a plain array K, which is the case g = 1.
+    With c = (K31 weights, K31 - G15 weights) * g per panel, both sums come
+    from the one batched product [Re c; Im c] @ K of shape
+    (n, 4, 31) @ (n, 31, m), so for a complex g and a real K no complex
+    array of the size of K is formed. Non-finite values in either factor
+    raise NumericsError naming the first panel that has them.
     """
+    n, width = lo.size, _X31.size
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    y = f(mid + half * _X31)
+    y = f((mid[:, None] + half[:, None] * _X31).ravel())
     g, kern = y if isinstance(y, tuple) else (1.0, y)
     g, kern = np.asarray(g), np.asarray(kern)
     if kern.ndim == 0:
-        kern = np.full(_X31.shape, kern[()])
-    if kern.shape[0] != _X31.size or g.shape not in ((), _X31.shape):
+        kern = np.full(n * width, kern[()])
+    if kern.shape[0] != n * width or g.shape not in ((), (n * width,)):
         raise ValueError("integrand must return one value per abscissa")
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(kern))):
+    bad = ~np.isfinite(kern.reshape(n, -1)).all(axis=1)
+    if g.ndim:
+        bad |= ~np.isfinite(g.reshape(n, width)).all(axis=1)
+    if bad.any():
+        j = int(np.argmax(bad))
         raise NumericsError(
-            f"integrand returned non-finite values on [{lo:.6g}, {hi:.6g}]")
-    c = half * _RULES * g
-    p = np.concatenate([c.real, c.imag]) @ kern
-    value, diff = p[:2] + 1j * p[2:]
-    return value, np.abs(diff)
+            f"integrand returned non-finite values on "
+            f"[{lo[j]:.6g}, {hi[j]:.6g}]")
+    c = half[:, None, None] * _RULES * (g.reshape(n, 1, width) if g.ndim
+                                        else g)
+    p = np.concatenate([c.real, c.imag], axis=1) @ kern.reshape(n, width, -1)
+    value = p[:, 0] + 1j * p[:, 2]
+    diff = np.abs(p[:, 1] + 1j * p[:, 3])
+    if kern.ndim == 1:
+        return value[:, 0], diff[:, 0]
+    return value, diff
+
+
+def _evaluate(f, lo, hi, components=None):
+    """_panels over any number of panels, in calls of at most _CALL_SIZE
+    abscissa-component pairs (and at least one panel). While the number of
+    components is not known, the first panel goes alone to find it."""
+    parts, i = [], 0
+    while i < lo.size:
+        step = (1 if components is None
+                else max(_CALL_SIZE // (_X31.size * components), 1))
+        parts.append(_panels(f, lo[i:i + step], hi[i:i + step]))
+        components = parts[-1][0][0].size
+        i += step
+    return (np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]))
 
 
 def integrate_adaptive(f, a, b, spec=None, points=()):
@@ -160,6 +197,14 @@ def integrate_adaptive(f, a, b, spec=None, points=()):
     `cuts` are the interior boundaries of the final panels: passing them as
     `points` to a related integrand starts it on the panels this one needed.
 
+    Refinement runs in rounds. Each round ranks the panels by their largest
+    error-to-budget ratio over the components, and halves the shortest
+    worst-first run of them whose removal would leave every component's
+    error sum within its budget; the new panels are evaluated together, in
+    calls of at most _CALL_SIZE abscissa-component pairs. The panel count
+    never exceeds spec.max_subdivisions (unless the seeded panels alone
+    do).
+
     Returns a QuadratureResult. Componentwise convergence criterion:
     err_i <= max(abs_tol, rel_tol * |I_i|) for every component i.
     """
@@ -171,59 +216,103 @@ def integrate_adaptive(f, a, b, spec=None, points=()):
     if a == b:
         return QuadratureResult(0.0 + 0.0j, 0.0, True, 0, ())
 
-    cuts = [a] + sorted({float(p) for p in points if a < p < b}) + [b]
-    segs = []            # heap of (-max_err, tiebreak, lo, hi, I, err)
-    serial = 0
-    total = None
-    total_err = None
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        val, err = _panel(f, lo, hi)
-        total = val if total is None else total + val
-        total_err = err if total_err is None else total_err + err
-        heapq.heappush(segs, (-np.max(err), serial, lo, hi, val, err))
-        serial += 1
-
-    def ok(tot, tot_err):
-        return bool(np.all(tot_err <= np.maximum(spec.abs_tol,
-                                                 spec.rel_tol * np.abs(tot))))
-
-    n = len(segs)
-    while n < spec.max_subdivisions and not ok(total, total_err):
-        neg_err, _, lo, hi, val, err = heapq.heappop(segs)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # interval at floating point resolution; put it back and stop
-            heapq.heappush(segs, (neg_err, serial, lo, hi, val, err))
+    edges = np.array([a] + sorted({float(p) for p in points if a < p < b})
+                     + [b], dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    val, err = _evaluate(f, lo, hi)
+    while True:
+        total, total_err = val.sum(axis=0), err.sum(axis=0)
+        budget = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        converged = bool(np.all(total_err <= budget))
+        n = lo.size
+        room = spec.max_subdivisions - n
+        if converged or room <= 0:
             break
-        lval, lerr = _panel(f, lo, mid)
-        rval, rerr = _panel(f, mid, hi)
-        total = total - val + lval + rval
-        total_err = total_err - err + lerr + rerr
-        heapq.heappush(segs, (-np.max(lerr), serial, lo, mid, lval, lerr))
-        heapq.heappush(segs, (-np.max(rerr), serial + 1, mid, hi, rval, rerr))
-        serial += 2
-        n += 1
+        order = np.argsort(-(err / budget).reshape(n, -1).max(axis=1),
+                           kind="stable")
+        # left[j]: the error sums that remain once order[:j + 1] is split
+        left = np.cumsum(err[order[::-1]], axis=0)[::-1][1:]
+        enough = np.append(np.all(left <= budget,
+                                  axis=tuple(range(1, left.ndim))), True)
+        split = order[:min(int(np.argmax(enough)) + 1, room)]
+        mid = 0.5 * (lo[split] + hi[split])
+        # panels already at floating point resolution cannot be halved
+        halvable = (mid > lo[split]) & (mid < hi[split])
+        split, mid = split[halvable], mid[halvable]
+        if split.size == 0:
+            break
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_val, new_err = _evaluate(f, new_lo, new_hi, val[0].size)
+        lo = np.concatenate([np.delete(lo, split), new_lo])
+        hi = np.concatenate([np.delete(hi, split), new_hi])
+        val = np.concatenate([np.delete(val, split, axis=0), new_val])
+        err = np.concatenate([np.delete(err, split, axis=0), new_err])
+        pos = np.argsort(lo)
+        lo, hi, val, err = lo[pos], hi[pos], val[pos], err[pos]
 
-    leaves = sorted(seg[2] for seg in segs)   # panel lower ends, a first
-    return QuadratureResult(total, total_err, ok(total, total_err), n,
-                            tuple(leaves[1:]))
+    return QuadratureResult(total, total_err, converged, lo.size,
+                            tuple(lo[1:].tolist()))
+
+
+# relative part of the bisection stopping test: 4 machine epsilons
+_BISECT_RTOL = 4.0 * np.finfo(float).eps
 
 
 def bisect(f, lo, hi, tol):
     """Root of f in [lo, hi] by bisection; requires a sign change.
 
-    Final bracket width <= tol. Raises ValueError if f(lo) and f(hi) do not
-    bracket a root.
+    Elementwise over arrays: lo and hi may be arrays, and f may return an
+    array (say, one phase minus an array of levels); each element is
+    bisected on its own bracket, and f is called once per step with every
+    element. The midpoints are scipy.optimize.bisect's: the step dm halves,
+    xm = xa + dm, and an element stops at xm once f(xm) == 0 or
+    |dm| < tol + 4 eps |xm|. A single root takes the same steps on Python
+    floats. Raises ValueError if f(lo) and f(hi) do not bracket a root, or
+    if f returns NaN.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
+    xa, xb = np.asarray(lo, dtype=float)[()], np.asarray(hi, dtype=float)[()]
+    xa, xb, fa, fb = np.broadcast_arrays(xa, xb, f(xa), f(xb))
+    if np.any(np.isnan(fa)) or np.any(np.isnan(fb)):
+        raise ValueError("f returned NaN at the bracket ends")
+    unbracketed = fa * fb > 0
+    if np.any(unbracketed):
+        j = int(np.argmax(unbracketed))
         raise ValueError(
-            f"no sign change on [{lo:.6g}, {hi:.6g}]: f ends are "
-            f"{flo:.3e}, {fhi:.3e}")
-    return float(scipy.optimize.bisect(f, lo, hi, xtol=tol))
+            f"no sign change on [{xa.flat[j]:.6g}, {xb.flat[j]:.6g}]: f ends "
+            f"are {fa.flat[j]:.3e}, {fb.flat[j]:.3e}")
+    root = np.where(fa == 0, xa, xb)
+    todo = (fa != 0) & (fb != 0)
+    dm = xb - xa
+    if root.ndim == 0:
+        return (_bisect_scalar(f, float(xa), float(dm), float(fa), tol)
+                if todo else float(root))
+    while np.any(todo):
+        dm = dm * 0.5
+        xm = xa + dm
+        fm = f(xm)
+        if np.any(np.isnan(fm)):
+            raise ValueError("f returned NaN inside the bracket")
+        xa = np.where(fm * fa >= 0, xm, xa)
+        stop = todo & ((fm == 0) | (np.abs(dm) < tol + _BISECT_RTOL
+                                    * np.abs(xm)))
+        root = np.where(stop, xm, root)
+        todo = todo & ~stop
+    return root
+
+
+def _bisect_scalar(f, xa, dm, fa, tol):
+    """bisect's steps for a single root, on Python floats: a tenth of the
+    cost of the array steps for one element."""
+    while True:
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm)
+        if np.isnan(fm):
+            raise ValueError("f returned NaN inside the bracket")
+        if fm * fa >= 0:
+            xa = xm
+        if fm == 0 or abs(dm) < tol + _BISECT_RTOL * abs(xm):
+            return xm

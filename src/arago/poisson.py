@@ -132,7 +132,7 @@ def _phase_breakpoints(phase, a):
     """Abscissae where phi crosses successive quarter levels, as quad seeds.
 
     The disc phase P (s-1)^-4 crosses a level in closed form; the sphere's
-    crossings are bisected.
+    crossings are bisected, all levels in one elementwise bisection.
     """
     lo = max(a, 1.0 + 1e-9)
     levels = [phase.phi(lo)]
@@ -141,12 +141,14 @@ def _phase_breakpoints(phase, a):
         levels.append(levels[-1] / 4.0)
     if phase.obstacle.kind == "disc":
         return [1.0 + (phase.prefactor / lvl) ** 0.25 for lvl in levels[1:]]
-    return [bisect(lambda s: phase.phi(s) - lvl, lo, phase.s_negligible,
-                   1e-10) for lvl in levels[1:]]
+    targets = np.array(levels[1:])
+    return bisect(lambda s: phase.phi(s) - targets, lo, phase.s_negligible,
+                  1e-10).tolist()
 
 
 # Boundary phase (rad) beyond which the interaction integrand oscillates too
-# fast for panel quadrature; the wall strip is then handled by _wall_strip.
+# fast for cheap panel quadrature; the wall strip is then handled by
+# _wall_strip, and by panels only where the series misses the error budget.
 _PHI_SPLIT = 2000.0
 
 
@@ -242,20 +244,6 @@ def _amplitude_grid(u_grid, k, ell, phase=None, quad=None, capture=0.0):
             raise ValueError("capture radius swallows the interaction zone; "
                              "nothing left to integrate")
 
-        a_int = a
-        strip_err = None
-        if phase.phi(a) > _PHI_SPLIT:
-            # near the wall the eikonal phase winds through too many cycles
-            # for panel quadrature; peel that strip off and evaluate its
-            # oscillatory part by the endpoint series instead
-            s_split = bisect(lambda s: phase.phi(s) - _PHI_SPLIT, a,
-                             phase.s_negligible, 1e-12)
-            res_m = integrate_adaptive(shadow, a, s_split, spec)
-            res_m.require_converged("wall-strip shadow integral")
-            strip_val, strip_err = _wall_strip(u, k, ell, phase, a, s_split)
-            psi = psi + res_m.value + strip_val
-            a_int = s_split
-
         def interacting(s, radii):
             s = np.asarray(s)
             radial = (two_pi_k * ell * s
@@ -263,17 +251,33 @@ def _amplitude_grid(u_grid, k, ell, phase=None, quad=None, capture=0.0):
                       * (np.exp(1j * phase.phi(s)) - 1.0))
             return radial, bessel_j0(two_pi_k * np.outer(s, radii))
 
-        res1 = _integrate_on_probed_panels(
-            interacting, u, a_int, phase.s_negligible, spec,
-            _phase_breakpoints(phase, a_int))
-        res1.require_converged("interaction integral")
+        def interaction(lo):
+            return _integrate_on_probed_panels(
+                interacting, u, lo, phase.s_negligible, spec,
+                _phase_breakpoints(phase, lo))
+
+        what = "interaction integral"
+        if phase.phi(a) > _PHI_SPLIT:
+            # near the wall the eikonal phase winds through too many cycles
+            # for cheap panel quadrature; peel that strip off and evaluate
+            # its oscillatory part by the endpoint series instead
+            s_split = bisect(lambda s: phase.phi(s) - _PHI_SPLIT, a,
+                             phase.s_negligible, 1e-12)
+            res_m = integrate_adaptive(shadow, a, s_split, spec)
+            res_m.require_converged("wall-strip shadow integral")
+            strip_val, strip_err = _wall_strip(u, k, ell, phase, a, s_split)
+            res1 = interaction(s_split).require_converged(what)
+            total = psi + res_m.value + strip_val + res1.value
+            budget = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+            if np.all(strip_err <= 10.0 * budget):
+                return total
+            # the series has a fixed accuracy, which missed the budget:
+            # integrate the strip by panels with the rest of the interaction
+            what = ("wall-strip endpoint series not accurate enough (error "
+                    f"~ {float(np.max(strip_err)):.3e}); the interaction "
+                    "integral from the wall")
+        res1 = interaction(a).require_converged(what)
         psi = psi + res1.value
-        if strip_err is not None:
-            budget = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(psi))
-            if np.any(strip_err > 10.0 * budget):
-                raise NumericsError(
-                    "wall-strip endpoint series not accurate enough "
-                    f"(error ~ {float(np.max(strip_err)):.3e})")
 
     return psi
 
@@ -340,6 +344,10 @@ def _auto_capture(setup, phase, v):
 # a source average whose amplitude needs more Chebyshev nodes than this is
 # refused; a 500 nm disc at 200 m/s (k = 19.7) needs 2154
 _CHEB_MAX_NODES = 8192
+# a coefficient tail that stays above this fraction of the block before it
+# (or of the previous attempt's tail) has stopped falling: it sits on the
+# rounding plateau, where the tail of each block is noise of one size
+_CHEB_STALL = 0.1
 
 
 def _chebyshev_amplitude(top, params, phase, quad, capture):
@@ -350,13 +358,19 @@ def _chebyshev_amplitude(top, params, phase, quad, capture):
     coefficients are the cosine sums c_m = (2/n) sum_j psi_j cos(m theta_j)
     (c_0 halved), taken with one FFT of the even extension of the samples.
     The starting n covers the bandwidth 2 pi k s_max with a 1.5 margin; it
-    is doubled until the largest of the last max(n/8, 4) coefficients is
-    below 1e-3 rel_tol times the largest one. Columns are the real and
-    imaginary parts.
+    is doubled until the tail, the largest of the last w = max(n/8, 4)
+    coefficients, is below 1e-3 rel_tol times the largest one. Doubling
+    stops early once the tail no longer falls, i.e. once it is within a
+    factor 1/_CHEB_STALL of the w coefficients before it: the coefficients
+    then sit on their rounding plateau, which is accepted if it is at most
+    rel_tol times the largest coefficient. A plateau above that which a
+    further doubling does not lower either raises NumericsError. Columns
+    are the real and imaginary parts.
     """
     spec = quad or DEFAULT_SPEC
     s_max = phase.s_negligible if phase is not None else 1.0 + capture
     n = int(math.ceil(1.5 * math.pi * params.k * s_max * top)) + 24
+    previous = math.inf
     while n <= _CHEB_MAX_NODES:
         theta = math.pi * (np.arange(n) + 0.5) / n
         psi = _amplitude_grid(0.5 * top * (1.0 + np.cos(theta)), params.k,
@@ -364,9 +378,18 @@ def _chebyshev_amplitude(top, params, phase, quad, capture):
         c = np.fft.fft(np.concatenate([psi, psi[::-1]]))[:n] * (
             np.exp(-0.5j * math.pi * np.arange(n) / n) / n)
         c[0] *= 0.5
-        size = np.abs(c)
-        if size[-max(n // 8, 4):].max() <= 1e-3 * spec.rel_tol * size.max():
+        size = np.abs(c) / np.abs(c).max()
+        w = max(n // 8, 4)
+        tail = size[-w:].max()
+        flat = tail >= _CHEB_STALL * size[-2 * w:-w].max()
+        if tail <= 1e-3 * spec.rel_tol or (flat and tail <= spec.rel_tol):
             return np.column_stack([c.real, c.imag])
+        if flat and tail >= _CHEB_STALL * previous:
+            raise NumericsError(
+                f"source average: the Chebyshev coefficients of the "
+                f"amplitude on [0, {top:.4g}] stall at {tail:.1e} of their "
+                f"largest, above rel_tol = {spec.rel_tol:.1e}")
+        previous = tail
         n *= 2
     raise NumericsError(
         f"source average: the amplitude on [0, {top:.4g}] is not resolved "

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import scipy.optimize
+
 from arago.numerics import (
+    _CALL_SIZE,
     _W15,
     _W31,
     _X31,
@@ -23,11 +26,45 @@ def test_smooth_exponential():
 
 def test_oscillatory_damped():
     # int_0^T exp(-x) sin(b x) dx = (b - exp(-T)(sin bT + b cos bT)) / (1 + b^2)
+    # Refinement in rounds evaluates all new panels of a round through one
+    # integrand call: 6 calls here, where one call per panel took 57 for
+    # the same 29 final panels.
     b, T = 50.0, 10.0
     exact = (b - math.exp(-T) * (math.sin(b * T) + b * math.cos(b * T))) / (1 + b * b)
-    res = integrate_adaptive(lambda x: np.exp(-x) * np.sin(b * x), 0.0, T)
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.exp(-x) * np.sin(b * x)
+
+    res = integrate_adaptive(f, 0.0, T)
     assert res.converged
     assert res.value == pytest.approx(exact, rel=1e-9)
+    assert len(sizes) <= 12
+    assert sum(sizes) == 31 * (2 * res.subdivisions - 1)
+
+
+def test_calls_capped_at_call_size():
+    # 200 seeded panels of a 300-component integrand: the first panel goes
+    # alone (the component count is not known before it), and the rest in
+    # calls of at most _CALL_SIZE abscissa-component pairs, each full but
+    # the last of a round
+    omega = np.linspace(1.0, 1000.0, 300)
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.sin(np.outer(x, omega))
+
+    seeds = np.linspace(0.0, 10.0, 201)[1:-1]
+    res = integrate_adaptive(f, 0.0, 10.0, points=seeds)
+    assert res.converged
+    assert np.allclose(res.value, (1.0 - np.cos(10.0 * omega)) / omega,
+                       rtol=1e-8, atol=1e-12)
+    per_call = 31 * (_CALL_SIZE // (31 * omega.size))
+    assert sizes[0] == 31 and sizes[1] == per_call
+    assert max(sizes) * omega.size <= _CALL_SIZE
+    assert all(n % 31 == 0 for n in sizes)
 
 
 def test_complex_integrand():
@@ -97,11 +134,18 @@ def test_seeding_with_final_cuts():
 
 
 def test_budget_exhaustion_flagged():
-    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=2)
-    res = integrate_adaptive(lambda x: np.sin(1000.0 * x), 0.0, 10.0, spec=spec)
-    assert not res.converged
-    with pytest.raises(NumericsError, match="hopeless"):
-        res.require_converged("hopeless integral")
+    # the budget caps the panel count even when a round would split more
+    # panels than are left
+    for budget in (2, 37, 300):
+        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300,
+                              max_subdivisions=budget)
+        res = integrate_adaptive(lambda x: np.sin(1000.0 * x), 0.0, 10.0,
+                                 spec=spec)
+        assert not res.converged
+        assert res.subdivisions <= spec.max_subdivisions
+        assert len(res.cuts) == res.subdivisions - 1
+        with pytest.raises(NumericsError, match="hopeless"):
+            res.require_converged("hopeless integral")
 
 
 def test_empty_interval():
@@ -218,3 +262,49 @@ def test_bisect_endpoint_root():
 def test_bisect_no_sign_change():
     with pytest.raises(ValueError, match="sign"):
         bisect(lambda x: 1.0 + x * x, 0.0, 1.0, 1e-10)
+
+
+def test_bisect_matches_scipy_bitwise():
+    # reference: scipy.optimize.bisect, whose midpoint sequence and stopping
+    # test the numerics version follows; the roots must agree exactly
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        lo = rng.uniform(-5.0, 1.0)
+        hi = lo + rng.uniform(0.01, 20.0)
+        root, power = rng.uniform(lo, hi), rng.uniform(0.5, 3.0)
+        tol = 10.0 ** rng.uniform(-14, -2)
+
+        def f(x):
+            return np.sign(x - root) * np.abs(x - root) ** power
+
+        assert bisect(f, lo, hi, tol) == scipy.optimize.bisect(
+            f, lo, hi, xtol=tol)
+
+
+def test_bisect_elementwise_targets():
+    # one call bisects every level of a monotone function, each to
+    # scipy's scalar result (at a tolerance where the 4 eps |x| part of the
+    # stopping test matters), with f called once per step on all levels
+    levels = np.array([3.0, 1.0, 0.2, 0.01, 1.0 / 8.0])
+    calls = []
+
+    def f(s):
+        calls.append(np.shape(s))
+        return 1.0 / s ** 3 - levels
+
+    roots = bisect(f, 0.1, 10.0, 1e-15)
+    assert roots.shape == levels.shape
+    assert np.allclose(roots, levels ** (-1.0 / 3.0), rtol=1e-14, atol=0.0)
+    for lvl, r in zip(levels, roots):
+        assert r == scipy.optimize.bisect(lambda s: 1.0 / s ** 3 - lvl, 0.1,
+                                          10.0, xtol=1e-15)
+    assert len(calls) <= 2 + 60 and calls[-1] == levels.shape
+
+
+def test_bisect_elementwise_names_unbracketed_element():
+    levels = np.array([1.0, 2000.0])
+    with pytest.raises(ValueError, match=r"sign change on \[0\.1, 10\]"):
+        bisect(lambda s: 1.0 / s ** 3 - levels, 0.1, 10.0, 1e-10)
+    with pytest.raises(ValueError, match="NaN"):
+        bisect(lambda s: np.where(s == 0.75, np.nan, s - 0.7), 0.5, 1.0,
+               1e-10)

@@ -247,6 +247,55 @@ def test_source_average_refuses_past_degree_cap(monkeypatch):
         source_averaged_pattern(u, setup, phase, capture=eta)
 
 
+@pytest.mark.parametrize("kind", ["disc", "sphere"])
+def test_source_average_stops_on_rounding_plateau(kind, monkeypatch):
+    # at rel_tol = 1e-13 the tail target 1e-3 rel_tol lies below the
+    # coefficients' rounding plateau (about 5e-16 of the largest). The
+    # doubling must stop once the tail no longer falls, after at most two
+    # samplings (44 and 88 nodes for the disc, 100 and 200 for the
+    # sphere), and still meet the direct-amplitude oracle. Measured:
+    # 6.2e-16 and 8.9e-16 relative; doubling to the rounding target took
+    # up to 5632 (disc) and 6400 (sphere) nodes.
+    setup, phase, eta = _fig3_source(kind, 2.0)
+    par = setup.dimensionless()
+    quad = QuadratureSpec(rel_tol=1e-13)
+    u = np.linspace(0.0, 3.0 * par.ell, 61)
+    direct = arago.poisson._amplitude_grid
+    ref = annular_average(u, par.beta, lambda r: np.abs(
+        direct(r, par.k, par.ell, phase, quad, eta)) ** 2)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return direct(*args)
+
+    monkeypatch.setattr(arago.poisson, "_amplitude_grid", counted)
+    w = source_averaged_pattern(u, setup, phase, quad, capture=eta).w
+    assert len(calls) <= 2
+    assert np.max(np.abs(w - ref) / ref) <= 1e-12
+
+
+def test_source_average_refuses_a_plateau_above_rel_tol(monkeypatch):
+    # amplitude samples with 1e-6 relative noise put the coefficient
+    # plateau near 1e-7, above the default rel_tol = 1e-8: once a doubling
+    # does not lower it, the source average raises instead of doubling on
+    setup, phase, eta = _fig3_source("disc", 2.0)
+    u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 11)
+    direct = arago.poisson._amplitude_grid
+    rng = np.random.default_rng(0)
+    calls = []
+
+    def noisy(*args):
+        calls.append(args)
+        psi = direct(*args)
+        return psi * (1.0 + 1e-6 * rng.standard_normal(psi.shape))
+
+    monkeypatch.setattr(arago.poisson, "_amplitude_grid", noisy)
+    with pytest.raises(NumericsError, match="stall"):
+        source_averaged_pattern(u, setup, phase, capture=eta)
+    assert len(calls) == 2
+
+
 def test_velocity_averaging_identity_at_zero_spread():
     grid = np.linspace(0.0, 2.0, 11)
     a = source_averaged_pattern(grid, _setup(R0=500e-9))
@@ -371,6 +420,37 @@ def test_wall_strip_matches_pure_adaptive(monkeypatch):
             w_brute = point_source_pattern(grid, par, phase=phase, quad=quad,
                                            capture=eta).w
         assert np.allclose(w_strip, w_brute, rtol=1e-8, atol=1e-10)
+
+
+def test_wall_strip_falls_back_to_panels(monkeypatch):
+    # the endpoint series of the fast disc's wall strip has a fixed error
+    # of about 1.3e-10, which misses the budget at rel_tol 1e-11 on a wide
+    # grid and at 1e-12 even on axis; the strip is then integrated by
+    # panels with the rest of the interaction. The result must agree with
+    # brute adaptive quadrature within the tolerances of
+    # test_wall_strip_matches_pure_adaptive, and to the requested rel_tol,
+    # which the series alone misses (by 5.5e-11, 1.4e-12 and 2.8e-11).
+    # Measured: <= 1.5e-13 relative.
+    v = 20.2553946
+    obs = Obstacle("disc", 500e-9, 10e-9)
+    setup = _setup(v=v, obstacle=obs, alpha=5e-28)
+    par = setup.dimensionless()
+    phase = EikonalPhase(obs, setup.particle, v)
+    eta = capture_eta(obs, setup.particle, v)
+    assert phase.phi(1.0 + eta) > arago.poisson._PHI_SPLIT
+    brute_quad = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14,
+                                max_subdivisions=20000)
+    for rel_tol, grid in ((1e-11, np.linspace(0.0, 3.0 * par.ell, 241)),
+                          (1e-12, np.array([0.0])),
+                          (1e-12, np.array([0.0, 0.7, 1.5, 3.0]))):
+        w = point_source_pattern(grid, par, phase=phase, capture=eta,
+                                 quad=QuadratureSpec(rel_tol=rel_tol)).w
+        with monkeypatch.context() as m:
+            m.setattr(arago.poisson, "_PHI_SPLIT", 1e12)
+            w_brute = point_source_pattern(grid, par, phase=phase,
+                                           quad=brute_quad, capture=eta).w
+        assert np.allclose(w, w_brute, rtol=1e-8, atol=1e-10)
+        assert np.max(np.abs(w - w_brute) / w_brute) <= rel_tol
 
 
 def test_phase_breakpoints_hit_quarter_levels():
