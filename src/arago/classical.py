@@ -16,9 +16,10 @@ monotone segments of the ray map. The on-axis focal ray makes w_cl diverge
 like 1/u at the origin; the divergence is integrable against the area
 element u du and is never evaluated at u = 0.
 
-The classical and quantum engines consume the same EikonalPhase object. The
-finite-source averages differ: the quantum engine uses the arc-length kernel
-of poisson.annular_average, this engine a polar rule (_polar_average) whose
+The classical and quantum engines consume the same EikonalPhase object and
+read the particle, velocity and capture radius from it. The finite-source
+averages differ: the quantum engine uses the arc-length kernel of
+poisson.annular_average, this engine a polar rule (_polar_average) whose
 discretization error near the focal divergence is frozen in the recorded
 classical reference profile; it keeps that rule until the reference is
 re-recorded.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interaction import classical_kick
+from .interaction import capture_eta, classical_kick
 from .poisson import RadialProfile
 
 
@@ -42,28 +43,28 @@ class RayMap:
     ell: float               # (L1 + L2)/L1 of the geometry it was built for
 
 
-def ray_map(params, phase, particle, v_z, eta, s_max=8.0, n=4000):
+def ray_map(params, phase, s_max=8.0):
     """Build the kick-and-project ray map on [1+eta, s_max].
 
-    phase=None means no interaction (pure shadow projection u = ell s).
-    The grid is geometric in the wall distance s - (1+eta) because the kick
-    spans many decades near the surface.
+    The particle, its velocity v_z and eta = capture_eta(...) come from the
+    phase; phase=None means eta = 0 and the pure shadow projection u = ell s.
+    The 4000-point grid is geometric in the wall distance s - (1+eta)
+    because the kick spans many decades near the surface.
     """
-    if eta < 0:
-        raise ValueError("eta must be non-negative")
-    a = 1.0 + eta
+    a = 1.0 if phase is None else 1.0 + capture_eta(
+        phase.obstacle, phase.particle, phase.v_z)
     if s_max <= a + 1e-6:
         raise ValueError("s_max must exceed 1 + eta")
-    offs = np.geomspace(1e-9, s_max - a, n - 1)
+    offs = np.geomspace(1e-9, s_max - a, 3999)
     s = np.concatenate([[a], a + offs])
 
     if phase is None:
         u_fin = params.ell * s
     else:
         q = classical_kick(phase, s)  # kg m/s, negative toward the axis
-        lam = particle.wavelength(v_z)
+        particle, v_z = phase.particle, phase.v_z
         R = phase.obstacle.R
-        L2 = R * R / (params.k * lam)
+        L2 = R * R / (params.k * particle.wavelength(v_z))
         u_fin = params.ell * s + L2 * q / (particle.mass_kg * v_z * R)
         tail = abs(u_fin[-1] / (params.ell * s[-1]) - 1.0)
         if tail > 1e-3:
@@ -86,20 +87,14 @@ def _branch_sum(targets, rmap):
     ds = np.diff(s)
     w = np.zeros_like(targets)
 
-    # walk monotone runs of u_final so each segment is invertible
-    run_start = 0
-    sign = 0.0
-    edges = []
-    for i, step in enumerate(du):
-        sgn = math.copysign(1.0, step) if step != 0 else sign
-        if sign == 0.0:
-            sign = sgn
-        elif sgn != sign:
-            edges.append((run_start, i))
-            run_start, sign = i, sgn
-    edges.append((run_start, len(du)))
+    # split u_final into monotone runs so each segment is invertible: a run
+    # turns at a step whose sign differs from the last non-flat step's, and
+    # a flat step joins the run before it
+    steps = np.flatnonzero(du)
+    up = du[steps] > 0
+    turns = steps[1:][up[1:] != up[:-1]].tolist()
 
-    for lo, hi in edges:
+    for lo, hi in zip([0] + turns, turns + [len(du)]):
         seg_u = u_f[lo:hi + 1]
         ascending = seg_u[-1] >= seg_u[0]
         view = seg_u if ascending else seg_u[::-1]
@@ -160,23 +155,23 @@ def _polar_average(u, beta, radial_fn, n_t=48, n_theta=256):
     return out * (2.0 / beta ** 2)
 
 
-def classical_source_averaged(u_grid, setup, rmap, v=None):
+def classical_source_averaged(u_grid, setup, rmap):
     """Finite-source version of classical_point_pattern, averaged with the
     polar rule of _polar_average (see the module notes). The integrable 1/u
     focal divergence is handled by interpolating u * w(u), which stays
-    finite down to the axis."""
-    v_eff = setup.particle.v_long if v is None else v
-    p = setup.dimensionless(v_eff)
+    finite down to the axis. The projected source radius beta does not
+    depend on velocity."""
+    beta = setup.dimensionless().beta
     u = np.asarray(u_grid, dtype=float)
-    if p.beta == 0.0:
+    if beta == 0.0:
         return classical_point_pattern(u, rmap)
-    top = u.max() + p.beta
+    top = u.max() + beta
     ell = rmap.ell
     work = np.unique(np.concatenate([
         np.geomspace(1e-6 * ell, 0.2 * ell, 500),
         np.linspace(0.2 * ell, top * 1.001, 2000)]))
     g = work * classical_point_pattern(work, rmap).w  # u*w, finite at 0
-    w = _polar_average(u, p.beta, lambda r: np.interp(r, work, g)
+    w = _polar_average(u, beta, lambda r: np.interp(r, work, g)
                        / np.maximum(r, 1e-300))
     return RadialProfile(u, np.maximum(w, 0.0))
 

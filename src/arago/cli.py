@@ -26,7 +26,9 @@ from . import classical as cls
 from . import poisson as psn
 from .config import ConfigError, as_float, parse_kv, serialize_kv
 from .farfield import FarFieldSetup, feasibility_report
-from .interaction import EikonalPhase, Obstacle, capture_eta
+# capture_eta is unused here: perfbench/test_perfbench.py::
+# test_install_patches_every_binding_and_uninstall_restores_all asserts it
+from .interaction import EikonalPhase, Obstacle, capture_eta  # noqa: F401
 from .numerics import NumericsError, QuadratureSpec
 from .particles import ParticleSpecies, species_preset
 
@@ -255,29 +257,23 @@ def _discard(paths, remove=os.unlink):
             pass
 
 
-def _pattern(cfg, u, phase, eta):
+def _pattern(cfg, u, phase):
     """Quantum/ideal pattern on grid u honoring the averaging flags."""
     if cfg.velocity_averaging:
-        family = None
-        if phase is not None:
-            family = lambda v: EikonalPhase(cfg.poisson.obstacle,
-                                            cfg.particle, v)
         return psn.wavelength_averaged_pattern(
-            u, cfg.poisson, family, cfg.quad,
+            u, cfg.poisson, phase, cfg.quad,
             source_averaging=cfg.source_averaging)
     if cfg.source_averaging:
-        return psn.source_averaged_pattern(u, cfg.poisson, phase, cfg.quad,
-                                           capture=eta)
+        return psn.source_averaged_pattern(u, cfg.poisson, phase, cfg.quad)
     p = cfg.poisson.dimensionless()
-    return psn.point_source_pattern(u, p, phase, cfg.quad, capture=eta)
+    return psn.point_source_pattern(u, p, phase, cfg.quad)
 
 
-def _classical_pattern(cfg, u, phase, eta):
+def _classical_pattern(cfg, u, phase):
     """Classical pattern on the origin-free grid u; the deflection model
     averages over the source, never over velocities."""
     p = cfg.poisson.dimensionless()
-    rmap = cls.ray_map(p, phase, cfg.particle, cfg.particle.v_long, eta,
-                       s_max=max(8.0, u[-1] / p.ell + 2.0))
+    rmap = cls.ray_map(p, phase, s_max=max(8.0, u[-1] / p.ell + 2.0))
     if cfg.source_averaging:
         return cls.classical_source_averaged(u, cfg.poisson, rmap)
     return cls.classical_point_pattern(u, rmap)
@@ -314,16 +310,14 @@ def run_scenario(cfg, out_dir):
                          psn.visibility_checks(cfg.poisson))
 
         # alpha = 0 leaves the ideal obstacle and straight rays
-        phase, eta = None, 0.0
+        phase = None
         if names != ("ideal",) and cfg.particle.alpha > 0:
             phase = EikonalPhase(cfg.poisson.obstacle, cfg.particle,
                                  cfg.particle.v_long)
-            eta = capture_eta(cfg.poisson.obstacle, cfg.particle,
-                              cfg.particle.v_long)
         profiles = []
         for name in names:
             engine = _classical_pattern if name == "classical" else _pattern
-            profiles.append(engine(cfg, u, phase, eta))
+            profiles.append(engine(cfg, u, phase))
             _write_profile_csv(target(f"profile_{name}.csv"), profiles[-1])
 
         dist = math.nan

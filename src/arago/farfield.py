@@ -94,21 +94,20 @@ def mass_limit(d, T, Theta):
     return CONST.h ** 2 / (2.0 * d * d * CONST.kB * T * Theta * Theta)
 
 
-def gravity_velocity_criterion(setup, particle, L_total_convention="L2_only"):
+def gravity_velocity_criterion(setup, particle):
     """Velocity spread bound Delta v / v <= v L2 h / (m d g L^2 eps1).
 
     Two velocity classes fall by different amounts over the flight; if the
     grating bars are misaligned with gravity by eps1 the differential droop
     moves the pattern by a fringe unless Delta v / v stays below this bound.
-    L is the flight length entering the fall; its reading is selected by
-    L_total_convention ("L2_only" or "L1_plus_L2"). eps1 = 0 returns +inf
+    L is the flight length entering the fall. The paper leaves it ambiguous
+    (L2 alone, or L1 + L2); L = L2 is taken here, and L1 + L2 would tighten
+    the bound by ((L1 + L2)/L2)^2. eps1 = 0 returns +inf
     (criterion vacuous).
     """
-    if L_total_convention not in ("L2_only", "L1_plus_L2"):
-        raise ValueError(f"unknown L convention {L_total_convention!r}")
     if setup.eps1 == 0.0:
         return math.inf
-    L = setup.L2 if L_total_convention == "L2_only" else setup.L1 + setup.L2
+    L = setup.L2
     m = particle.mass_kg
     v = particle.v_long
     return v * setup.L2 * CONST.h / (m * setup.d * CONST.g * L * L * setup.eps1)

@@ -84,13 +84,13 @@ class EikonalPhase:
     phase_floor times the remaining envelope.
     """
 
-    def __init__(self, obstacle, particle, v_z, phase_floor=1e-4):
-        if phase_floor <= 0:
-            raise ValueError("phase_floor must be positive")
+    phase_floor = 1e-4
+
+    def __init__(self, obstacle, particle, v_z):
         self.obstacle = obstacle
         self.particle = particle
         self.v_z = v_z
-        self.phase_floor = phase_floor
+        phase_floor = self.phase_floor
         C4 = particle.C4
         if C4 <= 0:
             raise ValueError("EikonalPhase needs an attractive interaction; "
@@ -149,7 +149,11 @@ def cutoff_distance(C4, b, mass, v):
     return (18.0 * C4 * b * b / (m * v * v)) ** (1.0 / 6.0)
 
 
-def capture_eta(obstacle, particle, v_z, roughness=0.5e-9):
+# surface roughness (m): approaches within it of the wall count as captured
+_ROUGHNESS = 0.5e-9
+
+
+def capture_eta(obstacle, particle, v_z):
     """Fractional effective enlargement: particles inside (1+eta) R are lost.
 
     Sphere: in scaled units (lengths in R, speed 1) the potential is
@@ -171,7 +175,7 @@ def capture_eta(obstacle, particle, v_z, roughness=0.5e-9):
         return cutoff_distance(C4, obstacle.b, particle.mass, v_z) / R
 
     half_A = 2.0 * C4 / (particle.mass_kg * v_z ** 2 * R ** 4)
-    delta = roughness / R
+    delta = _ROUGHNESS / R
     # at r - 1 = 2 + A^(1/4) the left side already exceeds the right
     r_star = bisect(lambda r: (r - 1.0) ** 5 - half_A * (r + 1.0), 1.0,
                     3.0 + (2.0 * half_A) ** 0.25, 1e-12)
@@ -179,7 +183,7 @@ def capture_eta(obstacle, particle, v_z, roughness=0.5e-9):
     return r_min * math.sqrt(1.0 + half_A / (r_min - 1.0) ** 4) - 1.0
 
 
-def capture_eta_shooting(obstacle, particle, v_z, roughness=0.5e-9):
+def capture_eta_shooting(obstacle, particle, v_z):
     """Reference for capture_eta on a sphere, by shooting trajectories.
 
     Integrates planar rays, incident parallel to z at impact parameter b,
@@ -191,7 +195,7 @@ def capture_eta_shooting(obstacle, particle, v_z, roughness=0.5e-9):
     """
     R = obstacle.R
     A = 4.0 * particle.C4 / (particle.mass_kg * v_z ** 2 * R ** 4)
-    delta = roughness / R
+    delta = _ROUGHNESS / R
 
     def rhs(t, y):
         x, z, vx, vz = y

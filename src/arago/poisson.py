@@ -16,8 +16,10 @@ brute-forced. It is evaluated by a Babinet-style decomposition:
 
 using the exact result for the phase-free integral extended to zero lower
 bound. The capture parameter eta removes adsorbed particles by starting the
-obstacle integrals at s = 1 + eta; the last integral truncates where phi
-falls below the phase floor, with a truncation error bounded by the floor.
+obstacle integrals at s = 1 + eta, with eta = capture_eta of the phase's
+own obstacle, particle and velocity (0 without a phase); the last integral
+truncates where phi falls below the phase floor, with a truncation error
+bounded by the floor.
 
 The interaction integral is evaluated for all screen radii at once: its
 panels are adapted on a probe subset of the radii first, and the whole grid
@@ -33,7 +35,7 @@ function of u (the free chirp plus Hankel transforms of radial functions
 supported on [0, s_neg]), so its Chebyshev coefficients decay geometrically
 once the degree passes its bandwidth, and the decay of the coefficient tail
 certifies the degree. Velocity spreads average over deterministic velocity
-nodes with the interaction phase rebuilt per node.
+nodes with the interaction phase, and with it eta, rebuilt per node.
 """
 
 import math
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConstraintReport
-from .interaction import capture_eta as _capture_eta
+from .interaction import EikonalPhase, capture_eta as _capture_eta
 from .numerics import (DEFAULT_SPEC, NumericsError, bessel_j0, bisect,
                        integrate_adaptive)
 from .particles import velocity_nodes
@@ -176,16 +178,14 @@ def _wall_strip(u, k, ell, phase, a, b):
     def h0(s):
         return G(s) / (1j * dPsi(s))
 
+    def h1(s):
+        h = 1e-4 * (s - 1.0)
+        return (h0(s + h) - h0(s - h)) / (2.0 * h * 1j * dPsi(s))
+
     def endpoint(s, sign):
         h = 1e-4 * (s - 1.0)
-        h1 = (h0(s + h) - h0(s - h)) / (2.0 * h * 1j * dPsi(s))
-
-        def h1_at(x):
-            hx = 1e-4 * (x - 1.0)
-            return (h0(x + hx) - h0(x - hx)) / (2.0 * hx * 1j * dPsi(x))
-
-        h2 = (h1_at(s + h) - h1_at(s - h)) / (2.0 * h * abs(dPsi(s)))
-        val = sign * (h0(s) - h1) * np.exp(1j * Psi(s))
+        h2 = (h1(s + h) - h1(s - h)) / (2.0 * h * abs(dPsi(s)))
+        val = sign * (h0(s) - h1(s)) * np.exp(1j * Psi(s))
         return val, np.abs(h2)
 
     val_b, err_b = endpoint(b, +1.0)
@@ -212,15 +212,14 @@ def _integrate_on_probed_panels(integrand, u, a, b, spec, points):
     return integrate_adaptive(lambda s: integrand(s, u), a, b, spec, points)
 
 
-def _amplitude_grid(u_grid, k, ell, phase=None, quad=None, capture=0.0):
+def _amplitude_grid(u_grid, k, ell, phase=None, quad=None):
     """psi(u) for a whole grid of screen radii at once."""
     spec = quad or DEFAULT_SPEC
     u = np.atleast_1d(np.asarray(u_grid, dtype=float))
     if np.any(u < 0):
         raise ValueError("screen radii must be non-negative")
-    if capture < 0:
-        raise ValueError("capture parameter must be non-negative")
-    a = 1.0 + capture
+    a = 1.0 if phase is None else 1.0 + _capture_eta(
+        phase.obstacle, phase.particle, phase.v_z)
     two_pi_k = 2.0 * math.pi * k
 
     # integrands as (complex radial factor, real J0 matrix), the pair form
@@ -239,58 +238,57 @@ def _amplitude_grid(u_grid, k, ell, phase=None, quad=None, capture=0.0):
     res0.require_converged("free-edge integral")
     psi = free - res0.value
 
-    if phase is not None:
-        if phase.s_negligible <= a:
-            raise ValueError("capture radius swallows the interaction zone; "
-                             "nothing left to integrate")
+    if phase is None:
+        return psi
+    if phase.s_negligible <= a:
+        raise ValueError("capture radius swallows the interaction zone; "
+                         "nothing left to integrate")
 
-        def interacting(s, radii):
-            s = np.asarray(s)
-            radial = (two_pi_k * ell * s
-                      * np.exp(1j * math.pi * k * ell * s * s)
-                      * (np.exp(1j * phase.phi(s)) - 1.0))
-            return radial, bessel_j0(two_pi_k * np.outer(s, radii))
+    def interacting(s, radii):
+        s = np.asarray(s)
+        radial = (two_pi_k * ell * s
+                  * np.exp(1j * math.pi * k * ell * s * s)
+                  * (np.exp(1j * phase.phi(s)) - 1.0))
+        return radial, bessel_j0(two_pi_k * np.outer(s, radii))
 
-        def interaction(lo):
-            return _integrate_on_probed_panels(
-                interacting, u, lo, phase.s_negligible, spec,
-                _phase_breakpoints(phase, lo))
+    def interaction(lo, hi=phase.s_negligible, what="interaction integral"):
+        return _integrate_on_probed_panels(
+            interacting, u, lo, hi, spec,
+            _phase_breakpoints(phase, lo)).require_converged(what)
 
-        what = "interaction integral"
-        if phase.phi(a) > _PHI_SPLIT:
-            # near the wall the eikonal phase winds through too many cycles
-            # for cheap panel quadrature; peel that strip off and evaluate
-            # its oscillatory part by the endpoint series instead
-            s_split = bisect(lambda s: phase.phi(s) - _PHI_SPLIT, a,
-                             phase.s_negligible, 1e-12)
-            res_m = integrate_adaptive(shadow, a, s_split, spec)
-            res_m.require_converged("wall-strip shadow integral")
-            strip_val, strip_err = _wall_strip(u, k, ell, phase, a, s_split)
-            res1 = interaction(s_split).require_converged(what)
-            total = psi + res_m.value + strip_val + res1.value
-            budget = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
-            if np.all(strip_err <= 10.0 * budget):
-                return total
-            # the series has a fixed accuracy, which missed the budget:
-            # integrate the strip by panels with the rest of the interaction
-            what = ("wall-strip endpoint series not accurate enough (error "
-                    f"~ {float(np.max(strip_err)):.3e}); the interaction "
-                    "integral from the wall")
-        res1 = interaction(a).require_converged(what)
-        psi = psi + res1.value
-
-    return psi
+    if phase.phi(a) <= _PHI_SPLIT:
+        return psi + interaction(a).value
+    # near the wall the eikonal phase winds through too many cycles for
+    # cheap panel quadrature; peel that strip off and evaluate its
+    # oscillatory part by the endpoint series instead
+    s_split = bisect(lambda s: phase.phi(s) - _PHI_SPLIT, a,
+                     phase.s_negligible, 1e-12)
+    res_m = integrate_adaptive(shadow, a, s_split, spec)
+    res_m.require_converged("wall-strip shadow integral")
+    strip_val, strip_err = _wall_strip(u, k, ell, phase, a, s_split)
+    outer = interaction(s_split)
+    total = psi + res_m.value + strip_val + outer.value
+    budget = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+    if np.all(strip_err <= 10.0 * budget):
+        return total
+    # the series has a fixed accuracy, which missed the budget: integrate
+    # the strip by panels and keep the outer integral already done
+    strip = interaction(a, s_split, (
+        "wall-strip endpoint series not accurate enough (error ~ "
+        f"{float(np.max(strip_err)):.3e}); the interaction integral over "
+        "the wall strip"))
+    return psi + strip.value + outer.value
 
 
-def amplitude(u, params, phase=None, quad=None, capture=0.0):
+def amplitude(u, params, phase=None, quad=None):
     """Complex diffraction amplitude psi at a single scaled screen radius."""
     return complex(_amplitude_grid([float(u)], params.k, params.ell,
-                                   phase, quad, capture)[0])
+                                   phase, quad)[0])
 
 
-def point_source_pattern(u_grid, params, phase=None, quad=None, capture=0.0):
+def point_source_pattern(u_grid, params, phase=None, quad=None):
     """w_p(u) = |psi(u)|^2 for a point source on axis."""
-    psi = _amplitude_grid(u_grid, params.k, params.ell, phase, quad, capture)
+    psi = _amplitude_grid(u_grid, params.k, params.ell, phase, quad)
     return RadialProfile(np.asarray(u_grid, dtype=float), np.abs(psi) ** 2)
 
 
@@ -335,12 +333,6 @@ def annular_average(u_grid, beta, radial_fn):
     return out / beta ** 2
 
 
-def _auto_capture(setup, phase, v):
-    if phase is None:
-        return 0.0
-    return _capture_eta(setup.obstacle, setup.particle, v)
-
-
 # a source average whose amplitude needs more Chebyshev nodes than this is
 # refused; a 500 nm disc at 200 m/s (k = 19.7) needs 2154
 _CHEB_MAX_NODES = 8192
@@ -350,7 +342,7 @@ _CHEB_MAX_NODES = 8192
 _CHEB_STALL = 0.1
 
 
-def _chebyshev_amplitude(top, params, phase, quad, capture):
+def _chebyshev_amplitude(top, params, phase, quad):
     """Certified Chebyshev coefficients of psi on [0, top], shape (n, 2).
 
     psi is sampled once per attempt at the n first-kind Chebyshev points
@@ -368,13 +360,13 @@ def _chebyshev_amplitude(top, params, phase, quad, capture):
     are the real and imaginary parts.
     """
     spec = quad or DEFAULT_SPEC
-    s_max = phase.s_negligible if phase is not None else 1.0 + capture
+    s_max = phase.s_negligible if phase is not None else 1.0
     n = int(math.ceil(1.5 * math.pi * params.k * s_max * top)) + 24
     previous = math.inf
     while n <= _CHEB_MAX_NODES:
         theta = math.pi * (np.arange(n) + 0.5) / n
         psi = _amplitude_grid(0.5 * top * (1.0 + np.cos(theta)), params.k,
-                              params.ell, phase, spec, capture)
+                              params.ell, phase, spec)
         c = np.fft.fft(np.concatenate([psi, psi[::-1]]))[:n] * (
             np.exp(-0.5j * math.pi * np.arange(n) / n) / n)
         c[0] *= 0.5
@@ -396,27 +388,22 @@ def _chebyshev_amplitude(top, params, phase, quad, capture):
         f"by {_CHEB_MAX_NODES} Chebyshev nodes")
 
 
-def source_averaged_pattern(u_grid, setup, phase=None, quad=None, v=None,
-                            capture=None):
+def source_averaged_pattern(u_grid, setup, phase=None, quad=None, v=None):
     """Pattern averaged over the finite source disc (radius R0).
 
     The amplitude psi is represented on [0, u_max + beta] by the certified
     Chebyshev interpolant of _chebyshev_amplitude, and |psi|^2 from it is
     averaged over the disc of radius beta around each screen radius with the
-    arc-length kernel of annular_average. capture=None computes the
-    adsorption radius from the obstacle and particle when an interaction
-    phase is given.
+    arc-length kernel of annular_average. v (default v_long) sets the
+    wavelength; the interaction comes from the phase alone.
     """
-    v_eff = setup.particle.v_long if v is None else v
-    p = setup.dimensionless(v_eff)
-    if capture is None:
-        capture = _auto_capture(setup, phase, v_eff)
+    p = setup.dimensionless(v)
     u = np.asarray(u_grid, dtype=float)
     if p.beta == 0.0:
-        return point_source_pattern(u, p, phase, quad, capture)
+        return point_source_pattern(u, p, phase, quad)
 
     top = u.max() + p.beta
-    coef = _chebyshev_amplitude(top, p, phase, quad, capture)
+    coef = _chebyshev_amplitude(top, p, phase, quad)
 
     def intensity(r):
         re, im = np.polynomial.chebyshev.chebval(2.0 * r / top - 1.0, coef)
@@ -425,26 +412,26 @@ def source_averaged_pattern(u_grid, setup, phase=None, quad=None, v=None,
     return RadialProfile(u, annular_average(u, p.beta, intensity))
 
 
-def wavelength_averaged_pattern(u_grid, setup, phase_family=None, quad=None,
-                                n_v_samples=9, source_averaging=True):
+def wavelength_averaged_pattern(u_grid, setup, phase=None, quad=None,
+                                source_averaging=True):
     """Pattern averaged over the particle's velocity distribution.
 
-    phase_family maps a velocity to the interaction phase at that velocity
-    (None for the ideal obstacle); both the Fresnel parameter and the phase
-    are rebuilt per velocity node. dv_rel = 0 reduces to the single-velocity
-    result.
+    At each of the velocity_nodes v_i the Fresnel parameter and the phase,
+    EikonalPhase(phase.obstacle, phase.particle, v_i), are rebuilt (phase
+    None is the ideal obstacle); the phase's own velocity is not used.
+    dv_rel = 0 reduces to the single-velocity result.
     """
     u = np.asarray(u_grid, dtype=float)
-    vs, weights = velocity_nodes(setup.particle, n_v_samples)
+    vs, weights = velocity_nodes(setup.particle)
     acc = np.zeros_like(u)
     for v_i, w_i in zip(vs, weights):
-        phase_i = phase_family(v_i) if phase_family is not None else None
+        phase_i = None if phase is None else EikonalPhase(
+            phase.obstacle, phase.particle, v_i)
         if source_averaging:
             prof = source_averaged_pattern(u, setup, phase_i, quad, v=v_i)
         else:
-            p_i = setup.dimensionless(v_i)
-            cap = _auto_capture(setup, phase_i, v_i)
-            prof = point_source_pattern(u, p_i, phase_i, quad, cap)
+            prof = point_source_pattern(u, setup.dimensionless(v_i), phase_i,
+                                        quad)
         acc += w_i * prof.w
     return RadialProfile(u, acc)
 

@@ -221,8 +221,7 @@ def test_c09_classical_divergence(acceptance):
     au = species_preset("au100")
     setup = PoissonSetup(500e-9, 500e-9, 0.125, 0.125, obs, au)
     phase = EikonalPhase(obs, au, au.v_long)
-    eta = capture_eta(obs, au, au.v_long)
-    rmap = ray_map(setup.dimensionless(), phase, au, au.v_long, eta)
+    rmap = ray_map(setup.dimensionless(), phase)
     u = np.geomspace(0.02, 0.2, 25)
     w = classical_point_pattern(u, rmap).w
     slope = np.polyfit(np.log(u), np.log(w), 1)[0]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from arago.classical import (
+    RayMap,
+    _branch_sum,
     classical_point_pattern,
     classical_source_averaged,
     distinguishability,
@@ -15,10 +17,7 @@ from arago.poisson import (
     DimensionlessParams,
     PoissonSetup,
     RadialProfile,
-    point_source_pattern,
 )
-
-V_10PM = 2.0255394488692375
 
 
 def _fig3(kind):
@@ -27,15 +26,12 @@ def _fig3(kind):
     p = ParticleSpecies("au100", 19700.0, 5e-28, 2.0)
     setup = PoissonSetup(500e-9, 500e-9, 0.125, 0.125, obs, p)
     phase = EikonalPhase(obs, p, p.v_long)
-    eta = capture_eta(obs, p, p.v_long)
-    rmap = ray_map(setup.dimensionless(), phase, p, p.v_long, eta)
-    return setup, phase, eta, rmap
+    return setup, phase, ray_map(setup.dimensionless(), phase)
 
 
 def test_free_map_is_pure_projection():
     par = DimensionlessParams(k=0.2, ell=2.0, beta=0.0)
-    p = ParticleSpecies("au100", 19700.0, 0.0, V_10PM)
-    rmap = ray_map(par, None, p, p.v_long, eta=0.0)
+    rmap = ray_map(par, None)
     assert np.allclose(rmap.u_final, 2.0 * rmap.s_grid, rtol=1e-14)
     grid = np.linspace(0.5, 6.0, 111)
     w = classical_point_pattern(grid, rmap).w
@@ -47,30 +43,89 @@ def test_free_map_is_pure_projection():
 
 def test_ray_map_validation():
     par = DimensionlessParams(k=0.2, ell=2.0, beta=0.0)
-    p = ParticleSpecies("au100", 19700.0, 0.0, V_10PM)
-    with pytest.raises(ValueError, match="eta"):
-        ray_map(par, None, p, p.v_long, eta=-0.1)
     with pytest.raises(ValueError, match="s_max"):
-        ray_map(par, None, p, p.v_long, eta=0.0, s_max=0.5)
+        ray_map(par, None, s_max=0.5)
+    _, phase, _ = _fig3("sphere")  # eta = 0.078
+    with pytest.raises(ValueError, match="s_max"):
+        ray_map(par, phase, s_max=1.05)
+
+
+def test_ray_map_starts_at_capture_radius():
+    # the map reads its capture radius from the phase: it starts at
+    # 1 + capture_eta of the phase's obstacle, particle and velocity (here
+    # 3 m/s, not the particle's v_long), and at 1 without a phase
+    par = DimensionlessParams(k=0.2, ell=2.0, beta=0.0)
+    p = ParticleSpecies("au100", 19700.0, 5e-28, 2.0)
+    for obs in (Obstacle("sphere", 500e-9), Obstacle("disc", 500e-9, 10e-9)):
+        rmap = ray_map(par, EikonalPhase(obs, p, 3.0))
+        assert rmap.s_grid[0] == 1.0 + capture_eta(obs, p, 3.0)
+        assert rmap.s_grid[0] != 1.0 + capture_eta(obs, p, p.v_long)
+    assert ray_map(par, None).s_grid[0] == 1.0
+
+
+def test_branch_sum_flat_step_and_turn():
+    # u_final = -1, 1, 1, 3, 2 over s = 1..5: the flat step joins the rising
+    # run, which turns at s = 4. Each branch hit at a target u adds
+    # ell^2 s / (u |du/ds|) at its preimage s; by hand, with ell = 2:
+    #   u = 0.5: s = 1.75 and s = 1.25 (from u_final = -0.5), 7 + 5
+    #   u = 1.0: s = 3 on the rising step (6) and s = 1 at u_final = -1 (2)
+    #   u = 1.5: s = 3.25 on the rising step, 4 * 3.25 / 3
+    #   u = 2.5: s = 3.75 rising (3) and s = 4.5 falling (7.2)
+    #   u = 3.5: beyond the map, 0
+    rmap = RayMap(np.arange(1.0, 6.0), np.array([-1.0, 1.0, 1.0, 3.0, 2.0]),
+                  2.0)
+    targets = np.array([0.5, 1.0, 1.5, 2.5, 3.5])
+    expected = [12.0, 8.0, 13.0 / 3.0, 10.2, 0.0]
+    assert _branch_sum(targets, rmap) == pytest.approx(expected, rel=1e-14)
+
+
+def _stepwise_runs(du):
+    # the reference walk over the steps of u_final: a step whose sign
+    # differs from the current run's starts a new run; a flat step
+    # (du = 0) joins the run before it
+    start, sign, edges = 0, 0.0, []
+    for i, step in enumerate(du):
+        sgn = math.copysign(1.0, step) if step != 0 else sign
+        if sign == 0.0:
+            sign = sgn
+        elif sgn != sign:
+            edges.append((start, i))
+            start, sign = i, sgn
+    return edges + [(start, len(du))]
+
+
+def test_branch_sum_runs_match_stepwise_walk():
+    # the branch sum equals the sum of branch sums over the runs of the
+    # stepwise walk, each a monotone map of its own, on a random walk of
+    # 1, 0 and -1 steps (the fig3 maps are monotone: a single run)
+    rng = np.random.default_rng(3)
+    rmap = RayMap(np.arange(1.0, 202.0), np.concatenate(
+        [[0.5], 0.5 + np.cumsum(rng.integers(-1, 2, 200))]), 1.5)
+    targets = np.linspace(0.1, np.abs(rmap.u_final).max(), 301)
+    edges = _stepwise_runs(np.diff(rmap.u_final))
+    assert len(edges) > 50
+    ref = sum(_branch_sum(targets, RayMap(rmap.s_grid[lo:hi + 1],
+                                          rmap.u_final[lo:hi + 1], rmap.ell))
+              for lo, hi in edges)
+    assert np.allclose(_branch_sum(targets, rmap), ref, rtol=1e-13, atol=0.0)
 
 
 def test_ray_map_ballistic_guard():
     # truncating the map while the kick is still strong must be rejected
-    setup, phase, eta, _ = _fig3("sphere")
+    setup, phase, _ = _fig3("sphere")
     with pytest.raises(ValueError, match="ballistic"):
-        ray_map(setup.dimensionless(), phase, setup.particle,
-                setup.particle.v_long, eta, s_max=1.5)
+        ray_map(setup.dimensionless(), phase, s_max=1.5)
 
 
 def test_attraction_pulls_rays_inward():
-    setup, phase, eta, rmap = _fig3("sphere")
+    setup, phase, rmap = _fig3("sphere")
     assert np.all(rmap.u_final < setup.dimensionless().ell * rmap.s_grid)
 
 
 def test_focal_ray_exists():
     # strong near-wall kicks throw the innermost rays across the axis, so the
     # map changes sign somewhere
-    _, _, _, rmap = _fig3("sphere")
+    _, _, rmap = _fig3("sphere")
     assert rmap.u_final[0] < 0 < rmap.u_final[-1]
 
 
@@ -78,7 +133,7 @@ def test_central_divergence_slope():
     # the focal accumulation behaves like 1/u near the axis; frozen fitted
     # slopes: sphere -0.9986, disc -1.0018
     for kind, frozen in (("sphere", -0.9986), ("disc", -1.0018)):
-        _, _, _, rmap = _fig3(kind)
+        _, _, rmap = _fig3(kind)
         u = np.geomspace(0.02, 0.2, 25)
         w = classical_point_pattern(u, rmap).w
         slope = np.polyfit(np.log(u), np.log(w), 1)[0]
@@ -91,7 +146,7 @@ def test_flux_conservation():
     # that lands there: int 2 s ds over |u_f| <= U times ell^2 (both in the
     # pinned normalization), to 1%
     for kind in ("sphere", "disc"):
-        _, _, _, rmap = _fig3(kind)
+        _, _, rmap = _fig3(kind)
         U = 6.0
         u = np.linspace(1e-3, U, 4001)
         prof = classical_point_pattern(u, rmap)
@@ -109,7 +164,7 @@ def test_flux_conservation():
 def test_central_flux_integrable():
     # 1/u is integrable against 2 pi u du; the enclosed flux near the axis
     # stays finite
-    _, _, _, rmap = _fig3("sphere")
+    _, _, rmap = _fig3("sphere")
     u = np.linspace(1e-4, 0.5, 2000)
     w = classical_point_pattern(u, rmap).w
     enclosed = np.trapezoid(w * 2.0 * math.pi * u, u)
@@ -118,7 +173,7 @@ def test_central_flux_integrable():
 
 
 def test_source_averaging_regularizes_center():
-    setup, phase, eta, rmap = _fig3("sphere")
+    setup, phase, rmap = _fig3("sphere")
     grid = np.linspace(0.025, 3.0, 60)
     prof = classical_source_averaged(grid, setup, rmap)
     assert np.all(np.isfinite(prof.w))
@@ -129,9 +184,7 @@ def test_source_averaged_beta_zero_identity():
     obs = Obstacle("sphere", 500e-9)
     p = ParticleSpecies("au100", 19700.0, 5e-28, 2.0)
     setup = PoissonSetup(0.0, 500e-9, 0.125, 0.125, obs, p)
-    phase = EikonalPhase(obs, p, p.v_long)
-    eta = capture_eta(obs, p, p.v_long)
-    rmap = ray_map(setup.dimensionless(), phase, p, p.v_long, eta)
+    rmap = ray_map(setup.dimensionless(), EikonalPhase(obs, p, p.v_long))
     grid = np.linspace(0.1, 3.0, 30)
     a = classical_point_pattern(grid, rmap)
     b = classical_source_averaged(grid, setup, rmap)
@@ -139,13 +192,13 @@ def test_source_averaged_beta_zero_identity():
 
 
 def test_pattern_rejects_origin():
-    _, _, _, rmap = _fig3("sphere")
+    _, _, rmap = _fig3("sphere")
     with pytest.raises(ValueError, match="diverges"):
         classical_point_pattern(np.array([0.0, 1.0]), rmap)
 
 
 def test_distinguishability_identical_profiles():
-    setup, _, _, _ = _fig3("sphere")
+    setup, _, _ = _fig3("sphere")
     u = np.linspace(0.025, 6.0, 40)
     prof = RadialProfile(u, np.ones_like(u))
     rep = distinguishability(u, setup, prof, prof)
@@ -155,7 +208,7 @@ def test_distinguishability_identical_profiles():
 
 
 def test_distinguishability_zero_classical():
-    setup, _, _, _ = _fig3("sphere")
+    setup, _, _ = _fig3("sphere")
     u = np.linspace(0.025, 6.0, 40)
     q = RadialProfile(u, np.ones_like(u))
     c = RadialProfile(u, np.zeros_like(u))
@@ -163,7 +216,7 @@ def test_distinguishability_zero_classical():
 
 
 def test_distinguishability_grid_mismatch():
-    setup, _, _, _ = _fig3("sphere")
+    setup, _, _ = _fig3("sphere")
     u = np.linspace(0.025, 6.0, 40)
     q = RadialProfile(u, np.ones_like(u))
     c = RadialProfile(u[:-1], np.ones(39))

@@ -94,13 +94,15 @@ def test_gravity_criterion_value():
 
 
 def test_gravity_criterion_conventions():
-    setup = FarFieldSetup(D=4e-6, Y=100e-6, L1=1.0, L2=1.0, d=100e-9,
-                          b=100e-9, eps1=1e-3)
-    b2 = gravity_velocity_criterion(setup, AU5000, "L2_only")
-    btot = gravity_velocity_criterion(setup, AU5000, "L1_plus_L2")
-    assert b2 / btot == pytest.approx(4.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        gravity_velocity_criterion(setup, AU5000, "L3")
+    # the flight length of the fall is L = L2: the bound v L2 h/(m d g L^2
+    # eps1) goes as 1/L2 and does not see L1 (with L = L1 + L2 it would)
+    def bound(L1, L2):
+        return gravity_velocity_criterion(
+            FarFieldSetup(D=4e-6, Y=100e-6, L1=L1, L2=L2, d=100e-9,
+                          b=100e-9, eps1=1e-3), AU5000)
+
+    assert bound(3.0, 1.0) == bound(1.0, 1.0)
+    assert bound(1.0, 2.0) == pytest.approx(bound(1.0, 1.0) / 2.0, rel=1e-12)
 
 
 def test_gravity_criterion_vacuous():

@@ -7,7 +7,7 @@ import arago.poisson
 from arago.classical import _polar_average
 from arago.interaction import EikonalPhase, Obstacle, capture_eta
 from arago.numerics import NumericsError, QuadratureSpec, bessel_j0
-from arago.particles import ParticleSpecies
+from arago.particles import ParticleSpecies, velocity_nodes
 from arago.poisson import (
     DimensionlessParams,
     PoissonSetup,
@@ -206,8 +206,7 @@ SOURCE_ORACLE_CASES = (("sphere", 1.5), ("sphere", 4.0), ("disc", 2.0),
 def _fig3_source(kind, v):
     obs = Obstacle(kind, 500e-9, 10e-9 if kind == "disc" else None)
     setup = _setup(R0=500e-9, v=v, obstacle=obs, alpha=5e-28)
-    return (setup, EikonalPhase(obs, setup.particle, v),
-            capture_eta(obs, setup.particle, v))
+    return setup, EikonalPhase(obs, setup.particle, v)
 
 
 @pytest.mark.parametrize("kind,v", SOURCE_ORACLE_CASES)
@@ -217,12 +216,11 @@ def test_source_average_matches_direct_amplitude(kind, v, monkeypatch):
     # in between. Measured: <= 7.8e-15 relative (the spline it replaced was
     # 3.5e-10 to 1.7e-6 off here). The fig3 cases are certified by their
     # first Chebyshev degree and sample the amplitude once.
-    setup, phase, eta = _fig3_source(kind, v)
+    setup, phase = _fig3_source(kind, v)
     par = setup.dimensionless()
     u = np.linspace(0.0, 3.0 * par.ell, 61)
     ref = annular_average(u, par.beta, lambda r: np.abs(
-        arago.poisson._amplitude_grid(r, par.k, par.ell, phase,
-                                      capture=eta)) ** 2)
+        arago.poisson._amplitude_grid(r, par.k, par.ell, phase)) ** 2)
     calls = []
     direct = arago.poisson._amplitude_grid
 
@@ -231,7 +229,7 @@ def test_source_average_matches_direct_amplitude(kind, v, monkeypatch):
         return direct(*args)
 
     monkeypatch.setattr(arago.poisson, "_amplitude_grid", counted)
-    w = source_averaged_pattern(u, setup, phase, capture=eta).w
+    w = source_averaged_pattern(u, setup, phase).w
     assert np.max(np.abs(w - ref) / ref) <= 1e-12
     if v < 5.0:
         assert len(calls) == 1
@@ -240,11 +238,11 @@ def test_source_average_matches_direct_amplitude(kind, v, monkeypatch):
 def test_source_average_refuses_past_degree_cap(monkeypatch):
     # the fast disc needs 322 Chebyshev nodes: the first degree (161) fails
     # the coefficient-tail test, and past a cap of 200 the doubling raises
-    setup, phase, eta = _fig3_source("disc", 20.0)
+    setup, phase = _fig3_source("disc", 20.0)
     u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 11)
     monkeypatch.setattr(arago.poisson, "_CHEB_MAX_NODES", 200)
     with pytest.raises(NumericsError, match="Chebyshev"):
-        source_averaged_pattern(u, setup, phase, capture=eta)
+        source_averaged_pattern(u, setup, phase)
 
 
 @pytest.mark.parametrize("kind", ["disc", "sphere"])
@@ -256,13 +254,13 @@ def test_source_average_stops_on_rounding_plateau(kind, monkeypatch):
     # sphere), and still meet the direct-amplitude oracle. Measured:
     # 6.2e-16 and 8.9e-16 relative; doubling to the rounding target took
     # up to 5632 (disc) and 6400 (sphere) nodes.
-    setup, phase, eta = _fig3_source(kind, 2.0)
+    setup, phase = _fig3_source(kind, 2.0)
     par = setup.dimensionless()
     quad = QuadratureSpec(rel_tol=1e-13)
     u = np.linspace(0.0, 3.0 * par.ell, 61)
     direct = arago.poisson._amplitude_grid
     ref = annular_average(u, par.beta, lambda r: np.abs(
-        direct(r, par.k, par.ell, phase, quad, eta)) ** 2)
+        direct(r, par.k, par.ell, phase, quad)) ** 2)
     calls = []
 
     def counted(*args):
@@ -270,7 +268,7 @@ def test_source_average_stops_on_rounding_plateau(kind, monkeypatch):
         return direct(*args)
 
     monkeypatch.setattr(arago.poisson, "_amplitude_grid", counted)
-    w = source_averaged_pattern(u, setup, phase, quad, capture=eta).w
+    w = source_averaged_pattern(u, setup, phase, quad).w
     assert len(calls) <= 2
     assert np.max(np.abs(w - ref) / ref) <= 1e-12
 
@@ -279,7 +277,7 @@ def test_source_average_refuses_a_plateau_above_rel_tol(monkeypatch):
     # amplitude samples with 1e-6 relative noise put the coefficient
     # plateau near 1e-7, above the default rel_tol = 1e-8: once a doubling
     # does not lower it, the source average raises instead of doubling on
-    setup, phase, eta = _fig3_source("disc", 2.0)
+    setup, phase = _fig3_source("disc", 2.0)
     u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 11)
     direct = arago.poisson._amplitude_grid
     rng = np.random.default_rng(0)
@@ -292,7 +290,7 @@ def test_source_average_refuses_a_plateau_above_rel_tol(monkeypatch):
 
     monkeypatch.setattr(arago.poisson, "_amplitude_grid", noisy)
     with pytest.raises(NumericsError, match="stall"):
-        source_averaged_pattern(u, setup, phase, capture=eta)
+        source_averaged_pattern(u, setup, phase)
     assert len(calls) == 2
 
 
@@ -301,6 +299,40 @@ def test_velocity_averaging_identity_at_zero_spread():
     a = source_averaged_pattern(grid, _setup(R0=500e-9))
     b = wavelength_averaged_pattern(grid, _setup(R0=500e-9, dv_rel=0.0))
     assert np.array_equal(a.w, b.w)
+
+
+@pytest.mark.parametrize("source_averaging", [True, False])
+@pytest.mark.parametrize("kind", ["sphere", "disc"])
+def test_interacting_velocity_average_rebuilds_phase(kind, source_averaging):
+    # the velocity average rebuilds the phase, and with it the capture
+    # radius, at every velocity node; the phase it is given (here built at
+    # 3 m/s) lends only its obstacle and particle. Oracle: the weighted sum
+    # of the single-velocity engine, written out, bit for bit. At dv_rel = 0
+    # it is the single-velocity source average itself.
+    obs = Obstacle(kind, 500e-9, 10e-9 if kind == "disc" else None)
+    u = np.linspace(0.0, 6.0, 13)
+    for dv_rel in (0.1, 0.0):
+        setup = _setup(R0=500e-9, v=2.0, obstacle=obs, dv_rel=dv_rel,
+                       alpha=5e-28)
+        phase = EikonalPhase(obs, setup.particle, 3.0)
+        got = wavelength_averaged_pattern(u, setup, phase,
+                                          source_averaging=source_averaging)
+        vs, weights = velocity_nodes(setup.particle)
+        assert vs.size == (9 if dv_rel else 1)
+        ref = np.zeros_like(u)
+        for v_i, w_i in zip(vs, weights):
+            phase_i = EikonalPhase(obs, setup.particle, v_i)
+            if source_averaging:
+                prof = source_averaged_pattern(u, setup, phase_i, v=v_i)
+            else:
+                prof = point_source_pattern(u, setup.dimensionless(v_i),
+                                            phase_i)
+            ref += w_i * prof.w
+        assert np.array_equal(got.w, ref)
+    if source_averaging:
+        single = source_averaged_pattern(
+            u, setup, EikonalPhase(obs, setup.particle, 2.0))
+        assert np.array_equal(got.w, single.w)
 
 
 def test_velocity_averaging_softens_spot():
@@ -373,9 +405,7 @@ def test_quantum_spot_enhancement():
     setup = _setup(v=2.0, obstacle=obs, alpha=5e-28)
     par = setup.dimensionless()
     phase = EikonalPhase(obs, setup.particle, 2.0)
-    eta = capture_eta(obs, setup.particle, 2.0)
-    w0 = point_source_pattern(np.array([0.0]), par, phase=phase,
-                              capture=eta).w[0]
+    w0 = point_source_pattern(np.array([0.0]), par, phase=phase).w[0]
     assert w0 > 1.0
     assert w0 == pytest.approx(3.50316872, abs=0.01)  # frozen
 
@@ -393,9 +423,8 @@ def test_fast_beam_wall_strip_regressions():
         obs = Obstacle(kind, 500e-9, b)
         setup = _setup(v=v, obstacle=obs, alpha=5e-28)
         phase = EikonalPhase(obs, setup.particle, v)
-        eta = capture_eta(obs, setup.particle, v)
         w0 = point_source_pattern(np.array([0.0]), setup.dimensionless(),
-                                  phase=phase, capture=eta).w[0]
+                                  phase=phase).w[0]
         assert w0 == pytest.approx(expected, rel=1e-6)
 
 
@@ -414,11 +443,10 @@ def test_wall_strip_matches_pure_adaptive(monkeypatch):
         phase = EikonalPhase(obs, setup.particle, v)
         eta = capture_eta(obs, setup.particle, v)
         assert phase.phi(1.0 + eta) > arago.poisson._PHI_SPLIT
-        w_strip = point_source_pattern(grid, par, phase=phase, capture=eta).w
+        w_strip = point_source_pattern(grid, par, phase=phase).w
         with monkeypatch.context() as m:
             m.setattr(arago.poisson, "_PHI_SPLIT", 1e12)
-            w_brute = point_source_pattern(grid, par, phase=phase, quad=quad,
-                                           capture=eta).w
+            w_brute = point_source_pattern(grid, par, phase=phase, quad=quad).w
         assert np.allclose(w_strip, w_brute, rtol=1e-8, atol=1e-10)
 
 
@@ -443,14 +471,41 @@ def test_wall_strip_falls_back_to_panels(monkeypatch):
     for rel_tol, grid in ((1e-11, np.linspace(0.0, 3.0 * par.ell, 241)),
                           (1e-12, np.array([0.0])),
                           (1e-12, np.array([0.0, 0.7, 1.5, 3.0]))):
-        w = point_source_pattern(grid, par, phase=phase, capture=eta,
+        w = point_source_pattern(grid, par, phase=phase,
                                  quad=QuadratureSpec(rel_tol=rel_tol)).w
         with monkeypatch.context() as m:
             m.setattr(arago.poisson, "_PHI_SPLIT", 1e12)
             w_brute = point_source_pattern(grid, par, phase=phase,
-                                           quad=brute_quad, capture=eta).w
+                                           quad=brute_quad).w
         assert np.allclose(w, w_brute, rtol=1e-8, atol=1e-10)
         assert np.max(np.abs(w - w_brute) / w_brute) <= rel_tol
+
+
+def test_wall_strip_fallback_keeps_outer_integral(monkeypatch):
+    # when the endpoint series misses its budget (the fast disc on axis at
+    # rel_tol 1e-12), only the strip [a, s_split] is integrated again by
+    # panels; the outer integral [s_split, s_negligible] is kept, so no
+    # interaction integral spans [a, s_negligible]
+    v = 20.2553946
+    obs = Obstacle("disc", 500e-9, 10e-9)
+    setup = _setup(v=v, obstacle=obs, alpha=5e-28)
+    phase = EikonalPhase(obs, setup.particle, v)
+    probed = arago.poisson._integrate_on_probed_panels
+    spans = []
+
+    def recording(integrand, u, lo, hi, spec, points):
+        spans.append((lo, hi))
+        return probed(integrand, u, lo, hi, spec, points)
+
+    monkeypatch.setattr(arago.poisson, "_integrate_on_probed_panels",
+                        recording)
+    point_source_pattern(np.array([0.0]), setup.dimensionless(), phase,
+                         QuadratureSpec(rel_tol=1e-12))
+    a = 1.0 + capture_eta(obs, setup.particle, v)
+    assert len(spans) == 2
+    (s_split, s_neg), strip = spans
+    assert s_neg == phase.s_negligible and a < s_split < s_neg
+    assert strip == (a, s_split)
 
 
 def test_phase_breakpoints_hit_quarter_levels():
@@ -480,15 +535,13 @@ def test_probed_panels_match_single_radius_amplitude():
         setup = _setup(R0=500e-9, v=2.0, obstacle=obs, alpha=5e-28)
         par = setup.dimensionless()
         phase = EikonalPhase(obs, setup.particle, 2.0)
-        eta = capture_eta(obs, setup.particle, 2.0)
         du = par.ell / 200.0
         top = 3.0 * par.ell + par.beta + 2 * du
         work = np.linspace(0.0, top, int(math.ceil(top / du)) + 1)
         assert work.size == 703
-        psi = arago.poisson._amplitude_grid(work, par.k, par.ell, phase,
-                                            capture=eta)
+        psi = arago.poisson._amplitude_grid(work, par.k, par.ell, phase)
         for i in (0, 101, 350, 555, 702):
-            single = amplitude(work[i], par, phase, capture=eta)
+            single = amplitude(work[i], par, phase)
             assert abs(psi[i] - single) <= 1e-8 * abs(single)
 
 
@@ -500,7 +553,6 @@ def test_shadow_edge_moves_outward_with_attraction():
     setup = _setup(v=v, obstacle=obs, alpha=5e-28)
     par = setup.dimensionless()
     phase = EikonalPhase(obs, setup.particle, v)
-    eta = capture_eta(obs, setup.particle, v)
     grid = np.linspace(2.0, 2.6, 121)
 
     def edge(w):
@@ -509,7 +561,6 @@ def test_shadow_edge_moves_outward_with_attraction():
                                [grid[idx], grid[idx + 1]]))
 
     e_ideal = edge(point_source_pattern(grid, par).w)
-    e_int = edge(point_source_pattern(grid, par, phase=phase,
-                                      capture=eta).w)
+    e_int = edge(point_source_pattern(grid, par, phase=phase).w)
     assert e_ideal == pytest.approx(2.2196, abs=0.01)
     assert 0.02 < e_int - e_ideal < 0.10
