@@ -14,14 +14,15 @@ as one object.
 The capture radius follows from the same potential: for a sphere from the
 minimum of the effective potential barrier (capture_eta), for a disc from
 the transit-time cutoff. capture_eta_shooting integrates trajectories
-instead and serves only as the reference the tests compare against.
+instead and serves only as the reference the tests compare against; it is
+the one user of scipy.integrate, which is imported on its first call, so
+importing the package loads numpy and scipy.special only.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .constants_units import CONST, amu_to_kg
 from .numerics import NumericsError, bisect
@@ -181,6 +182,16 @@ def capture_eta(obstacle, particle, v_z):
                     3.0 + (2.0 * half_A) ** 0.25, 1e-12)
     r_min = max(r_star, 1.0 + delta)
     return r_min * math.sqrt(1.0 + half_A / (r_min - 1.0) ** 4) - 1.0
+
+
+# scipy.integrate (and the scipy.optimize, scipy.sparse and scipy.linalg it
+# pulls in) is imported on first use: only the test reference below solves
+# ODEs. The name stays bound here: perfbench/spans.py wraps
+# interaction.solve_ivp by this name to count the reference's solves.
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on its first call."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def capture_eta_shooting(obstacle, particle, v_z):

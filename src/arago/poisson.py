@@ -394,9 +394,15 @@ def source_averaged_pattern(u_grid, setup, phase=None, quad=None, v=None):
     The amplitude psi is represented on [0, u_max + beta] by the certified
     Chebyshev interpolant of _chebyshev_amplitude, and |psi|^2 from it is
     averaged over the disc of radius beta around each screen radius with the
-    arc-length kernel of annular_average. v (default v_long) sets the
-    wavelength; the interaction comes from the phase alone.
+    arc-length kernel of annular_average. With a phase the wavelength is
+    taken at phase.v_z, and a v that differs from it raises ValueError;
+    v (default v_long) sets the wavelength only for the ideal obstacle.
     """
+    if phase is not None:
+        if v is not None and v != phase.v_z:
+            raise ValueError(f"v = {v!r} differs from the phase's velocity "
+                             f"v_z = {phase.v_z!r}")
+        v = phase.v_z
     p = setup.dimensionless(v)
     u = np.asarray(u_grid, dtype=float)
     if p.beta == 0.0:

@@ -1,4 +1,5 @@
 import filecmp
+import json
 import math
 import os
 import re
@@ -21,16 +22,25 @@ from arago.cli import (
 from arago.config import ConfigError, parse_kv
 
 
-def test_cli_import_skips_scipy_interpolate():
-    # the package needs no scipy.interpolate; a fresh interpreter importing
-    # the command line must not load it
+def test_cli_import_loads_only_numpy_and_scipy_special():
+    # the package needs numpy and scipy.special only: a fresh interpreter
+    # importing the command line must load none of the heavier scipy
+    # packages. scipy.integrate, and with it scipy.optimize, scipy.sparse
+    # and scipy.linalg, is imported on first use by the test-only shooting
+    # reference.
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(arago.__file__)))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, arago.cli; "
-         "print('scipy.interpolate' in sys.modules)"],
+        [sys.executable, "-c", "import json, sys, arago.cli; "
+         "print(json.dumps(sorted(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    loaded = json.loads(out.stdout)
+    assert "scipy.interpolate" not in loaded
+    assert "scipy.special" in loaded
+    for pkg in ("scipy.integrate", "scipy.optimize", "scipy.interpolate",
+                "scipy.sparse", "scipy.linalg"):
+        assert not [m for m in loaded
+                    if m == pkg or m.startswith(pkg + ".")], pkg
 
 
 def test_parse_fig2a():

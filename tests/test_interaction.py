@@ -1,9 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.integrate
 
+import arago
 from arago.constants_units import CONST
 from arago.interaction import (
     EikonalPhase,
@@ -211,6 +216,28 @@ def test_capture_eta_shrinks_with_velocity():
     slow = capture_eta(SPHERE, AU, 2.0)
     fast = capture_eta(SPHERE, AU, 8.0)
     assert fast < slow
+
+
+def test_solver_is_imported_on_first_use():
+    # importing the interaction module must not load scipy.integrate; the
+    # shooting reference's solve_ivp imports it on its first call and
+    # returns scipy's own result, whose nfev perfbench/spans.py reads
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(arago.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, sys, arago.interaction as ia; "
+         "before = 'scipy.integrate' in sys.modules; "
+         "sol = ia.solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0]); "
+         "print(json.dumps([before, 'scipy.integrate' in sys.modules, "
+         "type(sol).__module__, type(sol).__name__, int(sol.nfev), "
+         "bool(sol.success), float(sol.y[0, -1])]))"],
+        env=env, capture_output=True, text=True, check=True)
+    before, after, module, name, nfev, success, y_end = json.loads(out.stdout)
+    assert not before
+    assert after
+    assert module.startswith("scipy.integrate.") and name == "OdeResult"
+    assert nfev > 0 and success
+    assert y_end == pytest.approx(math.exp(-1.0), rel=1e-3)
 
 
 def test_capture_eta_fast_passage():

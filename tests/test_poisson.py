@@ -294,6 +294,22 @@ def test_source_average_refuses_a_plateau_above_rel_tol(monkeypatch):
     assert len(calls) == 2
 
 
+def test_source_average_takes_velocity_from_phase():
+    # with a phase, the wavelength is taken at the phase's velocity: a v
+    # that disagrees with it raises (a 2 m/s fig3-disc phase with v = 3 gave
+    # w(0) = 0.5808 against 0.5681 for a consistent 3 m/s pair), and a
+    # 3 m/s phase without v is the matching pair given with v = 3
+    setup, phase_2 = _fig3_source("disc", 2.0)
+    u = np.linspace(0.0, 3.0, 7)
+    with pytest.raises(ValueError, match="v_z"):
+        source_averaged_pattern(u, setup, phase_2, v=3.0)
+    phase_3 = EikonalPhase(phase_2.obstacle, setup.particle, 3.0)
+    w = source_averaged_pattern(u, setup, phase_3).w
+    assert np.array_equal(
+        w, source_averaged_pattern(u, setup, phase_3, v=3.0).w)
+    assert not np.array_equal(w, source_averaged_pattern(u, setup, phase_2).w)
+
+
 def test_velocity_averaging_identity_at_zero_spread():
     grid = np.linspace(0.0, 2.0, 11)
     a = source_averaged_pattern(grid, _setup(R0=500e-9))
