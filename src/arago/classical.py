@@ -11,8 +11,9 @@ u_final(s), so
 
 normalized to 1 on the open screen (pinned at u = 3 ell). Attraction bends
 rays across the axis, so a screen radius u generally has preimages on both
-the crossed (u_final < 0) and uncrossed sides; the inversion walks all
-monotone segments of the ray map. The on-axis focal ray makes w_cl diverge
+the crossed (u_final < 0) and uncrossed sides. The map itself is strictly
+increasing (the inward kick weakens as s grows), so each side holds one
+preimage; a map that turns is refused. The on-axis focal ray makes w_cl diverge
 like 1/u at the origin; the divergence is integrable against the area
 element u du and is never evaluated at u = 0.
 
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interaction import capture_eta, classical_kick
+from .numerics import NumericsError
 from .poisson import RadialProfile
 
 
@@ -76,44 +78,32 @@ def ray_map(params, phase, s_max=8.0):
 
 
 def _branch_sum(targets, rmap):
-    """Sum ell^2 s/(u |du/ds|) over every ray-map branch hitting each target.
+    """Sum ell^2 s/(u |du/ds|) over the ray-map branches hitting each target.
 
     targets are positive screen radii; both map signs contribute (a ray at
-    u_final = -u lands at radius u).
+    u_final = -u lands at radius u). u_final = ell s + c q(s) with the kick
+    q < 0 and |q| falling in s is strictly increasing, so each sign has at
+    most one preimage; a map that is not raises NumericsError.
     """
     ell = rmap.ell
     s, u_f = rmap.s_grid, rmap.u_final
     du = np.diff(u_f)
     ds = np.diff(s)
+    stalls = np.flatnonzero(du <= 0)
+    if stalls.size:
+        j = stalls[0]
+        raise NumericsError(
+            f"ray map not strictly increasing: u_final goes from "
+            f"{u_f[j]:.6g} to {u_f[j + 1]:.6g} on step {j}, s = {s[j]:.6g} "
+            f"to {s[j + 1]:.6g}")
     w = np.zeros_like(targets)
-
-    # split u_final into monotone runs so each segment is invertible: a run
-    # turns at a step whose sign differs from the last non-flat step's, and
-    # a flat step joins the run before it
-    steps = np.flatnonzero(du)
-    up = du[steps] > 0
-    turns = steps[1:][up[1:] != up[:-1]].tolist()
-
-    for lo, hi in zip([0] + turns, turns + [len(du)]):
-        seg_u = u_f[lo:hi + 1]
-        ascending = seg_u[-1] >= seg_u[0]
-        view = seg_u if ascending else seg_u[::-1]
-        for tsign in (1.0, -1.0):
-            t = tsign * targets
-            idx = np.searchsorted(view, t, side="right")
-            inside = (idx > 0) & (idx < len(view))
-            if not np.any(inside):
-                continue
-            j = idx[inside] - 1
-            if not ascending:
-                j = (len(view) - 2) - j
-            j += lo
-            frac = (t[inside] - u_f[j]) / np.where(du[j] == 0, np.inf, du[j])
-            s_at = s[j] + frac * ds[j]
-            jac = np.abs(du[j] / ds[j])
-            contrib = ell * ell * s_at / (targets[inside]
-                                          * np.where(jac == 0, np.inf, jac))
-            np.add.at(w, np.flatnonzero(inside), contrib)
+    for tsign in (1.0, -1.0):
+        t = tsign * targets
+        idx = np.searchsorted(u_f, t, side="right")
+        inside = (idx > 0) & (idx < len(u_f))
+        j = idx[inside] - 1
+        s_at = s[j] + (t[inside] - u_f[j]) / du[j] * ds[j]
+        w[inside] += ell * ell * s_at / (targets[inside] * (du[j] / ds[j]))
     return w
 
 

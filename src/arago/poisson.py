@@ -34,8 +34,12 @@ read psi from a Chebyshev interpolant on [0, u_max + beta]: psi is an entire
 function of u (the free chirp plus Hankel transforms of radial functions
 supported on [0, s_neg]), so its Chebyshev coefficients decay geometrically
 once the degree passes its bandwidth, and the decay of the coefficient tail
-certifies the degree. Velocity spreads average over deterministic velocity
-nodes with the interaction phase, and with it eta, rebuilt per node.
+certifies the degree. The kernel reads |psi|^2 from a real Chebyshev series
+of its own, exact because its degree is below twice the amplitude's.
+Velocity spreads average over deterministic velocity nodes with the
+interaction phase, and with it eta, rebuilt per node; the source average
+is linear in the intensity, so the nodes' weighted intensities are summed
+into one series on the shared [0, u_max + beta] and the kernel runs once.
 """
 
 import math
@@ -342,22 +346,33 @@ _CHEB_MAX_NODES = 8192
 _CHEB_STALL = 0.1
 
 
+def _chebyshev_coefficients(f):
+    """Chebyshev coefficients of the n samples f_j = f(cos theta_j),
+    theta_j = pi (j + 1/2) / n: the cosine sums
+    c_m = (2/n) sum_j f_j cos(m theta_j) (c_0 halved), taken with one FFT of
+    the even extension of the samples. They are exact for a polynomial of
+    degree < n."""
+    n = f.size
+    c = np.fft.fft(np.concatenate([f, f[::-1]]))[:n] * (
+        np.exp(-0.5j * math.pi * np.arange(n) / n) / n)
+    c[0] *= 0.5
+    return c
+
+
 def _chebyshev_amplitude(top, params, phase, quad):
-    """Certified Chebyshev coefficients of psi on [0, top], shape (n, 2).
+    """Certified complex Chebyshev coefficients of psi on [0, top].
 
     psi is sampled once per attempt at the n first-kind Chebyshev points
-    r_j = top (1 + cos theta_j) / 2, theta_j = pi (j + 1/2) / n; the
-    coefficients are the cosine sums c_m = (2/n) sum_j psi_j cos(m theta_j)
-    (c_0 halved), taken with one FFT of the even extension of the samples.
-    The starting n covers the bandwidth 2 pi k s_max with a 1.5 margin; it
-    is doubled until the tail, the largest of the last w = max(n/8, 4)
-    coefficients, is below 1e-3 rel_tol times the largest one. Doubling
-    stops early once the tail no longer falls, i.e. once it is within a
-    factor 1/_CHEB_STALL of the w coefficients before it: the coefficients
-    then sit on their rounding plateau, which is accepted if it is at most
-    rel_tol times the largest coefficient. A plateau above that which a
-    further doubling does not lower either raises NumericsError. Columns
-    are the real and imaginary parts.
+    r_j = top (1 + cos theta_j) / 2, theta_j = pi (j + 1/2) / n, and
+    transformed by _chebyshev_coefficients. The starting n covers the
+    bandwidth 2 pi k s_max with a 1.5 margin; it is doubled until the tail,
+    the largest of the last w = max(n/8, 4) coefficients, is below
+    1e-3 rel_tol times the largest one. Doubling stops early once the tail
+    no longer falls, i.e. once it is within a factor 1/_CHEB_STALL of the w
+    coefficients before it: the coefficients then sit on their rounding
+    plateau, which is accepted if it is at most rel_tol times the largest
+    coefficient. A plateau above that which a further doubling does not
+    lower either raises NumericsError.
     """
     spec = quad or DEFAULT_SPEC
     s_max = phase.s_negligible if phase is not None else 1.0
@@ -367,15 +382,13 @@ def _chebyshev_amplitude(top, params, phase, quad):
         theta = math.pi * (np.arange(n) + 0.5) / n
         psi = _amplitude_grid(0.5 * top * (1.0 + np.cos(theta)), params.k,
                               params.ell, phase, spec)
-        c = np.fft.fft(np.concatenate([psi, psi[::-1]]))[:n] * (
-            np.exp(-0.5j * math.pi * np.arange(n) / n) / n)
-        c[0] *= 0.5
+        c = _chebyshev_coefficients(psi)
         size = np.abs(c) / np.abs(c).max()
         w = max(n // 8, 4)
         tail = size[-w:].max()
         flat = tail >= _CHEB_STALL * size[-2 * w:-w].max()
         if tail <= 1e-3 * spec.rel_tol or (flat and tail <= spec.rel_tol):
-            return np.column_stack([c.real, c.imag])
+            return c
         if flat and tail >= _CHEB_STALL * previous:
             raise NumericsError(
                 f"source average: the Chebyshev coefficients of the "
@@ -388,15 +401,46 @@ def _chebyshev_amplitude(top, params, phase, quad):
         f"by {_CHEB_MAX_NODES} Chebyshev nodes")
 
 
+def _source_average(u, beta, top, terms):
+    """Annular average of I = sum_i w_i |psi_i|^2 over the source disc.
+
+    terms are (w_i, c_i) pairs, c_i the Chebyshev coefficients of psi_i on
+    [0, top]. I is a polynomial of degree < n = 2 max_i len(c_i), so its
+    values at the n first-kind Chebyshev points give its coefficients
+    exactly. Each psi_i is evaluated there with one inverse FFT of its
+    zero-padded coefficients (the inverse of _chebyshev_coefficients), the
+    sum is transformed back, and annular_average reads I from that one real
+    series.
+    """
+    n = 2 * max(c.size for _, c in terms)
+    shift = np.exp(0.5j * math.pi * np.arange(n) / n)
+    samples = np.zeros(n)
+    for w, c in terms:
+        padded = np.zeros(n, dtype=complex)
+        padded[:c.size] = c
+        padded[0] *= 2.0
+        psi = np.fft.ifft(np.concatenate([
+            padded * shift, [0.0], (padded * shift.conj())[:0:-1]]))[:n] * n
+        samples += w * (psi.real ** 2 + psi.imag ** 2)
+    coef = _chebyshev_coefficients(samples).real
+
+    def intensity(r):
+        return np.polynomial.chebyshev.chebval(2.0 * r / top - 1.0, coef)
+
+    return annular_average(u, beta, intensity)
+
+
 def source_averaged_pattern(u_grid, setup, phase=None, quad=None, v=None):
     """Pattern averaged over the finite source disc (radius R0).
 
     The amplitude psi is represented on [0, u_max + beta] by the certified
-    Chebyshev interpolant of _chebyshev_amplitude, and |psi|^2 from it is
-    averaged over the disc of radius beta around each screen radius with the
-    arc-length kernel of annular_average. With a phase the wavelength is
-    taken at phase.v_z, and a v that differs from it raises ValueError;
-    v (default v_long) sets the wavelength only for the ideal obstacle.
+    Chebyshev interpolant of _chebyshev_amplitude; |psi|^2 is turned into a
+    Chebyshev series of its own and averaged over the disc of radius beta
+    around each screen radius with one pass of the arc-length kernel of
+    annular_average (_source_average with the single term (1, c)). With a
+    phase the wavelength is taken at phase.v_z, and a v that differs from
+    it raises ValueError; v (default v_long) sets the wavelength only for
+    the ideal obstacle.
     """
     if phase is not None:
         if v is not None and v != phase.v_z:
@@ -407,15 +451,9 @@ def source_averaged_pattern(u_grid, setup, phase=None, quad=None, v=None):
     u = np.asarray(u_grid, dtype=float)
     if p.beta == 0.0:
         return point_source_pattern(u, p, phase, quad)
-
     top = u.max() + p.beta
-    coef = _chebyshev_amplitude(top, p, phase, quad)
-
-    def intensity(r):
-        re, im = np.polynomial.chebyshev.chebval(2.0 * r / top - 1.0, coef)
-        return re * re + im * im
-
-    return RadialProfile(u, annular_average(u, p.beta, intensity))
+    return RadialProfile(u, _source_average(
+        u, p.beta, top, [(1.0, _chebyshev_amplitude(top, p, phase, quad))]))
 
 
 def wavelength_averaged_pattern(u_grid, setup, phase=None, quad=None,
@@ -425,20 +463,26 @@ def wavelength_averaged_pattern(u_grid, setup, phase=None, quad=None,
     At each of the velocity_nodes v_i the Fresnel parameter and the phase,
     EikonalPhase(phase.obstacle, phase.particle, v_i), are rebuilt (phase
     None is the ideal obstacle); the phase's own velocity is not used.
+    With source averaging each node contributes the Chebyshev series of
+    its amplitude on the shared [0, u_max + beta] (beta does not depend on
+    the velocity), and the weighted intensities are summed into one series
+    that takes one pass of the arc-length kernel (_source_average).
     dv_rel = 0 reduces to the single-velocity result.
     """
     u = np.asarray(u_grid, dtype=float)
     vs, weights = velocity_nodes(setup.particle)
+    nodes = [(w_i, setup.dimensionless(v_i), None if phase is None else
+              EikonalPhase(phase.obstacle, phase.particle, v_i))
+             for v_i, w_i in zip(vs, weights)]
+    beta = setup.dimensionless().beta
+    if source_averaging and beta > 0.0:
+        top = u.max() + beta
+        return RadialProfile(u, _source_average(u, beta, top, [
+            (w_i, _chebyshev_amplitude(top, p_i, phase_i, quad))
+            for w_i, p_i, phase_i in nodes]))
     acc = np.zeros_like(u)
-    for v_i, w_i in zip(vs, weights):
-        phase_i = None if phase is None else EikonalPhase(
-            phase.obstacle, phase.particle, v_i)
-        if source_averaging:
-            prof = source_averaged_pattern(u, setup, phase_i, quad, v=v_i)
-        else:
-            prof = point_source_pattern(u, setup.dimensionless(v_i), phase_i,
-                                        quad)
-        acc += w_i * prof.w
+    for w_i, p_i, phase_i in nodes:
+        acc += w_i * point_source_pattern(u, p_i, phase_i, quad).w
     return RadialProfile(u, acc)
 
 

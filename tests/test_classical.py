@@ -12,6 +12,7 @@ from arago.classical import (
     ray_map,
 )
 from arago.interaction import EikonalPhase, Obstacle, capture_eta
+from arago.numerics import NumericsError
 from arago.particles import ParticleSpecies
 from arago.poisson import (
     DimensionlessParams,
@@ -63,51 +64,43 @@ def test_ray_map_starts_at_capture_radius():
     assert ray_map(par, None).s_grid[0] == 1.0
 
 
-def test_branch_sum_flat_step_and_turn():
-    # u_final = -1, 1, 1, 3, 2 over s = 1..5: the flat step joins the rising
-    # run, which turns at s = 4. Each branch hit at a target u adds
-    # ell^2 s / (u |du/ds|) at its preimage s; by hand, with ell = 2:
+def test_branch_sum_by_hand():
+    # u_final = -1, 1, 2, 4, 5 over s = 1..5, ell = 2. Each branch hit at a
+    # target u adds ell^2 s / (u du/ds) at its preimage s; a target on a
+    # node takes the slope of the step to its right. By hand:
     #   u = 0.5: s = 1.75 and s = 1.25 (from u_final = -0.5), 7 + 5
-    #   u = 1.0: s = 3 on the rising step (6) and s = 1 at u_final = -1 (2)
-    #   u = 1.5: s = 3.25 on the rising step, 4 * 3.25 / 3
-    #   u = 2.5: s = 3.75 rising (3) and s = 4.5 falling (7.2)
-    #   u = 3.5: beyond the map, 0
-    rmap = RayMap(np.arange(1.0, 6.0), np.array([-1.0, 1.0, 1.0, 3.0, 2.0]),
+    #   u = 1.0: s = 2 on the second step (8) and s = 1 at u_final = -1 (2)
+    #   u = 1.5: s = 2.5, 4 * 2.5 / 1.5; -1.5 is below the map
+    #   u = 3.0: s = 3.5 on the third step, 4 * 3.5 / 6
+    #   u = 6.0: beyond the map, 0
+    rmap = RayMap(np.arange(1.0, 6.0), np.array([-1.0, 1.0, 2.0, 4.0, 5.0]),
                   2.0)
-    targets = np.array([0.5, 1.0, 1.5, 2.5, 3.5])
-    expected = [12.0, 8.0, 13.0 / 3.0, 10.2, 0.0]
+    targets = np.array([0.5, 1.0, 1.5, 3.0, 6.0])
+    expected = [12.0, 10.0, 20.0 / 3.0, 7.0 / 3.0, 0.0]
     assert _branch_sum(targets, rmap) == pytest.approx(expected, rel=1e-14)
 
 
-def _stepwise_runs(du):
-    # the reference walk over the steps of u_final: a step whose sign
-    # differs from the current run's starts a new run; a flat step
-    # (du = 0) joins the run before it
-    start, sign, edges = 0, 0.0, []
-    for i, step in enumerate(du):
-        sgn = math.copysign(1.0, step) if step != 0 else sign
-        if sign == 0.0:
-            sign = sgn
-        elif sgn != sign:
-            edges.append((start, i))
-            start, sign = i, sgn
-    return edges + [(start, len(du))]
+@pytest.mark.parametrize("u_final,step", [([-1.0, 1.0, 3.0, 2.0], 2),
+                                          ([-1.0, 1.0, 1.0, 3.0], 1)])
+def test_branch_sum_refuses_a_map_that_turns(u_final, step):
+    # a map that falls or stalls has more than one preimage per side; the
+    # error names the first such step
+    rmap = RayMap(np.arange(1.0, 5.0), np.array(u_final), 2.0)
+    with pytest.raises(NumericsError, match=f"on step {step},"):
+        _branch_sum(np.array([0.5, 1.5]), rmap)
 
 
-def test_branch_sum_runs_match_stepwise_walk():
-    # the branch sum equals the sum of branch sums over the runs of the
-    # stepwise walk, each a monotone map of its own, on a random walk of
-    # 1, 0 and -1 steps (the fig3 maps are monotone: a single run)
-    rng = np.random.default_rng(3)
-    rmap = RayMap(np.arange(1.0, 202.0), np.concatenate(
-        [[0.5], 0.5 + np.cumsum(rng.integers(-1, 2, 200))]), 1.5)
-    targets = np.linspace(0.1, np.abs(rmap.u_final).max(), 301)
-    edges = _stepwise_runs(np.diff(rmap.u_final))
-    assert len(edges) > 50
-    ref = sum(_branch_sum(targets, RayMap(rmap.s_grid[lo:hi + 1],
-                                          rmap.u_final[lo:hi + 1], rmap.ell))
-              for lo, hi in edges)
-    assert np.allclose(_branch_sum(targets, rmap), ref, rtol=1e-13, atol=0.0)
+@pytest.mark.parametrize("v", [1.5, 50.0])
+@pytest.mark.parametrize("kind", ["sphere", "disc"])
+def test_ray_maps_are_strictly_increasing(kind, v):
+    # the inward kick weakens as s grows, so u_final = ell s + c q(s) rises
+    # strictly, from across the axis at the wall to the open screen
+    obs = Obstacle(kind, 500e-9, 10e-9 if kind == "disc" else None)
+    p = ParticleSpecies("au100", 19700.0, 5e-28, v)
+    setup = PoissonSetup(500e-9, 500e-9, 0.125, 0.125, obs, p)
+    rmap = ray_map(setup.dimensionless(v), EikonalPhase(obs, p, v))
+    assert np.all(np.diff(rmap.u_final) > 0)
+    assert rmap.u_final[0] < 0 < rmap.u_final[-1]
 
 
 def test_ray_map_ballistic_guard():
