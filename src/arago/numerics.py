@@ -9,11 +9,25 @@ error budget, and evaluates all the new panels through one integrand call
 per round, not per panel. It accepts complex and vector-valued integrands:
 an integrand may return an array of shape (n_points,) or (n_points, m), in
 which case all m components are integrated simultaneously over the same
-panels with a componentwise error test. It may also return a pair (g, K), a
-complex factor of shape (n_points,) and a real matrix of shape (n_points, m)
-whose product g[:, None] * K is the integrand; the panel sums then never
-form that complex product. That is what lets the diffraction code evaluate
-one oscillatory Hankel integral for an entire screen grid in a single pass.
+panels with a componentwise error test.
+
+An integrand may also return the product form (g, kernel, omega): a complex
+factor g at the 31 Kronrod nodes of each panel, a function that gives a
+real matrix (one row of m components per abscissa) at whatever abscissae
+it is asked for, and omega, which bounds the kernel's p-th derivative by
+omega^p. The integrand is g[:, None] * kernel, and the panel sums never form
+that complex product. That is what lets the diffraction code evaluate one
+oscillatory Hankel integral for an entire screen grid in a single pass:
+g is the fast radial factor and the kernel J0(2 pi k u s), with omega =
+2 pi k max u. The panels are short where g winds, and J0 barely changes
+across them, so the kernel is product-integrated (Filon 1928; Iserles and
+Norsett, Proc. R. Soc. A 461, 2005): it is sampled at p first-kind
+Chebyshev points of a panel and carried to the Kronrod nodes by a fixed
+31 x p Lagrange matrix. p is the smallest rung of the ladder 4, 6, 8, 10,
+12, 16, 20 whose a-priori interpolation bound 2 (D/4)^p / p!, D = omega
+times the panel's width, is at most machine epsilon; that bound times the
+panel's sum of |weight * g| is added to its error estimate. A panel that
+meets no rung keeps its 31 Kronrod nodes.
 
 Bisection is elementwise, so one call finds the crossings of many levels.
 
@@ -22,6 +36,7 @@ them to finite intervals plus analytic closed forms first, so only robust
 finite-interval quadrature is needed here.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,65 +137,158 @@ _RULES = np.stack([_W31, _W31 - _W15])
 
 
 # work per integrand call: at most this many abscissa-component pairs (the
-# J0 matrix entries of a Hankel integrand, 512 KB in float64), which bounds
-# the memory that one call holds
+# J0 matrix entries that a Hankel integrand forms, 512 KB in float64),
+# which bounds the memory that one call holds
 _CALL_SIZE = 2 ** 16
+
+
+def _lagrange_matrix(t):
+    """L[a, i], the Lagrange basis polynomial of the nodes t that is 1 at
+    t_i, evaluated at the Kronrod node _X31[a]: shape (31, t.size)."""
+    off = ~np.eye(t.size, dtype=bool)
+    num = np.where(off, _X31[:, None, None] - t, 1.0).prod(axis=2)
+    return num / np.where(off, t[:, None] - t, 1.0).prod(axis=1)
+
+
+# The product rule of _panels. A kernel column whose p-th derivative is at
+# most omega^p (J0(c x) with |c| <= omega: no derivative of J0 exceeds 1),
+# interpolated at p first-kind Chebyshev points of a panel over which
+# omega x spans D, is off by at most 2 (D/4)^p / p! anywhere on the panel.
+# A panel takes the smallest rung p of the ladder whose bound is at most
+# _KERNEL_TOL. _BOUND[r] is the rung's 2/p! and _RUNG_SPAN[r] its largest
+# D; _RUNG_POINTS[r] are its points on [-1, 1], and _LAGRANGE[r] maps
+# values there to the Kronrod nodes. The last entry of _NODES, _BOUND and
+# _RUNG_POINTS is a panel that meets no rung: 31 Kronrod nodes, no bound.
+_RUNGS = (4, 6, 8, 10, 12, 16, 20)
+_KERNEL_TOL = np.finfo(float).eps
+_BOUND = np.array([2.0 / math.factorial(p) for p in _RUNGS] + [0.0])
+_RUNG_SPAN = 4.0 * (_KERNEL_TOL / _BOUND[:-1]) ** (1.0 / np.array(_RUNGS))
+_NODES = np.array(_RUNGS + (_X31.size,))
+_EDGES = np.arange(_NODES.size + 1)
+_RUNG_POINTS = [-np.cos(np.pi * (np.arange(p) + 0.5) / p)
+                for p in _RUNGS] + [_X31]
+_LAGRANGE = [_lagrange_matrix(t) for t in _RUNG_POINTS[:-1]]
+
+
+def _rungs(omega, lo, hi):
+    """Index into _NODES of each panel's kernel points; plain-array
+    integrands (omega None) keep the 31 Kronrod nodes."""
+    if omega is None:
+        return np.full(lo.size, len(_RUNGS))
+    return np.searchsorted(_RUNG_SPAN, omega * (hi - lo))
 
 
 def _panels(f, lo, hi):
     """G15/K31 on the panels [lo_j, hi_j] through one call of f.
 
     Returns (K31, |K31 - G15|) per panel and component, of shape (n, m), or
-    (n,) for a scalar integrand. The abscissae of all n panels go to f as
-    one array. The integrand is read as g(x)[:, None] * K(x). f returns
-    either the pair (g, K), or a plain array K, which is the case g = 1.
-    With c = (K31 weights, K31 - G15 weights) * g per panel, both sums come
-    from the one batched product [Re c; Im c] @ K of shape
-    (n, 4, 31) @ (n, 31, m), so for a complex g and a real K no complex
-    array of the size of K is formed. Non-finite values in either factor
-    raise NumericsError naming the first panel that has them.
+    (n,) for a scalar integrand, and f's omega (None for a plain array).
+    The 31 n Kronrod abscissae of all panels go to f as one array. f
+    returns the integrand there as a plain array, or in the product form
+    (g, kernel, omega) of integrate_adaptive: the factor g at those
+    abscissae, and a function kernel that gives the real matrix at
+    whatever abscissae it is asked for.
+
+    A product-form panel whose kernel span D = omega (hi - lo) meets a rung
+    p of _RUNGS asks the kernel for its p first-kind Chebyshev points
+    only, and a panel that meets no rung for its 31 Kronrod nodes (see
+    _rungs); kernel is called once, with the points of every panel, grouped
+    by rung. With c = half-width * (K31 weights, K31 - G15 weights) * g,
+    split as [Re c; Im c] of shape (n, 4, 31), a rung-p panel sums
+    (c @ L_p) @ K, L_p the 31 x p Lagrange matrix from its points to the
+    Kronrod nodes, and a 31-node panel sums c @ K. No complex array of the
+    size of K is formed. Both rules read the same interpolant, so
+    |K31 - G15| keeps its form; the interpolation bound 2 (D/4)^p / p!
+    times the panel's sum of |c_K31| is added to it. Non-finite values in
+    either factor raise NumericsError naming the first panel that has them.
     """
     n, width = lo.size, _X31.size
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     y = f((mid[:, None] + half[:, None] * _X31).ravel())
-    g, kern = y if isinstance(y, tuple) else (1.0, y)
-    g, kern = np.asarray(g), np.asarray(kern)
-    if kern.ndim == 0:
-        kern = np.full(n * width, kern[()])
-    if kern.shape[0] != n * width or g.shape not in ((), (n * width,)):
+    g, kernel, omega = y if isinstance(y, tuple) else (1.0, None, None)
+    if omega is not None and not omega >= 0:
+        raise ValueError(f"kernel omega must be non-negative, got {omega}")
+    g = np.asarray(g)
+    rung = _rungs(omega, lo, hi)
+    # panels sorted by rung: rung r owns the sorted panels a:b and the
+    # kernel rows first:first + (b - a) _NODES[r]
+    order = np.argsort(rung, kind="stable")
+    edge = np.searchsorted(rung[order], _EDGES).tolist()
+    groups, rows = [], 0
+    for r, a, b in zip(range(_NODES.size), edge, edge[1:]):
+        if a < b:
+            groups.append((r, a, b, rows))
+            rows += (b - a) * int(_NODES[r])
+    if kernel is None:
+        kern = np.asarray(y)
+        if kern.ndim == 0:
+            kern = np.full(n * width, kern[()])
+    else:
+        at, scale = mid[order, None], half[order, None]
+        kern = np.asarray(kernel(np.concatenate([
+            (at[a:b] + scale[a:b] * _RUNG_POINTS[r]).ravel()
+            for r, a, b, _ in groups])))
+    if kern.shape[0] != rows or g.shape not in ((), (n * width,)):
         raise ValueError("integrand must return one value per abscissa")
-    bad = ~np.isfinite(kern.reshape(n, -1)).all(axis=1)
-    if g.ndim:
-        bad |= ~np.isfinite(g.reshape(n, width)).all(axis=1)
-    if bad.any():
+    kmat = kern.reshape(rows, -1)
+    if not (np.isfinite(kmat).all() and np.isfinite(g).all()):
+        bad = np.zeros(n, dtype=bool)
+        bad[np.repeat(order, _NODES[rung[order]])[
+            ~np.isfinite(kmat).all(axis=1)]] = True
+        if g.ndim:
+            bad |= ~np.isfinite(g.reshape(n, width)).all(axis=1)
         j = int(np.argmax(bad))
         raise NumericsError(
             f"integrand returned non-finite values on "
             f"[{lo[j]:.6g}, {hi[j]:.6g}]")
     c = half[:, None, None] * _RULES * (g.reshape(n, 1, width) if g.ndim
                                         else g)
-    p = np.concatenate([c.real, c.imag], axis=1) @ kern.reshape(n, width, -1)
+    c = np.concatenate([c.real, c.imag], axis=1)
+    cs = c[order]
+    ps = np.empty((n, 4, kmat.shape[1]), dtype=np.result_type(kmat, c))
+    for r, a, b, first in groups:
+        k = kmat[first:first + (b - a) * _NODES[r]].reshape(b - a, -1,
+                                                            kmat.shape[1])
+        ps[a:b] = (cs[a:b] if r == len(_RUNGS)
+                   else cs[a:b] @ _LAGRANGE[r]) @ k
+    p = np.empty_like(ps)
+    p[order] = ps
     value = p[:, 0] + 1j * p[:, 2]
     diff = np.abs(p[:, 1] + 1j * p[:, 3])
+    if omega is not None:
+        # sum |c_K31| = half (|g| @ K31 weights); a 31-node panel adds 0
+        quarter = np.minimum(0.25 * omega * (hi - lo), 0.25 * _RUNG_SPAN[-1])
+        diff += (_BOUND[rung] * quarter ** _NODES[rung] * half
+                 * (np.abs(np.broadcast_to(g, (n * width,))).reshape(n, width)
+                    @ _W31))[:, None]
     if kern.ndim == 1:
-        return value[:, 0], diff[:, 0]
-    return value, diff
+        return value[:, 0], diff[:, 0], omega
+    return value, diff, omega
 
 
-def _evaluate(f, lo, hi, components=None):
-    """_panels over any number of panels, in calls of at most _CALL_SIZE
-    abscissa-component pairs (and at least one panel). While the number of
-    components is not known, the first panel goes alone to find it."""
-    parts, i = [], 0
+def _evaluate(f, lo, hi, shape=None):
+    """_panels over any number of panels, in calls that form at most
+    _CALL_SIZE abscissa-component pairs of the kernel (and take at least
+    one panel). shape is f's (components, omega); while it is not known,
+    the first panel goes alone to find it. Returns the panels' values,
+    errors and shape."""
+    parts, i, cost = [], 0, None
     while i < lo.size:
-        step = (1 if components is None
-                else max(_CALL_SIZE // (_X31.size * components), 1))
-        parts.append(_panels(f, lo[i:i + step], hi[i:i + step]))
-        components = parts[-1][0][0].size
-        i += step
+        if shape is None:
+            stop = i + 1
+        else:
+            if cost is None:
+                cost = np.cumsum(_NODES[_rungs(shape[1], lo, hi)]) * shape[0]
+            done = cost[i - 1] if i else 0
+            stop = max(int(np.searchsorted(cost, done + _CALL_SIZE, "right")),
+                       i + 1)
+        value, diff, omega = _panels(f, lo[i:stop], hi[i:stop])
+        parts.append((value, diff))
+        shape = (value[0].size, omega)
+        i = stop
     return (np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]))
+            np.concatenate([p[1] for p in parts]), shape)
 
 
 def integrate_adaptive(f, a, b, spec=None, points=()):
@@ -188,10 +296,19 @@ def integrate_adaptive(f, a, b, spec=None, points=()):
 
     f maps an ndarray of abscissae to the integrand in one of two forms:
     an ndarray of values, shape (n,) or (n, m) for m simultaneous
-    components, possibly complex; or a pair (g, K) of a factor g of shape
-    (n,) and a matrix K of shape (n, m), meaning g[:, None] * K (g complex,
-    K real: a radial factor times a Bessel kernel, summed without forming
-    the complex product).
+    components, possibly complex; or the product form (g, kernel, omega),
+    meaning g[:, None] * kernel(x). There g is a factor at the given
+    abscissae, shape (n,) and possibly complex; kernel is a function that
+    returns a real matrix, one row of m components per abscissa, at any
+    abscissae it is given; and omega >= 0, a constant of f, bounds the
+    kernel's derivatives: the p-th derivative of every column is at most
+    omega^p in magnitude (J0(c x) with |c| <= omega, say). That is a
+    radial factor times a Bessel kernel: g is read at the 31 Kronrod nodes
+    of each panel, and the kernel, which changes slowly across a short
+    panel, at 4 to 20 Chebyshev points of the panel where that certifies
+    it to machine epsilon (see _panels), and at the Kronrod nodes where it
+    does not. A fast kernel, or omega = inf, falls back to the Kronrod
+    nodes everywhere.
     `points` seeds the initial subdivision with known breakpoints (phase
     levels, kinks); they are clipped to the open interval. The result's
     `cuts` are the interior boundaries of the final panels: passing them as
@@ -200,10 +317,11 @@ def integrate_adaptive(f, a, b, spec=None, points=()):
     Refinement runs in rounds. Each round ranks the panels by their largest
     error-to-budget ratio over the components, and halves the shortest
     worst-first run of them whose removal would leave every component's
-    error sum within its budget; the new panels are evaluated together, in
-    calls of at most _CALL_SIZE abscissa-component pairs. The panel count
-    never exceeds spec.max_subdivisions (unless the seeded panels alone
-    do).
+    error sum within its budget; the halves take their panel's place, so
+    the panels stay in order. The new panels are evaluated together, in
+    calls that form at most _CALL_SIZE abscissa-component pairs of the
+    integrand or kernel. The panel count never exceeds
+    spec.max_subdivisions (unless the seeded panels alone do).
 
     Returns a QuadratureResult. Componentwise convergence criterion:
     err_i <= max(abs_tol, rel_tol * |I_i|) for every component i.
@@ -219,7 +337,7 @@ def integrate_adaptive(f, a, b, spec=None, points=()):
     edges = np.array([a] + sorted({float(p) for p in points if a < p < b})
                      + [b], dtype=float)
     lo, hi = edges[:-1], edges[1:]
-    val, err = _evaluate(f, lo, hi)
+    val, err, shape = _evaluate(f, lo, hi)
     while True:
         total, total_err = val.sum(axis=0), err.sum(axis=0)
         budget = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
@@ -243,13 +361,16 @@ def integrate_adaptive(f, a, b, spec=None, points=()):
             break
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_val, new_err = _evaluate(f, new_lo, new_hi, val[0].size)
-        lo = np.concatenate([np.delete(lo, split), new_lo])
-        hi = np.concatenate([np.delete(hi, split), new_hi])
-        val = np.concatenate([np.delete(val, split, axis=0), new_val])
-        err = np.concatenate([np.delete(err, split, axis=0), new_err])
-        pos = np.argsort(lo)
-        lo, hi, val, err = lo[pos], hi[pos], val[pos], err[pos]
+        new_val, new_err, _ = _evaluate(f, new_lo, new_hi, shape)
+        # a split panel's two halves take its place: panel i moves to slot
+        # first[i], and its right half, if any, goes to first[i] + 1
+        grow = np.ones(n, dtype=int)
+        grow[split] = 2
+        first = np.cumsum(grow) - grow
+        at = np.concatenate([first[split], first[split] + 1])
+        lo, hi = np.repeat(lo, grow), np.repeat(hi, grow)
+        val, err = np.repeat(val, grow, axis=0), np.repeat(err, grow, axis=0)
+        lo[at], hi[at], val[at], err[at] = new_lo, new_hi, new_val, new_err
 
     return QuadratureResult(total, total_err, converged, lo.size,
                             tuple(lo[1:].tolist()))

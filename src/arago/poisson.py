@@ -21,10 +21,14 @@ own obstacle, particle and velocity (0 without a phase); the last integral
 truncates where phi falls below the phase floor, with a truncation error
 bounded by the floor.
 
-The interaction integral is evaluated for all screen radii at once: its
-panels are adapted on a probe subset of the radii first, and the whole grid
-is then integrated once on those panels and refined wherever any radius
-still needs it, under the same componentwise error test.
+All three integrands go to integrate_adaptive in its product form: the
+radial factor, J0(2 pi k u s) over the screen radii as a function of s, and
+omega = 2 pi k max u, so J0 is read at a few Chebyshev points of each panel
+that it barely changes across. The interaction integral is evaluated for
+all screen radii at once: its panels are adapted on a probe subset of the
+radii first, and the whole grid is then integrated once on those panels and
+refined wherever any radius still needs it, under the same componentwise
+error test.
 
 Finite sources average |psi|^2 over the projected source disc (radius
 beta = (L2/L1)(R0/R) in u units). The points of the disc at distance r from
@@ -35,7 +39,8 @@ function of u (the free chirp plus Hankel transforms of radial functions
 supported on [0, s_neg]), so its Chebyshev coefficients decay geometrically
 once the degree passes its bandwidth, and the decay of the coefficient tail
 certifies the degree. The kernel reads |psi|^2 from a real Chebyshev series
-of its own, exact because its degree is below twice the amplitude's.
+of its own, exact because its degree is below twice the amplitude's, and
+cut where its coefficient tail sums below 1e-6 rel_tol of its largest.
 Velocity spreads average over deterministic velocity nodes with the
 interaction phase, and with it eta, rebuilt per node; the source average
 is linear in the intensity, so the nodes' weighted intensities are summed
@@ -226,16 +231,20 @@ def _amplitude_grid(u_grid, k, ell, phase=None, quad=None):
         phase.obstacle, phase.particle, phase.v_z)
     two_pi_k = 2.0 * math.pi * k
 
-    # integrands as (complex radial factor, real J0 matrix), the pair form
-    # of integrate_adaptive
+    # integrands as (complex radial factor, J0 matrix as a function of s,
+    # omega = 2 pi k max radius), the product form of integrate_adaptive
+    def hankel(radii):
+        return (lambda t: bessel_j0(two_pi_k * np.outer(t, radii)),
+                two_pi_k * radii.max())
+
     def bare(s):
         s = np.asarray(s)
         return (two_pi_k * ell * s * np.exp(1j * math.pi * k * ell * s * s),
-                bessel_j0(two_pi_k * np.outer(s, u)))
+                *hankel(u))
 
     def shadow(s):
-        radial, j0 = bare(s)
-        return -radial, j0
+        radial, j0, omega = bare(s)
+        return -radial, j0, omega
 
     free = 1j * np.exp(-1j * math.pi * k * u * u / ell)
     res0 = integrate_adaptive(bare, 0.0, a, spec)
@@ -253,7 +262,7 @@ def _amplitude_grid(u_grid, k, ell, phase=None, quad=None):
         radial = (two_pi_k * ell * s
                   * np.exp(1j * math.pi * k * ell * s * s)
                   * (np.exp(1j * phase.phi(s)) - 1.0))
-        return radial, bessel_j0(two_pi_k * np.outer(s, radii))
+        return radial, *hankel(radii)
 
     def interaction(lo, hi=phase.s_negligible, what="interaction integral"):
         return _integrate_on_probed_panels(
@@ -340,6 +349,10 @@ def annular_average(u_grid, beta, radial_fn):
 # a source average whose amplitude needs more Chebyshev nodes than this is
 # refused; a 500 nm disc at 200 m/s (k = 19.7) needs 2154
 _CHEB_MAX_NODES = 8192
+# the intensity series of a source average drops a coefficient tail that
+# sums to at most this times rel_tol of its largest coefficient: a thousandth
+# of the tail that certifies the amplitude (1e-3 rel_tol)
+_TRIM = 1e-6
 # a coefficient tail that stays above this fraction of the block before it
 # (or of the previous attempt's tail) has stopped falling: it sits on the
 # rounding plateau, where the tail of each block is noise of one size
@@ -401,16 +414,18 @@ def _chebyshev_amplitude(top, params, phase, quad):
         f"by {_CHEB_MAX_NODES} Chebyshev nodes")
 
 
-def _source_average(u, beta, top, terms):
+def _source_average(u, beta, top, terms, rel_tol):
     """Annular average of I = sum_i w_i |psi_i|^2 over the source disc.
 
     terms are (w_i, c_i) pairs, c_i the Chebyshev coefficients of psi_i on
     [0, top]. I is a polynomial of degree < n = 2 max_i len(c_i), so its
     values at the n first-kind Chebyshev points give its coefficients
     exactly. Each psi_i is evaluated there with one inverse FFT of its
-    zero-padded coefficients (the inverse of _chebyshev_coefficients), the
-    sum is transformed back, and annular_average reads I from that one real
-    series.
+    zero-padded coefficients (the inverse of _chebyshev_coefficients), and
+    the sum is transformed back. The longest tail of I's coefficients whose
+    magnitudes sum to at most _TRIM rel_tol of the largest is cut, which
+    moves I by no more than that, and annular_average reads I from the one
+    real series that is left.
     """
     n = 2 * max(c.size for _, c in terms)
     shift = np.exp(0.5j * math.pi * np.arange(n) / n)
@@ -423,6 +438,9 @@ def _source_average(u, beta, top, terms):
             padded * shift, [0.0], (padded * shift.conj())[:0:-1]]))[:n] * n
         samples += w * (psi.real ** 2 + psi.imag ** 2)
     coef = _chebyshev_coefficients(samples).real
+    tail = np.cumsum(np.abs(coef[::-1]))[::-1]
+    coef = coef[:max(np.count_nonzero(
+        tail > _TRIM * rel_tol * np.abs(coef).max()), 1)]
 
     def intensity(r):
         return np.polynomial.chebyshev.chebval(2.0 * r / top - 1.0, coef)
@@ -435,9 +453,10 @@ def source_averaged_pattern(u_grid, setup, phase=None, quad=None, v=None):
 
     The amplitude psi is represented on [0, u_max + beta] by the certified
     Chebyshev interpolant of _chebyshev_amplitude; |psi|^2 is turned into a
-    Chebyshev series of its own and averaged over the disc of radius beta
-    around each screen radius with one pass of the arc-length kernel of
-    annular_average (_source_average with the single term (1, c)). With a
+    Chebyshev series of its own, cut at its tail, and averaged over the
+    disc of radius beta around each screen radius with one pass of the
+    arc-length kernel of annular_average (_source_average with the single
+    term (1, c)). With a
     phase the wavelength is taken at phase.v_z, and a v that differs from
     it raises ValueError; v (default v_long) sets the wavelength only for
     the ideal obstacle.
@@ -453,7 +472,8 @@ def source_averaged_pattern(u_grid, setup, phase=None, quad=None, v=None):
         return point_source_pattern(u, p, phase, quad)
     top = u.max() + p.beta
     return RadialProfile(u, _source_average(
-        u, p.beta, top, [(1.0, _chebyshev_amplitude(top, p, phase, quad))]))
+        u, p.beta, top, [(1.0, _chebyshev_amplitude(top, p, phase, quad))],
+        (quad or DEFAULT_SPEC).rel_tol))
 
 
 def wavelength_averaged_pattern(u_grid, setup, phase=None, quad=None,
@@ -479,27 +499,18 @@ def wavelength_averaged_pattern(u_grid, setup, phase=None, quad=None,
         top = u.max() + beta
         return RadialProfile(u, _source_average(u, beta, top, [
             (w_i, _chebyshev_amplitude(top, p_i, phase_i, quad))
-            for w_i, p_i, phase_i in nodes]))
+            for w_i, p_i, phase_i in nodes], (quad or DEFAULT_SPEC).rel_tol))
     acc = np.zeros_like(u)
     for w_i, p_i, phase_i in nodes:
         acc += w_i * point_source_pattern(u, p_i, phase_i, quad).w
     return RadialProfile(u, acc)
 
 
-def spot_radius(params):
-    """Estimated bright-spot radius 0.4/k (units of R).
-
-    The first dark ring sits near the first zero of J0, at
-    2.40483/(2 pi k) = 0.383/k; 0.4/k is the conventional round number.
-    """
-    return 0.4 / params.k
-
-
-def visibility_checks(setup, v=None):
-    """Geometry sanity checks for seeing a spot at all, as report rows."""
-    v_eff = setup.particle.v_long if v is None else v
-    p = setup.dimensionless(v_eff)
-    lam = setup.particle.wavelength(v_eff)
+def visibility_checks(setup):
+    """Geometry sanity checks for seeing a spot at all, as report rows, at
+    the particle's mean velocity."""
+    p = setup.dimensionless()
+    lam = setup.particle.wavelength()
     rows = [
         ConstraintReport(
             "spot_vs_shadow", p.k * p.ell, 0.4, p.k * p.ell >= 0.4,

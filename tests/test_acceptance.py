@@ -36,6 +36,7 @@ from arago.poisson import (
     point_source_pattern,
     source_averaged_pattern,
 )
+from references import spot_radius
 
 K_SWEEP = (0.05, 0.2, 1.0, 2.0, 5.0)
 ELL_SWEEP = (1.5, 2.0, 3.0)
@@ -93,9 +94,10 @@ def test_c03_spot_radius(acceptance):
     a, b, c = w[i - 1], w[i], w[i + 1]
     u_min = grid[i] + 0.5 * (a - c) / (a - 2 * b + c) * (grid[1] - grid[0])
     dt = time.perf_counter() - t0
-    ok = abs(u_min - 2.0) <= 0.30 and dt < 5.0
+    est = spot_radius(par)
+    ok = abs(u_min - est) <= 0.15 * est and dt < 5.0
     acceptance(3, "spot-radius", ok,
-               f"first minimum at u = {u_min:.4f}, required 2.0 +- 15%, "
+               f"first minimum at u = {u_min:.4f}, required {est:.1f} +- 15%, "
                f"{dt:.1f}s")
     assert ok
 

@@ -4,18 +4,29 @@ import numpy as np
 import pytest
 
 import scipy.optimize
+import scipy.special
 
+import arago.numerics
+import arago.poisson
+from arago.interaction import EikonalPhase, Obstacle
 from arago.numerics import (
     _CALL_SIZE,
+    _LAGRANGE,
+    _NODES,
+    _RUNG_POINTS,
+    _RUNGS,
     _W15,
     _W31,
     _X31,
+    _rungs,
     NumericsError,
     QuadratureSpec,
     bessel_j0,
     bisect,
     integrate_adaptive,
 )
+from arago.particles import ParticleSpecies
+from arago.poisson import PoissonSetup, source_averaged_pattern
 
 
 def test_smooth_exponential():
@@ -65,6 +76,22 @@ def test_calls_capped_at_call_size():
     assert sizes[0] == 31 and sizes[1] == per_call
     assert max(sizes) * omega.size <= _CALL_SIZE
     assert all(n % 31 == 0 for n in sizes)
+
+
+def test_product_form_calls_capped_at_j0_entries():
+    # 400 seeded panels over which J0 spans D = 0.1 each (rung p = 8), 300
+    # radii: after the first panel, each call forms at most _CALL_SIZE J0
+    # entries, 27 panels of 8 x 300, where 31 nodes would allow 7 panels
+    u = np.linspace(0.0, 1.0, 300)
+    calls = []
+    seeds = np.linspace(0.0, 10.0, 401)[1:-1]
+    res = integrate_adaptive(
+        _hankel_pair(u, k=4.0 / (2.0 * math.pi), chirp=0.1, calls=calls),
+        0.0, 10.0, points=seeds)
+    assert res.converged and res.subdivisions == 400
+    sizes = [t.size for t in calls]
+    assert sizes[0] == 8 and sizes[1] == 8 * (_CALL_SIZE // (8 * u.size))
+    assert max(sizes) * u.size <= _CALL_SIZE and sum(sizes) == 8 * 400
 
 
 def test_complex_integrand():
@@ -186,12 +213,23 @@ def test_kronrod_polynomial_exactness():
     assert moment_error(_W15, 30) > 1e-10
 
 
-def _hankel_pair(u, k=3.0):
-    # s exp(i pi k s^2) J0(2 pi k u s): a complex radial factor and a real
-    # J0 matrix over the radii u
+def _hankel_pair(u, k=3.0, chirp=None, omega=None, calls=None):
+    # s exp(i pi c s^2) J0(2 pi k u s) in the product form: a complex
+    # radial factor (c = chirp, default k), the real J0 matrix over the
+    # radii u as a function of its abscissae, and omega = 2 pi k max u (an
+    # infinite omega puts every panel on the 31 Kronrod nodes). calls, if
+    # given, collects the abscissae the J0 matrix is asked for.
+    two_pi_k = 2.0 * math.pi * k
+    chirp = k if chirp is None else chirp
+
+    def kernel(t):
+        if calls is not None:
+            calls.append(t)
+        return bessel_j0(two_pi_k * np.outer(t, u))
+
     def pair(s):
-        return (s * np.exp(1j * math.pi * k * s * s),
-                bessel_j0(2.0 * math.pi * k * np.outer(s, u)))
+        return (s * np.exp(1j * math.pi * chirp * s * s), kernel,
+                two_pi_k * u.max() if omega is None else omega)
     return pair
 
 
@@ -200,8 +238,8 @@ def test_pair_integrand_matches_plain_array():
     pair = _hankel_pair(u)
 
     def plain(s):
-        g, kern = pair(s)
-        return g[:, None] * kern
+        g, kern, _ = pair(s)
+        return g[:, None] * kern(s)
 
     res = integrate_adaptive(pair, 0.0, 1.5)
     ref = integrate_adaptive(plain, 0.0, 1.5)
@@ -211,22 +249,112 @@ def test_pair_integrand_matches_plain_array():
 
 
 def test_pair_integrand_non_finite_rejected():
+    # the panel named is the one with the bad value, in either factor, for
+    # panels on the 31 Kronrod nodes (u_max = 3) and on Chebyshev rungs of
+    # three sizes (u_max = 0.01). There the J0 rows are grouped by rung,
+    # and [1, 1.5] (p = 8) comes before [0.1, 1] (p = 10)
+    for u_max in (3.0, 0.01):
+        pair = _hankel_pair(np.linspace(0.0, u_max, 50))
+
+        def bad_factor(s):
+            g, kern, omega = pair(s)
+            g[s > 1.0] = np.nan
+            return g, kern, omega
+
+        def bad_kernel(s):
+            g, kern, omega = pair(s)
+
+            def spoilt(t):
+                k = kern(t)
+                k[t > 1.0, 7] = np.inf
+                return k
+            return g, spoilt, omega
+
+        for f in (bad_factor, bad_kernel):
+            with pytest.raises(NumericsError,
+                               match=r"non-finite values on \[1, 1\.5\]"):
+                integrate_adaptive(f, 0.0, 1.5, points=(0.05, 0.1, 1.0))
+
+
+def test_chebyshev_j0_meets_its_interpolation_bound():
+    # a panel over which the J0 argument spans D = 0.5: J0 read at the p = 8
+    # first-kind Chebyshev points and mapped to the 31 Kronrod nodes by the
+    # rung's Lagrange matrix is within 2 (D/4)^p / p! = 3.0e-12 of scipy's
+    # j0 there (measured 1.2e-13, so the bound is not loose by more than
+    # 100x), and the panel takes the smallest rung that meets machine
+    # epsilon: p = 12, since p = 10 gives 5.1e-16
+    omega, lo = 7.0, 3.0
+    hi = lo + 0.5 / omega
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    r = _RUNGS.index(8)
+    at_points = scipy.special.j0(omega * (mid + half * _RUNG_POINTS[r]))
+    err = np.max(np.abs(_LAGRANGE[r] @ at_points
+                        - scipy.special.j0(omega * (mid + half * _X31))))
+
+    def bound(p):
+        return 2.0 * (0.5 / 4.0) ** p / math.factorial(p)
+
+    assert 0.01 * bound(8) <= err <= bound(8)
+    assert bound(10) > np.finfo(float).eps >= bound(12)
+    assert _NODES[_rungs(omega, np.array([lo]), np.array([hi]))[0]] == 12
+
+
+def test_product_rule_matches_kronrod_nodes():
+    # a fast chirp makes the panels short while J0 stays slow across them:
+    # the product rule asks for under half of the 31-node rule's J0 rows,
+    # on the same panels, and moves the integral by at most its a-priori
+    # bound, machine epsilon times the integral of |g| (1.125 here; the
+    # integrals cancel to ~1e-3 of it, and measured 2e-17 apart, 1.9e-14 of
+    # the largest)
     u = np.linspace(0.0, 3.0, 50)
-    pair = _hankel_pair(u)
+    rows, ref_rows = [], []
+    res = integrate_adaptive(_hankel_pair(u, chirp=300.0, calls=rows),
+                             0.0, 1.5)
+    ref = integrate_adaptive(
+        _hankel_pair(u, chirp=300.0, omega=math.inf, calls=ref_rows),
+        0.0, 1.5)
+    assert res.converged and ref.converged
+    assert res.cuts == ref.cuts
+    n_rows = sum(t.size for t in rows)
+    assert n_rows <= 0.5 * sum(t.size for t in ref_rows)
+    assert np.max(np.abs(res.value - ref.value)) <= (
+        np.finfo(float).eps * 1.125)
 
-    def bad_factor(s):
-        g, kern = pair(s)
-        g[3] = np.nan
-        return g, kern
 
-    def bad_kernel(s):
-        g, kern = pair(s)
-        kern[5, 7] = np.inf
-        return g, kern
+def test_error_estimate_carries_the_interpolation_bound():
+    # g = 1 against 4 copies of J0 on 50 seeded panels of span D = 0.45
+    # (rung p = 10): K31 and G15 agree to rounding there, so the error
+    # estimate is the a-priori bound 2 (D/4)^p / p! times
+    # sum |weights * g| = hi - lo on each panel, plus |K31 - G15|
+    omega, width = 9.0, 0.05
+    bound = 2.0 * (omega * width / 4.0) ** 10 / math.factorial(10)
+    res = integrate_adaptive(
+        lambda s: (np.ones_like(s),
+                   lambda t: np.repeat(bessel_j0(omega * t)[:, None], 4, 1),
+                   omega),
+        2.0, 2.0 + 50 * width, QuadratureSpec(max_subdivisions=1),
+        points=2.0 + width * np.arange(1, 50))
+    assert np.all(50 * bound * width <= res.error)
+    assert np.all(res.error <= 1.1 * 50 * bound * width)
 
-    for f in (bad_factor, bad_kernel):
-        with pytest.raises(NumericsError, match="non-finite"):
-            integrate_adaptive(f, 0.0, 1.5)
+
+def test_wide_panel_keeps_kronrod_nodes():
+    # seeded panels, no refinement: [0, 1], over which J0 spans
+    # D = 2 pi k u_max (hi - lo) = 57 rad, goes alone on its 31 Kronrod
+    # nodes; then one J0 call reads 40 panels of D = 0.057 at the 8
+    # Chebyshev points of their rung, and [1.04, 1.5] (D = 26 rad) at its
+    # Kronrod nodes
+    u = np.linspace(0.0, 3.0, 50)
+    edges = np.concatenate([[0.0], np.linspace(1.0, 1.04, 41), [1.5]])
+    lo, hi = edges[:-1], edges[1:]
+    nodes = [_X31] + [_RUNG_POINTS[_RUNGS.index(8)]] * 40 + [_X31]
+    calls = []
+    integrate_adaptive(_hankel_pair(u, calls=calls), 0.0, 1.5,
+                       QuadratureSpec(max_subdivisions=1), points=edges[1:-1])
+    assert [t.size for t in calls] == [31, 40 * 8 + 31]
+    assert np.allclose(np.concatenate(calls), np.concatenate([
+        0.5 * (a + b) + 0.5 * (b - a) * t for a, b, t in zip(lo, hi, nodes)]),
+        rtol=1e-15, atol=0.0)
 
 
 def test_bessel_j0_small_argument():
@@ -308,3 +436,30 @@ def test_bisect_elementwise_names_unbracketed_element():
     with pytest.raises(ValueError, match="NaN"):
         bisect(lambda s: np.where(s == 0.75, np.nan, s - 0.7), 0.5, 1.0,
                1e-10)
+
+
+def test_fig3_disc_reads_j0_at_a_quarter_of_the_kronrod_rows(monkeypatch):
+    # the fig3 disc at 2 m/s, averaged over its source: every J0 entry that
+    # poisson forms, against the 31 x panels x radii entries of the 31-node
+    # rule on the same panels: 22002 of 86490 (0.25), where the 31-node
+    # rule formed all 86490
+    obs = Obstacle("disc", 500e-9, 10e-9)
+    particle = ParticleSpecies("au100", 19700.0, 5e-28, 2.0, 0.0)
+    setup = PoissonSetup(500e-9, 500e-9, 0.125, 0.125, obs, particle)
+    formed, kronrod = [], []
+    j0, panels = arago.poisson.bessel_j0, arago.numerics._panels
+
+    def counted_j0(x):
+        formed.append(np.size(x))
+        return j0(x)
+
+    def counted_panels(f, lo, hi):
+        out = panels(f, lo, hi)
+        kronrod.append(31 * out[0].size)
+        return out
+
+    monkeypatch.setattr(arago.poisson, "bessel_j0", counted_j0)
+    monkeypatch.setattr(arago.numerics, "_panels", counted_panels)
+    u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 241)
+    source_averaged_pattern(u, setup, EikonalPhase(obs, particle, 2.0))
+    assert sum(formed) <= 0.35 * sum(kronrod)

@@ -17,10 +17,10 @@ from arago.poisson import (
     default_grid,
     point_source_pattern,
     source_averaged_pattern,
-    spot_radius,
     visibility_checks,
     wavelength_averaged_pattern,
 )
+from references import spot_radius
 
 # velocity that puts a 19700 amu particle at a 10 pm wavelength, so that the
 # 500 nm / 0.125 m geometry lands at k = 0.2, ell = 2 exactly
@@ -403,6 +403,34 @@ def test_intensity_series_matches_node_amplitudes(kind, v, dv_rel,
     assert np.max(np.abs(series(r) - ref)) <= 1e-13 * np.max(ref)
 
 
+def test_intensity_series_is_cut_at_its_tail(monkeypatch):
+    # the fig3 sphere at 1.5 m/s: the amplitude's 86 coefficients give an
+    # exact intensity series of 172, and the kernel reads only the 99 above
+    # its 1e-6 rel_tol tail (test_intensity_series_matches_node_amplitudes
+    # holds the cut series to 1e-13)
+    setup, phase = _fig3_source("sphere", 1.5)
+    amplitudes, lengths = [], []
+    chebyshev = arago.poisson._chebyshev_amplitude
+    chebval = np.polynomial.chebyshev.chebval
+
+    def recorded_amplitude(*args):
+        c = chebyshev(*args)
+        amplitudes.append(c.size)
+        return c
+
+    def recorded_chebval(x, c):
+        lengths.append(len(c))
+        return chebval(x, c)
+
+    monkeypatch.setattr(arago.poisson, "_chebyshev_amplitude",
+                        recorded_amplitude)
+    monkeypatch.setattr(np.polynomial.chebyshev, "chebval", recorded_chebval)
+    u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 241)
+    source_averaged_pattern(u, setup, phase)
+    (n,), (kept,) = amplitudes, lengths
+    assert n == 86 and kept < 0.6 * 2 * n
+
+
 @pytest.mark.parametrize("kind", ["sphere", "disc"])
 def test_velocity_average_takes_one_kernel_pass(kind, monkeypatch):
     # the fig3 velocity average samples each node's amplitude once (its
@@ -503,7 +531,7 @@ def test_visibility_checks_rows():
 
 
 def test_visibility_checks_flag_slow_beam():
-    rows = {r.name: r for r in visibility_checks(_setup(), v=V_10PM / 2.0)}
+    rows = {r.name: r for r in visibility_checks(_setup(v=V_10PM / 2.0))}
     assert not rows["spot_vs_shadow"].satisfied
 
 
