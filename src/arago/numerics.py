@@ -12,22 +12,22 @@ which case all m components are integrated simultaneously over the same
 panels with a componentwise error test.
 
 An integrand may also return the product form (g, kernel, omega): a complex
-factor g at the 31 Kronrod nodes of each panel, a function that gives a
-real matrix (one row of m components per abscissa) at whatever abscissae
-it is asked for, and omega, which bounds the kernel's p-th derivative by
-omega^p. The integrand is g[:, None] * kernel, and the panel sums never form
-that complex product. That is what lets the diffraction code evaluate one
-oscillatory Hankel integral for an entire screen grid in a single pass:
-g is the fast radial factor and the kernel J0(2 pi k u s), with omega =
-2 pi k max u. The panels are short where g winds, and J0 barely changes
-across them, so the kernel is product-integrated (Filon 1928; Iserles and
-Norsett, Proc. R. Soc. A 461, 2005): it is sampled at p first-kind
-Chebyshev points of a panel and carried to the Kronrod nodes by a fixed
-31 x p Lagrange matrix. p is the smallest rung of the ladder 4, 6, 8, 10,
-12, 16, 20 whose a-priori interpolation bound 2 (D/4)^p / p!, D = omega
-times the panel's width, is at most machine epsilon; that bound times the
-panel's sum of |weight * g| is added to its error estimate. A panel that
-meets no rung keeps its 31 Kronrod nodes.
+factor g at the abscissae, a function that gives a real matrix (one row of
+m components per abscissa) at whatever abscissae it is asked for, and
+omega, which bounds the kernel's p-th derivative by omega^p. The integrand
+is g[:, None] * kernel, and the panel sums never form that complex product.
+That is what lets the diffraction code evaluate one oscillatory Hankel
+integral for an entire screen grid in a single pass: g is the fast radial
+factor and the kernel J0(2 pi k u s), with omega = 2 pi k max u. The panels
+are short where g winds, and J0 barely changes across them, so the kernel
+is product-integrated (Filon 1928; Iserles and Norsett, Proc. R. Soc. A
+461, 2005): it is read at p first-kind Chebyshev points of a panel and
+carried to the Kronrod nodes by a fixed 31 x p Lagrange matrix. p is the
+smallest rung of the ladder 4, 6, 8, 10, 12, 16, 20 whose a-priori
+interpolation bound 2 (D/4)^p / p!, D = omega times the panel's width, is
+at most machine epsilon; that bound times the panel's sum of |weight * g|
+(real and imaginary parts taken apart) is added to its error estimate. A
+panel that meets no rung keeps its 31 Kronrod nodes.
 
 Bisection is elementwise, so one call finds the crossings of many levels.
 
@@ -137,8 +137,8 @@ _RULES = np.stack([_W31, _W31 - _W15])
 
 
 # work per integrand call: at most this many abscissa-component pairs (the
-# J0 matrix entries that a Hankel integrand forms, 512 KB in float64),
-# which bounds the memory that one call holds
+# J0 matrix entries of a Hankel integrand, 512 KB in float64), which bounds
+# the memory that one call holds
 _CALL_SIZE = 2 ** 16
 
 
@@ -154,72 +154,66 @@ def _lagrange_matrix(t):
 # most omega^p (J0(c x) with |c| <= omega: no derivative of J0 exceeds 1),
 # interpolated at p first-kind Chebyshev points of a panel over which
 # omega x spans D, is off by at most 2 (D/4)^p / p! anywhere on the panel.
-# A panel takes the smallest rung p of the ladder whose bound is at most
-# _KERNEL_TOL. _BOUND[r] is the rung's 2/p! and _RUNG_SPAN[r] its largest
-# D; _RUNG_POINTS[r] are its points on [-1, 1], and _LAGRANGE[r] maps
-# values there to the Kronrod nodes. The last entry of _NODES, _BOUND and
-# _RUNG_POINTS is a panel that meets no rung: 31 Kronrod nodes, no bound.
+# A panel takes the smallest rung p of _RUNGS whose bound is at most
+# _KERNEL_TOL, that is whose D is at most _RUNG_SPAN. Rung r reads the
+# kernel at _RUNG_POINTS[r] on [-1, 1], and _LAGRANGE[r] maps those values
+# to the Kronrod nodes; the last rung, len(_RUNGS), is a panel that meets
+# none: the 31 Kronrod nodes themselves, with no bound.
 _RUNGS = (4, 6, 8, 10, 12, 16, 20)
 _KERNEL_TOL = np.finfo(float).eps
 _BOUND = np.array([2.0 / math.factorial(p) for p in _RUNGS] + [0.0])
 _RUNG_SPAN = 4.0 * (_KERNEL_TOL / _BOUND[:-1]) ** (1.0 / np.array(_RUNGS))
-_NODES = np.array(_RUNGS + (_X31.size,))
-_EDGES = np.arange(_NODES.size + 1)
 _RUNG_POINTS = [-np.cos(np.pi * (np.arange(p) + 0.5) / p)
                 for p in _RUNGS] + [_X31]
+_NODES = np.array(_RUNGS + (_X31.size,))
 _LAGRANGE = [_lagrange_matrix(t) for t in _RUNG_POINTS[:-1]]
-
-
-def _rungs(omega, lo, hi):
-    """Index into _NODES of each panel's kernel points; plain-array
-    integrands (omega None) keep the 31 Kronrod nodes."""
-    if omega is None:
-        return np.full(lo.size, len(_RUNGS))
-    return np.searchsorted(_RUNG_SPAN, omega * (hi - lo))
 
 
 def _panels(f, lo, hi):
     """G15/K31 on the panels [lo_j, hi_j] through one call of f.
 
     Returns (K31, |K31 - G15|) per panel and component, of shape (n, m), or
-    (n,) for a scalar integrand, and f's omega (None for a plain array).
-    The 31 n Kronrod abscissae of all panels go to f as one array. f
-    returns the integrand there as a plain array, or in the product form
-    (g, kernel, omega) of integrate_adaptive: the factor g at those
-    abscissae, and a function kernel that gives the real matrix at
-    whatever abscissae it is asked for.
+    (n,) for a scalar integrand. The 31 n Kronrod abscissae of all panels
+    go to f as one array. f returns the integrand there as a plain array,
+    which is the case g = 1 on the Kronrod nodes, or in the product form
+    (g, kernel, omega) of integrate_adaptive. Then each panel takes the
+    first rung of _RUNGS that its span D = omega (hi - lo) meets, and
+    kernel is called once, with the points of every panel, grouped by
+    rung; panels that share one rung keep their order.
 
-    A product-form panel whose kernel span D = omega (hi - lo) meets a rung
-    p of _RUNGS asks the kernel for its p first-kind Chebyshev points
-    only, and a panel that meets no rung for its 31 Kronrod nodes (see
-    _rungs); kernel is called once, with the points of every panel, grouped
-    by rung. With c = half-width * (K31 weights, K31 - G15 weights) * g,
+    With c = half-width * (K31 weights, K31 - G15 weights) * g per panel,
     split as [Re c; Im c] of shape (n, 4, 31), a rung-p panel sums
-    (c @ L_p) @ K, L_p the 31 x p Lagrange matrix from its points to the
-    Kronrod nodes, and a 31-node panel sums c @ K. No complex array of the
-    size of K is formed. Both rules read the same interpolant, so
-    |K31 - G15| keeps its form; the interpolation bound 2 (D/4)^p / p!
-    times the panel's sum of |c_K31| is added to it. Non-finite values in
-    either factor raise NumericsError naming the first panel that has them.
+    (c @ L_p) @ K, L_p its 31 x p Lagrange matrix, and a 31-node panel
+    sums c @ K, so no complex array of the size of K is formed. Both rules
+    read the same interpolant, so |K31 - G15| keeps its form; the
+    interpolation bound 2 (D/4)^p / p! times the panel's sum of
+    |Re c_K31| + |Im c_K31| (at least its sum of |c_K31|) is added to it.
+    Non-finite values in either factor raise NumericsError naming the first
+    panel that has them.
     """
     n, width = lo.size, _X31.size
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     y = f((mid[:, None] + half[:, None] * _X31).ravel())
     g, kernel, omega = y if isinstance(y, tuple) else (1.0, None, None)
-    if omega is not None and not omega >= 0:
-        raise ValueError(f"kernel omega must be non-negative, got {omega}")
     g = np.asarray(g)
-    rung = _rungs(omega, lo, hi)
-    # panels sorted by rung: rung r owns the sorted panels a:b and the
-    # kernel rows first:first + (b - a) _NODES[r]
-    order = np.argsort(rung, kind="stable")
-    edge = np.searchsorted(rung[order], _EDGES).tolist()
-    groups, rows = [], 0
-    for r, a, b in zip(range(_NODES.size), edge, edge[1:]):
-        if a < b:
-            groups.append((r, a, b, rows))
-            rows += (b - a) * int(_NODES[r])
+    if kernel is None:
+        rung = np.full(n, len(_RUNGS))
+    elif omega >= 0:
+        span = omega * (hi - lo)
+        rung = np.searchsorted(_RUNG_SPAN, span)
+    else:
+        raise ValueError(f"kernel omega must be non-negative, got {omega}")
+    # the panels sorted by rung, unmoved when they share one: the sorted
+    # panels a:b share rung r and the kernel rows first:first + (b - a) p
+    count = np.bincount(rung, minlength=_NODES.size).tolist()
+    order = (slice(None) if max(count) == n
+             else np.argsort(rung, kind="stable"))
+    groups, a, rows = [], 0, 0
+    for r, size in enumerate(count):
+        if size:
+            groups.append((r, a, a + size, rows))
+            a, rows = a + size, rows + size * _RUNG_POINTS[r].size
     if kernel is None:
         kern = np.asarray(y)
         if kern.ndim == 0:
@@ -231,11 +225,11 @@ def _panels(f, lo, hi):
             for r, a, b, _ in groups])))
     if kern.shape[0] != rows or g.shape not in ((), (n * width,)):
         raise ValueError("integrand must return one value per abscissa")
-    kmat = kern.reshape(rows, -1)
-    if not (np.isfinite(kmat).all() and np.isfinite(g).all()):
+    scalar, kern = kern.ndim == 1, kern.reshape(rows, -1)
+    if not (np.isfinite(kern).all() and np.isfinite(g).all()):
         bad = np.zeros(n, dtype=bool)
-        bad[np.repeat(order, _NODES[rung[order]])[
-            ~np.isfinite(kmat).all(axis=1)]] = True
+        bad[np.repeat(np.arange(n)[order], _NODES[rung[order]])[
+            ~np.isfinite(kern).all(axis=1)]] = True
         if g.ndim:
             bad |= ~np.isfinite(g.reshape(n, width)).all(axis=1)
         j = int(np.argmax(bad))
@@ -245,50 +239,41 @@ def _panels(f, lo, hi):
     c = half[:, None, None] * _RULES * (g.reshape(n, 1, width) if g.ndim
                                         else g)
     c = np.concatenate([c.real, c.imag], axis=1)
-    cs = c[order]
-    ps = np.empty((n, 4, kmat.shape[1]), dtype=np.result_type(kmat, c))
+    ranked = c[order]
+    p = np.empty((n, 4, kern.shape[1]), dtype=np.result_type(c, kern))
     for r, a, b, first in groups:
-        k = kmat[first:first + (b - a) * _NODES[r]].reshape(b - a, -1,
-                                                            kmat.shape[1])
-        ps[a:b] = (cs[a:b] if r == len(_RUNGS)
-                   else cs[a:b] @ _LAGRANGE[r]) @ k
-    p = np.empty_like(ps)
-    p[order] = ps
+        k = kern[first:first + (b - a) * _NODES[r]].reshape(b - a, -1,
+                                                            kern.shape[1])
+        p[a:b] = (ranked[a:b] @ _LAGRANGE[r] if r < len(_RUNGS)
+                  else ranked[a:b]) @ k
+    if not isinstance(order, slice):
+        p[order] = p.copy()
     value = p[:, 0] + 1j * p[:, 2]
     diff = np.abs(p[:, 1] + 1j * p[:, 3])
-    if omega is not None:
-        # sum |c_K31| = half (|g| @ K31 weights); a 31-node panel adds 0
-        quarter = np.minimum(0.25 * omega * (hi - lo), 0.25 * _RUNG_SPAN[-1])
-        diff += (_BOUND[rung] * quarter ** _NODES[rung] * half
-                 * (np.abs(np.broadcast_to(g, (n * width,))).reshape(n, width)
-                    @ _W31))[:, None]
-    if kern.ndim == 1:
-        return value[:, 0], diff[:, 0], omega
-    return value, diff, omega
+    if kernel is not None:
+        # the interpolation bound times sum |Re c_K31| + |Im c_K31|, which
+        # is at least sum |c_K31|; 31-node panels add 0
+        span = np.minimum(span, _RUNG_SPAN[-1])
+        diff += (_BOUND[rung] * (0.25 * span) ** _NODES[rung]
+                 * np.abs(c[:, ::2]).sum(axis=(1, 2)))[:, None]
+    if scalar:
+        return value[:, 0], diff[:, 0]
+    return value, diff
 
 
-def _evaluate(f, lo, hi, shape=None):
-    """_panels over any number of panels, in calls that form at most
-    _CALL_SIZE abscissa-component pairs of the kernel (and take at least
-    one panel). shape is f's (components, omega); while it is not known,
-    the first panel goes alone to find it. Returns the panels' values,
-    errors and shape."""
-    parts, i, cost = [], 0, None
+def _evaluate(f, lo, hi, components=None):
+    """_panels over any number of panels, in calls of at most _CALL_SIZE
+    abscissa-component pairs (and at least one panel). While the number of
+    components is not known, the first panel goes alone to find it."""
+    parts, i = [], 0
     while i < lo.size:
-        if shape is None:
-            stop = i + 1
-        else:
-            if cost is None:
-                cost = np.cumsum(_NODES[_rungs(shape[1], lo, hi)]) * shape[0]
-            done = cost[i - 1] if i else 0
-            stop = max(int(np.searchsorted(cost, done + _CALL_SIZE, "right")),
-                       i + 1)
-        value, diff, omega = _panels(f, lo[i:stop], hi[i:stop])
-        parts.append((value, diff))
-        shape = (value[0].size, omega)
-        i = stop
+        step = (1 if components is None
+                else max(_CALL_SIZE // (_X31.size * components), 1))
+        parts.append(_panels(f, lo[i:i + step], hi[i:i + step]))
+        components = parts[-1][0][0].size
+        i += step
     return (np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]), shape)
+            np.concatenate([p[1] for p in parts]))
 
 
 def integrate_adaptive(f, a, b, spec=None, points=()):
@@ -319,9 +304,9 @@ def integrate_adaptive(f, a, b, spec=None, points=()):
     worst-first run of them whose removal would leave every component's
     error sum within its budget; the halves take their panel's place, so
     the panels stay in order. The new panels are evaluated together, in
-    calls that form at most _CALL_SIZE abscissa-component pairs of the
-    integrand or kernel. The panel count never exceeds
-    spec.max_subdivisions (unless the seeded panels alone do).
+    calls of at most _CALL_SIZE abscissa-component pairs. The panel count
+    never exceeds spec.max_subdivisions (unless the seeded panels alone
+    do).
 
     Returns a QuadratureResult. Componentwise convergence criterion:
     err_i <= max(abs_tol, rel_tol * |I_i|) for every component i.
@@ -337,7 +322,7 @@ def integrate_adaptive(f, a, b, spec=None, points=()):
     edges = np.array([a] + sorted({float(p) for p in points if a < p < b})
                      + [b], dtype=float)
     lo, hi = edges[:-1], edges[1:]
-    val, err, shape = _evaluate(f, lo, hi)
+    val, err = _evaluate(f, lo, hi)
     while True:
         total, total_err = val.sum(axis=0), err.sum(axis=0)
         budget = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
@@ -361,7 +346,7 @@ def integrate_adaptive(f, a, b, spec=None, points=()):
             break
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_val, new_err, _ = _evaluate(f, new_lo, new_hi, shape)
+        new_val, new_err = _evaluate(f, new_lo, new_hi, val[0].size)
         # a split panel's two halves take its place: panel i moves to slot
         # first[i], and its right half, if any, goes to first[i] + 1
         grow = np.ones(n, dtype=int)

@@ -14,11 +14,11 @@ from arago.numerics import (
     _LAGRANGE,
     _NODES,
     _RUNG_POINTS,
+    _RUNG_SPAN,
     _RUNGS,
     _W15,
     _W31,
     _X31,
-    _rungs,
     NumericsError,
     QuadratureSpec,
     bessel_j0,
@@ -76,22 +76,6 @@ def test_calls_capped_at_call_size():
     assert sizes[0] == 31 and sizes[1] == per_call
     assert max(sizes) * omega.size <= _CALL_SIZE
     assert all(n % 31 == 0 for n in sizes)
-
-
-def test_product_form_calls_capped_at_j0_entries():
-    # 400 seeded panels over which J0 spans D = 0.1 each (rung p = 8), 300
-    # radii: after the first panel, each call forms at most _CALL_SIZE J0
-    # entries, 27 panels of 8 x 300, where 31 nodes would allow 7 panels
-    u = np.linspace(0.0, 1.0, 300)
-    calls = []
-    seeds = np.linspace(0.0, 10.0, 401)[1:-1]
-    res = integrate_adaptive(
-        _hankel_pair(u, k=4.0 / (2.0 * math.pi), chirp=0.1, calls=calls),
-        0.0, 10.0, points=seeds)
-    assert res.converged and res.subdivisions == 400
-    sizes = [t.size for t in calls]
-    assert sizes[0] == 8 and sizes[1] == 8 * (_CALL_SIZE // (8 * u.size))
-    assert max(sizes) * u.size <= _CALL_SIZE and sum(sizes) == 8 * 400
 
 
 def test_complex_integrand():
@@ -296,16 +280,20 @@ def test_chebyshev_j0_meets_its_interpolation_bound():
 
     assert 0.01 * bound(8) <= err <= bound(8)
     assert bound(10) > np.finfo(float).eps >= bound(12)
-    assert _NODES[_rungs(omega, np.array([lo]), np.array([hi]))[0]] == 12
+    assert _NODES[np.searchsorted(_RUNG_SPAN, omega * (hi - lo))] == 12
 
 
 def test_product_rule_matches_kronrod_nodes():
-    # a fast chirp makes the panels short while J0 stays slow across them:
-    # the product rule asks for under half of the 31-node rule's J0 rows,
-    # on the same panels, and moves the integral by at most its a-priori
-    # bound, machine epsilon times the integral of |g| (1.125 here; the
-    # integrals cancel to ~1e-3 of it, and measured 2e-17 apart, 1.9e-14 of
-    # the largest)
+    # the product rule against a forced 31-node run (omega = inf) on the
+    # same panels, on two integrands of s exp(i pi c s^2) J0(2 pi k u s).
+    # A fast chirp (c = 300, u <= 3) makes the panels short while J0 stays
+    # slow across them: the rule asks for under half of the J0 rows, and
+    # the integrals, which cancel to ~1e-3 of the integral of |g| (1.125),
+    # move by at most their a-priori bound, machine epsilon times 1.125
+    # (measured 2e-17). Without a chirp and at u <= 0.1 they do not cancel
+    # (0.32 to 1.125), so the bound is a relative one: on five seeded
+    # panels of four rungs the rule asks for 56 J0 rows against 155, and
+    # every component agrees to 1e-14 relative (measured 4e-16)
     u = np.linspace(0.0, 3.0, 50)
     rows, ref_rows = [], []
     res = integrate_adaptive(_hankel_pair(u, chirp=300.0, calls=rows),
@@ -319,6 +307,19 @@ def test_product_rule_matches_kronrod_nodes():
     assert n_rows <= 0.5 * sum(t.size for t in ref_rows)
     assert np.max(np.abs(res.value - ref.value)) <= (
         np.finfo(float).eps * 1.125)
+
+    u = np.linspace(0.0, 0.1, 50)
+    rows, ref_rows = [], []
+    seeds = (0.3, 0.5, 0.6, 1.0)
+    res = integrate_adaptive(_hankel_pair(u, chirp=0.0, calls=rows),
+                             0.0, 1.5, points=seeds)
+    ref = integrate_adaptive(
+        _hankel_pair(u, chirp=0.0, omega=math.inf, calls=ref_rows),
+        0.0, 1.5, points=seeds)
+    assert res.converged and res.cuts == ref.cuts == seeds
+    assert sum(t.size for t in rows) == 56
+    assert sum(t.size for t in ref_rows) == 155
+    assert np.all(np.abs(res.value - ref.value) <= 1e-14 * np.abs(ref.value))
 
 
 def test_error_estimate_carries_the_interpolation_bound():
