@@ -8,27 +8,30 @@ amplitude
 
 where k = R^2/(L2 lambda) (Fresnel parameter), l = (L1+L2)/L1, and phi the
 eikonal interaction phase. The semi-infinite oscillatory integral is never
-brute-forced. It is evaluated by a Babinet-style decomposition:
+brute-forced. Babinet's principle splits it into the free wave, the exact
+phase-free integral from s = 0, and one finite integral over the obstacle
+and its interaction zone:
 
-    psi(u) = i exp(-i pi k u^2 / l)          (free propagation, closed form)
-             - int_0^{1+eta} [bare integrand] ds        (finite, smooth)
-             + int_{1+eta}^{s_neg} [bare] (e^{i phi} - 1) ds   (finite)
+    psi(u) = i exp(-i pi k u^2 / l)            (free propagation, closed form)
+             + int_0^{s_neg} 2 pi k l s exp(i pi k l s^2) m(s) J0(2 pi k u s) ds
 
-using the exact result for the phase-free integral extended to zero lower
-bound. The capture parameter eta removes adsorbed particles by starting the
-obstacle integrals at s = 1 + eta, with eta = capture_eta of the phase's
-own obstacle, particle and velocity (0 without a phase); the last integral
-truncates where phi falls below the phase floor, with a truncation error
-bounded by the floor.
+with m = -1 on [0, 1+eta), where the obstacle blocks the free wave, and
+m = e^{i phi} - 1 on (1+eta, s_neg]. The capture parameter eta removes
+adsorbed particles, with eta = capture_eta of the phase's own obstacle,
+particle and velocity; the integral truncates where phi falls below the
+phase floor, with a truncation error bounded by the floor. The ideal
+obstacle (no phase) has eta = 0 and s_neg = 1: the blocked disc alone.
 
-All three integrands go to integrate_adaptive in its product form: the
-radial factor, J0(2 pi k u s) over the screen radii as a function of s, and
+The integrand goes to integrate_adaptive in its product form: the radial
+factor, J0(2 pi k u s) over the screen radii as a function of s, and
 omega = 2 pi k max u, so J0 is read at a few Chebyshev points of each panel
-that it barely changes across. The interaction integral is evaluated for
-all screen radii at once: its panels are adapted on a probe subset of the
-radii first, and the whole grid is then integrated once on those panels and
-refined wherever any radius still needs it, under the same componentwise
-error test.
+that it barely changes across. The integral is evaluated for all screen
+radii at once. With a phase, its panels start from the wall 1+eta and the
+quarter levels of phi, and are adapted on a probe subset of the radii
+first; the whole grid is then integrated once on those panels and refined
+wherever any radius still needs it, under the same componentwise error
+test. Near a fast beam's wall, where phi reaches thousands of radians, the
+same refinement resolves the winding phase.
 
 Finite sources average |psi|^2 over the projected source disc (radius
 beta = (L2/L1)(R0/R) in u units). The points of the disc at distance r from
@@ -157,52 +160,7 @@ def _phase_breakpoints(phase, a):
                   1e-10).tolist()
 
 
-# Boundary phase (rad) beyond which the interaction integrand oscillates too
-# fast for cheap panel quadrature; the wall strip is then handled by
-# _wall_strip, and by panels only where the series misses the error budget.
-_PHI_SPLIT = 2000.0
-
-
-def _wall_strip(u, k, ell, phase, a, b):
-    """Endpoint evaluation of the fast-oscillating edge of the interaction
-    integral: int_a^b 2*pi*k*ell*s J0(2*pi*k*u*s) exp(i*Psi(s)) ds with
-    Psi = pi*k*ell*s^2 + phi(s) and |Psi'| enormous throughout [a, b].
-
-    Integrating twice against d(exp(i*Psi))/(i*Psi') gives a two-term
-    series in the endpoint values; each further term is smaller by
-    ~|d/ds| / |Psi'|, so the third-order endpoint magnitude serves as the
-    error estimate. Returns (value, error) as arrays over u.
-    """
-    two_pi_k = 2.0 * math.pi * k
-
-    def G(s):
-        return (two_pi_k * ell * s) * bessel_j0(two_pi_k * u * s)
-
-    def Psi(s):
-        return math.pi * k * ell * s * s + float(phase.phi(s))
-
-    def dPsi(s):
-        return 2.0 * math.pi * k * ell * s + float(phase.dphi_ds(s))
-
-    def h0(s):
-        return G(s) / (1j * dPsi(s))
-
-    def h1(s):
-        h = 1e-4 * (s - 1.0)
-        return (h0(s + h) - h0(s - h)) / (2.0 * h * 1j * dPsi(s))
-
-    def endpoint(s, sign):
-        h = 1e-4 * (s - 1.0)
-        h2 = (h1(s + h) - h1(s - h)) / (2.0 * h * abs(dPsi(s)))
-        val = sign * (h0(s) - h1(s)) * np.exp(1j * Psi(s))
-        return val, np.abs(h2)
-
-    val_b, err_b = endpoint(b, +1.0)
-    val_a, err_a = endpoint(a, -1.0)
-    return val_a + val_b, 2.0 * (err_a + err_b)
-
-
-# probe radii for the interaction panels: every 32nd screen radius + the largest
+# probe radii for the obstacle panels: every 32nd screen radius + the largest
 _PROBE_STRIDE = 32
 
 
@@ -231,66 +189,32 @@ def _amplitude_grid(u_grid, k, ell, phase=None, quad=None):
         phase.obstacle, phase.particle, phase.v_z)
     two_pi_k = 2.0 * math.pi * k
 
-    # integrands as (complex radial factor, J0 matrix as a function of s,
-    # omega = 2 pi k max radius), the product form of integrate_adaptive
-    def hankel(radii):
-        return (lambda t: bessel_j0(two_pi_k * np.outer(t, radii)),
+    # the product form of integrate_adaptive: the complex radial factor,
+    # negated where the obstacle blocks (s < a) and times e^{i phi} - 1
+    # past the wall, the J0 matrix as a function of s, and
+    # omega = 2 pi k max radius
+    def obstacle(s, radii):
+        s = np.asarray(s)
+        radial = two_pi_k * ell * s * np.exp(1j * math.pi * k * ell * s * s)
+        past = s > a
+        radial[~past] = -radial[~past]
+        if past.any():
+            radial[past] *= np.exp(1j * phase.phi(s[past])) - 1.0
+        return (radial,
+                lambda t: bessel_j0(two_pi_k * np.outer(t, radii)),
                 two_pi_k * radii.max())
 
-    def bare(s):
-        s = np.asarray(s)
-        return (two_pi_k * ell * s * np.exp(1j * math.pi * k * ell * s * s),
-                *hankel(u))
-
-    def shadow(s):
-        radial, j0, omega = bare(s)
-        return -radial, j0, omega
-
     free = 1j * np.exp(-1j * math.pi * k * u * u / ell)
-    res0 = integrate_adaptive(bare, 0.0, a, spec)
-    res0.require_converged("free-edge integral")
-    psi = free - res0.value
-
     if phase is None:
-        return psi
-    if phase.s_negligible <= a:
+        res = integrate_adaptive(lambda s: obstacle(s, u), 0.0, a, spec)
+    elif phase.s_negligible <= a:
         raise ValueError("capture radius swallows the interaction zone; "
                          "nothing left to integrate")
-
-    def interacting(s, radii):
-        s = np.asarray(s)
-        radial = (two_pi_k * ell * s
-                  * np.exp(1j * math.pi * k * ell * s * s)
-                  * (np.exp(1j * phase.phi(s)) - 1.0))
-        return radial, *hankel(radii)
-
-    def interaction(lo, hi=phase.s_negligible, what="interaction integral"):
-        return _integrate_on_probed_panels(
-            interacting, u, lo, hi, spec,
-            _phase_breakpoints(phase, lo)).require_converged(what)
-
-    if phase.phi(a) <= _PHI_SPLIT:
-        return psi + interaction(a).value
-    # near the wall the eikonal phase winds through too many cycles for
-    # cheap panel quadrature; peel that strip off and evaluate its
-    # oscillatory part by the endpoint series instead
-    s_split = bisect(lambda s: phase.phi(s) - _PHI_SPLIT, a,
-                     phase.s_negligible, 1e-12)
-    res_m = integrate_adaptive(shadow, a, s_split, spec)
-    res_m.require_converged("wall-strip shadow integral")
-    strip_val, strip_err = _wall_strip(u, k, ell, phase, a, s_split)
-    outer = interaction(s_split)
-    total = psi + res_m.value + strip_val + outer.value
-    budget = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
-    if np.all(strip_err <= 10.0 * budget):
-        return total
-    # the series has a fixed accuracy, which missed the budget: integrate
-    # the strip by panels and keep the outer integral already done
-    strip = interaction(a, s_split, (
-        "wall-strip endpoint series not accurate enough (error ~ "
-        f"{float(np.max(strip_err)):.3e}); the interaction integral over "
-        "the wall strip"))
-    return psi + strip.value + outer.value
+    else:
+        res = _integrate_on_probed_panels(
+            obstacle, u, 0.0, phase.s_negligible, spec,
+            [a] + _phase_breakpoints(phase, a))
+    return free + res.require_converged("obstacle integral").value
 
 
 def amplitude(u, params, phase=None, quad=None):
@@ -448,7 +372,7 @@ def _source_average(u, beta, top, terms, rel_tol):
     return annular_average(u, beta, intensity)
 
 
-def source_averaged_pattern(u_grid, setup, phase=None, quad=None, v=None):
+def source_averaged_pattern(u_grid, setup, phase=None, quad=None):
     """Pattern averaged over the finite source disc (radius R0).
 
     The amplitude psi is represented on [0, u_max + beta] by the certified
@@ -456,17 +380,10 @@ def source_averaged_pattern(u_grid, setup, phase=None, quad=None, v=None):
     Chebyshev series of its own, cut at its tail, and averaged over the
     disc of radius beta around each screen radius with one pass of the
     arc-length kernel of annular_average (_source_average with the single
-    term (1, c)). With a
-    phase the wavelength is taken at phase.v_z, and a v that differs from
-    it raises ValueError; v (default v_long) sets the wavelength only for
-    the ideal obstacle.
+    term (1, c)). The wavelength is taken at the phase's velocity phase.v_z,
+    and at the particle's mean velocity v_long for the ideal obstacle.
     """
-    if phase is not None:
-        if v is not None and v != phase.v_z:
-            raise ValueError(f"v = {v!r} differs from the phase's velocity "
-                             f"v_z = {phase.v_z!r}")
-        v = phase.v_z
-    p = setup.dimensionless(v)
+    p = setup.dimensionless(None if phase is None else phase.v_z)
     u = np.asarray(u_grid, dtype=float)
     if p.beta == 0.0:
         return point_source_pattern(u, p, phase, quad)

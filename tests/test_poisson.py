@@ -295,19 +295,17 @@ def test_source_average_refuses_a_plateau_above_rel_tol(monkeypatch):
 
 
 def test_source_average_takes_velocity_from_phase():
-    # with a phase, the wavelength is taken at the phase's velocity: a v
-    # that disagrees with it raises (a 2 m/s fig3-disc phase with v = 3 gave
-    # w(0) = 0.5808 against 0.5681 for a consistent 3 m/s pair), and a
-    # 3 m/s phase without v is the matching pair given with v = 3
-    setup, phase_2 = _fig3_source("disc", 2.0)
+    # with a phase, the wavelength is taken at the phase's velocity, not at
+    # the particle's v_long: a 3 m/s phase on a 2 m/s setup gives the
+    # pattern of a 3 m/s setup (a 2 m/s phase with a 3 m/s wavelength gave
+    # w(0) = 0.5808 against 0.5681 for a consistent 3 m/s pair)
+    setup_2, phase_2 = _fig3_source("disc", 2.0)
+    setup_3, phase_3 = _fig3_source("disc", 3.0)
     u = np.linspace(0.0, 3.0, 7)
-    with pytest.raises(ValueError, match="v_z"):
-        source_averaged_pattern(u, setup, phase_2, v=3.0)
-    phase_3 = EikonalPhase(phase_2.obstacle, setup.particle, 3.0)
-    w = source_averaged_pattern(u, setup, phase_3).w
-    assert np.array_equal(
-        w, source_averaged_pattern(u, setup, phase_3, v=3.0).w)
-    assert not np.array_equal(w, source_averaged_pattern(u, setup, phase_2).w)
+    w = source_averaged_pattern(u, setup_2, phase_3).w
+    assert np.array_equal(w, source_averaged_pattern(u, setup_3, phase_3).w)
+    assert not np.array_equal(
+        w, source_averaged_pattern(u, setup_2, phase_2).w)
 
 
 def test_velocity_averaging_identity_at_zero_spread():
@@ -343,7 +341,7 @@ def test_interacting_velocity_average_rebuilds_phase(kind, source_averaging):
         for v_i, w_i in zip(vs, weights):
             phase_i = EikonalPhase(obs, setup.particle, v_i)
             if source_averaging:
-                prof = source_averaged_pattern(u, setup, phase_i, v=v_i)
+                prof = source_averaged_pattern(u, setup, phase_i)
             else:
                 prof = point_source_pattern(u, setup.dimensionless(v_i),
                                             phase_i)
@@ -547,12 +545,12 @@ def test_quantum_spot_enhancement():
     assert w0 == pytest.approx(3.50316872, abs=0.01)  # frozen
 
 
-def test_fast_beam_wall_strip_regressions():
-    # 10x velocity: the boundary phase phi(1 + eta) is 2.2e3 for the disc,
-    # above _PHI_SPLIT, so the disc takes the endpoint-series path of the
-    # integrator; the sphere's is 1.94e3, just below it, so the sphere is
-    # integrated by adaptive quadrature alone. The sphere's capture radius
-    # (eta = 3.0874e-2) is checked against trajectory shooting in
+def test_fast_beam_regressions():
+    # 10x velocity: the boundary phase phi(1 + eta) is 2.2e3 rad for the
+    # disc and 1.94e3 rad for the sphere, so the phase winds through
+    # hundreds of cycles next to the wall; the panels of the obstacle
+    # integral resolve it like any other stretch. The sphere's capture
+    # radius (eta = 3.0874e-2) is checked against trajectory shooting in
     # test_interaction.test_capture_eta_fast_passage.
     v = 20.2553946
     for kind, b, expected in (("disc", 10e-9, 4.143044563259182),
@@ -565,84 +563,57 @@ def test_fast_beam_wall_strip_regressions():
         assert w0 == pytest.approx(expected, rel=1e-6)
 
 
-def test_wall_strip_matches_pure_adaptive(monkeypatch):
-    # the boundary phases of the fast disc (2.2e3 rad) and of a 500 nm sphere
-    # at 50 m/s (2.8e3 rad) are still tractable by brute adaptive subdivision
-    # with a generous budget; the endpoint-series path must agree with it.
-    # Measured: 2.7e-11 (disc) and 1.0e-10 (sphere) relative.
-    grid = np.array([0.0, 0.7, 1.5, 3.0])
-    quad = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
-                          max_subdivisions=20000)
-    for obs, v in ((Obstacle("disc", 500e-9, 10e-9), 20.2553946),
-                   (Obstacle("sphere", 500e-9), 50.0)):
-        setup = _setup(v=v, obstacle=obs, alpha=5e-28)
-        par = setup.dimensionless()
-        phase = EikonalPhase(obs, setup.particle, v)
-        eta = capture_eta(obs, setup.particle, v)
-        assert phase.phi(1.0 + eta) > arago.poisson._PHI_SPLIT
-        w_strip = point_source_pattern(grid, par, phase=phase).w
-        with monkeypatch.context() as m:
-            m.setattr(arago.poisson, "_PHI_SPLIT", 1e12)
-            w_brute = point_source_pattern(grid, par, phase=phase, quad=quad).w
-        assert np.allclose(w_strip, w_brute, rtol=1e-8, atol=1e-10)
+# a 10 nm disc at 10x the fig3 velocity (phi(1 + eta) = 2.2e3 rad) and a
+# 500 nm sphere at 50 m/s (2.8e3 rad)
+FAST_DISC = (Obstacle("disc", 500e-9, 10e-9), 20.2553946)
+FAST_SPHERE = (Obstacle("sphere", 500e-9), 50.0)
 
 
-def test_wall_strip_falls_back_to_panels(monkeypatch):
-    # the endpoint series of the fast disc's wall strip has a fixed error
-    # of about 1.3e-10, which misses the budget at rel_tol 1e-11 on a wide
-    # grid and at 1e-12 even on axis; the strip is then integrated by
-    # panels with the rest of the interaction. The result must agree with
-    # brute adaptive quadrature within the tolerances of
-    # test_wall_strip_matches_pure_adaptive, and to the requested rel_tol,
-    # which the series alone misses (by 5.5e-11, 1.4e-12 and 2.8e-11).
-    # Measured: <= 1.5e-13 relative.
-    v = 20.2553946
-    obs = Obstacle("disc", 500e-9, 10e-9)
+@pytest.mark.parametrize("case,rel_tol,n", [
+    (FAST_DISC, 1e-11, 241), (FAST_DISC, 1e-12, 1), (FAST_DISC, 1e-12, 4),
+    (FAST_SPHERE, 1e-10, 241)],
+    ids=["disc-241", "disc-axis", "disc-4", "sphere-241"])
+def test_fast_beam_meets_rel_tol(case, rel_tol, n):
+    # where phi(1 + eta) runs to thousands of radians the amplitude must
+    # still meet the requested rel_tol. Reference: the same code at
+    # rel_tol 1e-12, abs_tol 1e-13 and 40000 subdivisions (an abs_tol of
+    # 1e-15 cannot be met near the wall of a 500 m/s beam). Measured:
+    # <= 1.1e-13 (disc) and 3.6e-13 (sphere) relative; the endpoint series
+    # this replaced was 3.2e-10 off on the sphere.
+    obs, v = case
     setup = _setup(v=v, obstacle=obs, alpha=5e-28)
     par = setup.dimensionless()
     phase = EikonalPhase(obs, setup.particle, v)
-    eta = capture_eta(obs, setup.particle, v)
-    assert phase.phi(1.0 + eta) > arago.poisson._PHI_SPLIT
-    brute_quad = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14,
-                                max_subdivisions=20000)
-    for rel_tol, grid in ((1e-11, np.linspace(0.0, 3.0 * par.ell, 241)),
-                          (1e-12, np.array([0.0])),
-                          (1e-12, np.array([0.0, 0.7, 1.5, 3.0]))):
-        w = point_source_pattern(grid, par, phase=phase,
-                                 quad=QuadratureSpec(rel_tol=rel_tol)).w
-        with monkeypatch.context() as m:
-            m.setattr(arago.poisson, "_PHI_SPLIT", 1e12)
-            w_brute = point_source_pattern(grid, par, phase=phase,
-                                           quad=brute_quad).w
-        assert np.allclose(w, w_brute, rtol=1e-8, atol=1e-10)
-        assert np.max(np.abs(w - w_brute) / w_brute) <= rel_tol
+    assert phase.phi(1.0 + capture_eta(obs, setup.particle, v)) > 2000.0
+    grid = np.linspace(0.0, 3.0 * par.ell, n)
+    w = point_source_pattern(grid, par, phase,
+                             QuadratureSpec(rel_tol=rel_tol)).w
+    ref = point_source_pattern(grid, par, phase, QuadratureSpec(
+        rel_tol=1e-12, abs_tol=1e-13, max_subdivisions=40000)).w
+    assert np.max(np.abs(w - ref) / ref) <= rel_tol
 
 
-def test_wall_strip_fallback_keeps_outer_integral(monkeypatch):
-    # when the endpoint series misses its budget (the fast disc on axis at
-    # rel_tol 1e-12), only the strip [a, s_split] is integrated again by
-    # panels; the outer integral [s_split, s_negligible] is kept, so no
-    # interaction integral spans [a, s_negligible]
-    v = 20.2553946
-    obs = Obstacle("disc", 500e-9, 10e-9)
-    setup = _setup(v=v, obstacle=obs, alpha=5e-28)
-    phase = EikonalPhase(obs, setup.particle, v)
-    probed = arago.poisson._integrate_on_probed_panels
+@pytest.mark.parametrize("n,calls", [(241, 2), (2, 1)])
+def test_phase_pattern_is_one_probed_integral(n, calls, monkeypatch):
+    # with a phase, the blocked disc and the interaction zone are one
+    # integral over [0, s_negligible]: a probe pass on every 32nd radius
+    # and the full pass, or the full pass alone when the grid is no larger
+    # than the probe set; the ideal obstacle takes one call over [0, 1]
+    setup, phase = _fig3_source("sphere", 2.0)
+    par = setup.dimensionless()
+    direct = arago.poisson.integrate_adaptive
     spans = []
 
-    def recording(integrand, u, lo, hi, spec, points):
-        spans.append((lo, hi))
-        return probed(integrand, u, lo, hi, spec, points)
+    def recording(f, a, b, spec=None, points=()):
+        spans.append((a, b))
+        return direct(f, a, b, spec, points)
 
-    monkeypatch.setattr(arago.poisson, "_integrate_on_probed_panels",
-                        recording)
-    point_source_pattern(np.array([0.0]), setup.dimensionless(), phase,
-                         QuadratureSpec(rel_tol=1e-12))
-    a = 1.0 + capture_eta(obs, setup.particle, v)
-    assert len(spans) == 2
-    (s_split, s_neg), strip = spans
-    assert s_neg == phase.s_negligible and a < s_split < s_neg
-    assert strip == (a, s_split)
+    monkeypatch.setattr(arago.poisson, "integrate_adaptive", recording)
+    point_source_pattern(np.linspace(0.0, 6.0, n), par, phase)
+    assert spans == [(0.0, phase.s_negligible)] * calls
+    spans.clear()
+    point_source_pattern(np.linspace(0.0, 6.0, n), par)
+    assert spans == [(0.0, 1.0)]
 
 
 def test_phase_breakpoints_hit_quarter_levels():
