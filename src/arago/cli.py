@@ -176,8 +176,11 @@ def parse_config(text):
     n_u = int(as_float(items, "grid.n_u", default=600))
     if n_u < 8:
         raise ConfigError("grid.n_u must be at least 8")
-    u_max = as_float(items, "grid.u_max", default=math.nan)
-    u_max = None if math.isnan(u_max) else u_max
+    u_max = None
+    if "grid.u_max" in items:
+        u_max = as_float(items, "grid.u_max")
+        if not u_max > 0:
+            raise ConfigError("grid.u_max must be positive")
 
     source_avg = _parse_flag(items, "averaging.source", default=False)
     vel_avg = _parse_flag(items, "averaging.velocity", default=False)

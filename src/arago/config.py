@@ -14,6 +14,7 @@ Kept deliberately dependency-free and bit-exact to specify: the canonical form
 unchanged.
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -83,12 +84,15 @@ def serialize_kv(items):
 
 
 def as_float(items, key, default=None):
-    """Fetch a float-valued key, with a config-level error message."""
+    """Fetch a finite float-valued key, with a config-level error message."""
     if key not in items:
         if default is not None:
             return default
         raise ConfigError(f"missing required key {key!r}")
     try:
-        return float(items[key])
+        value = float(items[key])
     except ValueError:
         raise ConfigError(f"key {key!r}: {items[key]!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: {items[key]!r} is not finite")
+    return value

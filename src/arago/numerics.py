@@ -1,33 +1,27 @@
-"""Shared numerical machinery: Bessel J0, adaptive quadrature, bisection.
+"""Shared numerical machinery: Bessel J0, adaptive Hankel quadrature,
+bisection.
 
-The quadrature engine refines in rounds on the embedded Gauss-Kronrod 15/31
-point rule (QUADPACK's qk31): every one of the 31 evaluations of a panel
-goes into its K31 value, and |K31 - G15| is its error estimate. Each round
-halves the worst panels, just enough of them that the rest would meet the
-error budget, and evaluates all the new panels through one integrand call
-(or a few, to bound the memory of a call), so the per-call overhead is paid
-per round, not per panel. It accepts complex and vector-valued integrands:
-an integrand may return an array of shape (n_points,) or (n_points, m), in
-which case all m components are integrated simultaneously over the same
-panels with a componentwise error test.
+The quadrature engine computes int_a^b g(s) J0(c_j s) ds for every scale c_j
+of a list at once: one oscillatory Hankel integral for an entire screen
+grid. It refines in rounds on the embedded Gauss-Kronrod 15/31 point rule
+(QUADPACK's qk31): the complex factor g is read at the 31 Kronrod nodes of
+every panel, |K31 - G15| is the panel's error estimate, and all scales share
+the panels under a componentwise error test. Each round halves the worst
+panels, just enough of them that the rest would meet the error budget, and
+evaluates all the new panels through one call of g (or a few, to bound the
+memory of a call), so the per-call overhead is paid per round, not per
+panel.
 
-An integrand may also return the product form (g, kernel, omega): a complex
-factor g at the abscissae, a function that gives a real matrix (one row of
-m components per abscissa) at whatever abscissae it is asked for, and
-omega, which bounds the kernel's p-th derivative by omega^p. The integrand
-is g[:, None] * kernel, and the panel sums never form that complex product.
-That is what lets the diffraction code evaluate one oscillatory Hankel
-integral for an entire screen grid in a single pass: g is the fast radial
-factor and the kernel J0(2 pi k u s), with omega = 2 pi k max u. The panels
-are short where g winds, and J0 barely changes across them, so the kernel
-is product-integrated (Filon 1928; Iserles and Norsett, Proc. R. Soc. A
+The panels are short where g winds, and J0 barely changes across them, so
+J0 is product-integrated (Filon 1928; Iserles and Norsett, Proc. R. Soc. A
 461, 2005): it is read at p first-kind Chebyshev points of a panel and
-carried to the Kronrod nodes by a fixed 31 x p Lagrange matrix. p is the
-smallest rung of the ladder 4, 6, 8, 10, 12, 16, 20 whose a-priori
-interpolation bound 2 (D/4)^p / p!, D = omega times the panel's width, is
-at most machine epsilon; that bound times the panel's sum of |weight * g|
+carried to the Kronrod nodes by a fixed 31 x p Lagrange matrix. No
+derivative of J0(c s) exceeds |c|^p, so with omega = max |c_j| and D =
+omega times the panel's width, p is the smallest rung of the ladder 4, 6,
+8, 10, 12, 16, 20 whose a-priori interpolation bound 2 (D/4)^p / p! is at
+most machine epsilon; that bound times the panel's sum of |weight * g|
 (real and imaginary parts taken apart) is added to its error estimate. A
-panel that meets no rung keeps its 31 Kronrod nodes.
+panel that meets no rung reads J0 at its 31 Kronrod nodes.
 
 Bisection is elementwise, so one call finds the crossings of many levels.
 
@@ -45,7 +39,13 @@ import scipy.special
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for integrate_adaptive."""
+    """Tolerances and budget for integrate_adaptive.
+
+    Both tolerances bound the summed error of one whole integral per scale
+    (for the diffraction code, the whole obstacle integral at one screen
+    radius), not the error of a panel: where that integral cancels to a
+    small value, abs_tol binds.
+    """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
@@ -136,9 +136,8 @@ _W15 = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 _RULES = np.stack([_W31, _W31 - _W15])
 
 
-# work per integrand call: at most this many abscissa-component pairs (the
-# J0 matrix entries of a Hankel integrand, 512 KB in float64), which bounds
-# the memory that one call holds
+# work per call of _panels: at most this many J0 entries, 31 per panel and
+# scale (512 KB in float64), which bounds the memory that one call holds
 _CALL_SIZE = 2 ** 16
 
 
@@ -150,13 +149,13 @@ def _lagrange_matrix(t):
     return num / np.where(off, t[:, None] - t, 1.0).prod(axis=1)
 
 
-# The product rule of _panels. A kernel column whose p-th derivative is at
-# most omega^p (J0(c x) with |c| <= omega: no derivative of J0 exceeds 1),
-# interpolated at p first-kind Chebyshev points of a panel over which
-# omega x spans D, is off by at most 2 (D/4)^p / p! anywhere on the panel.
+# The product rule of _panels. J0(c x) with |c| <= omega has p-th
+# derivative at most omega^p (no derivative of J0 exceeds 1); interpolated
+# at p first-kind Chebyshev points of a panel over which omega x spans D,
+# it is off by at most 2 (D/4)^p / p! anywhere on the panel.
 # A panel takes the smallest rung p of _RUNGS whose bound is at most
-# _KERNEL_TOL, that is whose D is at most _RUNG_SPAN. Rung r reads the
-# kernel at _RUNG_POINTS[r] on [-1, 1], and _LAGRANGE[r] maps those values
+# _KERNEL_TOL, that is whose D is at most _RUNG_SPAN. Rung r reads
+# J0 at _RUNG_POINTS[r] on [-1, 1], and _LAGRANGE[r] maps those values
 # to the Kronrod nodes; the last rung, len(_RUNGS), is a panel that meets
 # none: the 31 Kronrod nodes themselves, with no bound.
 _RUNGS = (4, 6, 8, 10, 12, 16, 20)
@@ -169,43 +168,41 @@ _NODES = np.array(_RUNGS + (_X31.size,))
 _LAGRANGE = [_lagrange_matrix(t) for t in _RUNG_POINTS[:-1]]
 
 
-def _panels(f, lo, hi):
-    """G15/K31 on the panels [lo_j, hi_j] through one call of f.
+def _panels(g, lo, hi, scales):
+    """G15/K31 of g(s) J0(c s) on the panels [lo_j, hi_j], for every c in
+    scales, through one call of g and one of bessel_j0.
 
-    Returns (K31, |K31 - G15|) per panel and component, of shape (n, m), or
-    (n,) for a scalar integrand. The 31 n Kronrod abscissae of all panels
-    go to f as one array. f returns the integrand there as a plain array,
-    which is the case g = 1 on the Kronrod nodes, or in the product form
-    (g, kernel, omega) of integrate_adaptive. Then each panel takes the
-    first rung of _RUNGS that its span D = omega (hi - lo) meets, and
-    kernel is called once, with the points of every panel, grouped by
-    rung; panels that share one rung keep their order.
+    Returns (K31, |K31 - G15|) per panel and scale, of shape (n, m). The
+    31 n Kronrod abscissae of all panels go to g as one array. Each panel
+    takes the first rung of _RUNGS that its span D = max |c| (hi - lo)
+    meets, and J0 is evaluated once, at the points of every panel, grouped
+    by rung; panels that share one rung keep their order.
 
-    With c = half-width * (K31 weights, K31 - G15 weights) * g per panel,
-    split as [Re c; Im c] of shape (n, 4, 31), a rung-p panel sums
-    (c @ L_p) @ K, L_p its 31 x p Lagrange matrix, and a 31-node panel
-    sums c @ K, so no complex array of the size of K is formed. Both rules
-    read the same interpolant, so |K31 - G15| keeps its form; the
-    interpolation bound 2 (D/4)^p / p! times the panel's sum of
-    |Re c_K31| + |Im c_K31| (at least its sum of |c_K31|) is added to it.
-    Non-finite values in either factor raise NumericsError naming the first
-    panel that has them.
+    With w = half-width * (K31 weights, K31 - G15 weights) * g per panel,
+    split as [Re w; Im w] of shape (n, 4, 31), a rung-p panel sums
+    (w @ L_p) @ K, L_p its 31 x p Lagrange matrix and K its J0 rows, and a
+    31-node panel sums w @ K, so no complex array of the size of K is
+    formed. Both rules read the same interpolant, so |K31 - G15| keeps its
+    form; the interpolation bound 2 (D/4)^p / p! times the panel's sum of
+    |Re w_K31| + |Im w_K31| (at least its sum of |w_K31|) is added to it.
+    A non-finite value of g raises NumericsError naming the first panel
+    that has it.
     """
     n, width = lo.size, _X31.size
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    y = f((mid[:, None] + half[:, None] * _X31).ravel())
-    g, kernel, omega = y if isinstance(y, tuple) else (1.0, None, None)
-    g = np.asarray(g)
-    if kernel is None:
-        rung = np.full(n, len(_RUNGS))
-    elif omega >= 0:
-        span = omega * (hi - lo)
-        rung = np.searchsorted(_RUNG_SPAN, span)
-    else:
-        raise ValueError(f"kernel omega must be non-negative, got {omega}")
+    y = np.asarray(g((mid[:, None] + half[:, None] * _X31).ravel()))
+    if y.shape != (n * width,):
+        raise ValueError("integrand must return one value per abscissa")
+    if not np.isfinite(y).all():
+        j = int(np.argmax(~np.isfinite(y.reshape(n, width)).all(axis=1)))
+        raise NumericsError(
+            f"integrand returned non-finite values on "
+            f"[{lo[j]:.6g}, {hi[j]:.6g}]")
+    span = np.abs(scales).max() * (hi - lo)
+    rung = np.searchsorted(_RUNG_SPAN, span)
     # the panels sorted by rung, unmoved when they share one: the sorted
-    # panels a:b share rung r and the kernel rows first:first + (b - a) p
+    # panels a:b share rung r and the J0 rows first:first + (b - a) p
     count = np.bincount(rung, minlength=_NODES.size).tolist()
     order = (slice(None) if max(count) == n
              else np.argsort(rung, kind="stable"))
@@ -214,115 +211,83 @@ def _panels(f, lo, hi):
         if size:
             groups.append((r, a, a + size, rows))
             a, rows = a + size, rows + size * _RUNG_POINTS[r].size
-    if kernel is None:
-        kern = np.asarray(y)
-        if kern.ndim == 0:
-            kern = np.full(n * width, kern[()])
-    else:
-        at, scale = mid[order, None], half[order, None]
-        kern = np.asarray(kernel(np.concatenate([
-            (at[a:b] + scale[a:b] * _RUNG_POINTS[r]).ravel()
-            for r, a, b, _ in groups])))
-    if kern.shape[0] != rows or g.shape not in ((), (n * width,)):
-        raise ValueError("integrand must return one value per abscissa")
-    scalar, kern = kern.ndim == 1, kern.reshape(rows, -1)
-    if not (np.isfinite(kern).all() and np.isfinite(g).all()):
-        bad = np.zeros(n, dtype=bool)
-        bad[np.repeat(np.arange(n)[order], _NODES[rung[order]])[
-            ~np.isfinite(kern).all(axis=1)]] = True
-        if g.ndim:
-            bad |= ~np.isfinite(g.reshape(n, width)).all(axis=1)
-        j = int(np.argmax(bad))
-        raise NumericsError(
-            f"integrand returned non-finite values on "
-            f"[{lo[j]:.6g}, {hi[j]:.6g}]")
-    c = half[:, None, None] * _RULES * (g.reshape(n, 1, width) if g.ndim
-                                        else g)
-    c = np.concatenate([c.real, c.imag], axis=1)
-    ranked = c[order]
-    p = np.empty((n, 4, kern.shape[1]), dtype=np.result_type(c, kern))
+    at, scale = mid[order, None], half[order, None]
+    j0 = bessel_j0(np.outer(np.concatenate([
+        (at[a:b] + scale[a:b] * _RUNG_POINTS[r]).ravel()
+        for r, a, b, _ in groups]), scales))
+    w = half[:, None, None] * _RULES * y.reshape(n, 1, width)
+    w = np.concatenate([w.real, w.imag], axis=1)
+    ranked = w[order]
+    p = np.empty((n, 4, scales.size))
     for r, a, b, first in groups:
-        k = kern[first:first + (b - a) * _NODES[r]].reshape(b - a, -1,
-                                                            kern.shape[1])
+        k = j0[first:first + (b - a) * _NODES[r]].reshape(b - a, -1,
+                                                          scales.size)
         p[a:b] = (ranked[a:b] @ _LAGRANGE[r] if r < len(_RUNGS)
                   else ranked[a:b]) @ k
     if not isinstance(order, slice):
         p[order] = p.copy()
-    value = p[:, 0] + 1j * p[:, 2]
-    diff = np.abs(p[:, 1] + 1j * p[:, 3])
-    if kernel is not None:
-        # the interpolation bound times sum |Re c_K31| + |Im c_K31|, which
-        # is at least sum |c_K31|; 31-node panels add 0
-        span = np.minimum(span, _RUNG_SPAN[-1])
-        diff += (_BOUND[rung] * (0.25 * span) ** _NODES[rung]
-                 * np.abs(c[:, ::2]).sum(axis=(1, 2)))[:, None]
-    if scalar:
-        return value[:, 0], diff[:, 0]
-    return value, diff
+    # the interpolation bound times sum |Re w_K31| + |Im w_K31|, which is
+    # at least sum |w_K31|; 31-node panels add 0
+    span = np.minimum(span, _RUNG_SPAN[-1])
+    bound = (_BOUND[rung] * (0.25 * span) ** _NODES[rung]
+             * np.abs(w[:, ::2]).sum(axis=(1, 2)))
+    return (p[:, 0] + 1j * p[:, 2],
+            np.abs(p[:, 1] + 1j * p[:, 3]) + bound[:, None])
 
 
-def _evaluate(f, lo, hi, components=None):
+def _evaluate(g, lo, hi, scales):
     """_panels over any number of panels, in calls of at most _CALL_SIZE
-    abscissa-component pairs (and at least one panel). While the number of
-    components is not known, the first panel goes alone to find it."""
-    parts, i = [], 0
-    while i < lo.size:
-        step = (1 if components is None
-                else max(_CALL_SIZE // (_X31.size * components), 1))
-        parts.append(_panels(f, lo[i:i + step], hi[i:i + step]))
-        components = parts[-1][0][0].size
-        i += step
+    J0 entries (31 per panel and scale, and at least one panel)."""
+    step = max(_CALL_SIZE // (_X31.size * scales.size), 1)
+    parts = [_panels(g, lo[i:i + step], hi[i:i + step], scales)
+             for i in range(0, lo.size, step)]
     return (np.concatenate([p[0] for p in parts]),
             np.concatenate([p[1] for p in parts]))
 
 
-def integrate_adaptive(f, a, b, spec=None, points=()):
-    """Adaptive quadrature of f over the finite interval [a, b].
+def integrate_adaptive(g, a, b, scales, spec=None, points=()):
+    """int_a^b g(s) J0(c s) ds over the finite interval [a, b], for every
+    c in scales, by adaptive quadrature.
 
-    f maps an ndarray of abscissae to the integrand in one of two forms:
-    an ndarray of values, shape (n,) or (n, m) for m simultaneous
-    components, possibly complex; or the product form (g, kernel, omega),
-    meaning g[:, None] * kernel(x). There g is a factor at the given
-    abscissae, shape (n,) and possibly complex; kernel is a function that
-    returns a real matrix, one row of m components per abscissa, at any
-    abscissae it is given; and omega >= 0, a constant of f, bounds the
-    kernel's derivatives: the p-th derivative of every column is at most
-    omega^p in magnitude (J0(c x) with |c| <= omega, say). That is a
-    radial factor times a Bessel kernel: g is read at the 31 Kronrod nodes
-    of each panel, and the kernel, which changes slowly across a short
-    panel, at 4 to 20 Chebyshev points of the panel where that certifies
-    it to machine epsilon (see _panels), and at the Kronrod nodes where it
-    does not. A fast kernel, or omega = inf, falls back to the Kronrod
-    nodes everywhere.
+    g maps an ndarray of abscissae to the complex factor there, an array of
+    the same shape; scales is a 1-D array of the m values c. g is read at
+    the 31 Kronrod nodes of each panel, and J0, which changes slowly across
+    a short panel, at 4 to 20 Chebyshev points of the panel where that
+    certifies it to machine epsilon (see _panels), and at the Kronrod nodes
+    where it does not. Scales [0] give the plain integral of g.
     `points` seeds the initial subdivision with known breakpoints (phase
     levels, kinks); they are clipped to the open interval. The result's
     `cuts` are the interior boundaries of the final panels: passing them as
     `points` to a related integrand starts it on the panels this one needed.
 
     Refinement runs in rounds. Each round ranks the panels by their largest
-    error-to-budget ratio over the components, and halves the shortest
+    error-to-budget ratio over the scales, and halves the shortest
     worst-first run of them whose removal would leave every component's
     error sum within its budget; the halves take their panel's place, so
     the panels stay in order. The new panels are evaluated together, in
-    calls of at most _CALL_SIZE abscissa-component pairs. The panel count
-    never exceeds spec.max_subdivisions (unless the seeded panels alone
-    do).
+    calls of at most _CALL_SIZE J0 entries. The panel count never exceeds
+    spec.max_subdivisions (unless the seeded panels alone do).
 
-    Returns a QuadratureResult. Componentwise convergence criterion:
-    err_i <= max(abs_tol, rel_tol * |I_i|) for every component i.
+    Returns a QuadratureResult with one value and one error per scale.
+    Componentwise convergence criterion: err_j <= max(abs_tol, rel_tol *
+    |I_j|) for every scale c_j.
     """
     spec = spec or DEFAULT_SPEC
+    scales = np.atleast_1d(np.asarray(scales, dtype=float))
+    if scales.ndim != 1 or scales.size == 0:
+        raise ValueError("scales must be a non-empty 1-D array")
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("integration limits must be finite")
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     if a == b:
-        return QuadratureResult(0.0 + 0.0j, 0.0, True, 0, ())
+        return QuadratureResult(np.zeros(scales.size, dtype=complex),
+                                np.zeros(scales.size), True, 0, ())
 
     edges = np.array([a] + sorted({float(p) for p in points if a < p < b})
                      + [b], dtype=float)
     lo, hi = edges[:-1], edges[1:]
-    val, err = _evaluate(f, lo, hi)
+    val, err = _evaluate(g, lo, hi, scales)
     while True:
         total, total_err = val.sum(axis=0), err.sum(axis=0)
         budget = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
@@ -331,12 +296,10 @@ def integrate_adaptive(f, a, b, spec=None, points=()):
         room = spec.max_subdivisions - n
         if converged or room <= 0:
             break
-        order = np.argsort(-(err / budget).reshape(n, -1).max(axis=1),
-                           kind="stable")
+        order = np.argsort(-(err / budget).max(axis=1), kind="stable")
         # left[j]: the error sums that remain once order[:j + 1] is split
         left = np.cumsum(err[order[::-1]], axis=0)[::-1][1:]
-        enough = np.append(np.all(left <= budget,
-                                  axis=tuple(range(1, left.ndim))), True)
+        enough = np.append(np.all(left <= budget, axis=1), True)
         split = order[:min(int(np.argmax(enough)) + 1, room)]
         mid = 0.5 * (lo[split] + hi[split])
         # panels already at floating point resolution cannot be halved
@@ -346,7 +309,7 @@ def integrate_adaptive(f, a, b, spec=None, points=()):
             break
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_val, new_err = _evaluate(f, new_lo, new_hi, val[0].size)
+        new_val, new_err = _evaluate(g, new_lo, new_hi, scales)
         # a split panel's two halves take its place: panel i moves to slot
         # first[i], and its right half, if any, goes to first[i] + 1
         grow = np.ones(n, dtype=int)

@@ -22,16 +22,15 @@ particle and velocity; the integral truncates where phi falls below the
 phase floor, with a truncation error bounded by the floor. The ideal
 obstacle (no phase) has eta = 0 and s_neg = 1: the blocked disc alone.
 
-The integrand goes to integrate_adaptive in its product form: the radial
-factor, J0(2 pi k u s) over the screen radii as a function of s, and
-omega = 2 pi k max u, so J0 is read at a few Chebyshev points of each panel
-that it barely changes across. The integral is evaluated for all screen
-radii at once. With a phase, its panels start from the wall 1+eta and the
-quarter levels of phi, and are adapted on a probe subset of the radii
-first; the whole grid is then integrated once on those panels and refined
-wherever any radius still needs it, under the same componentwise error
-test. Near a fast beam's wall, where phi reaches thousands of radians, the
-same refinement resolves the winding phase.
+integrate_adaptive takes the obstacle integral as a complex radial factor
+g(s) and the J0 scales 2 pi k u, one per screen radius; it reads J0 at a
+few Chebyshev points of each panel that J0 barely changes across, and
+integrates all screen radii at once. With a phase, the panels start from
+the wall 1+eta and the quarter levels of phi, and are adapted on a probe
+subset of the radii first; the whole grid is then integrated once on those
+panels and refined wherever any radius still needs it, under the same
+componentwise error test. Near a fast beam's wall, where phi reaches
+thousands of radians, the same refinement resolves the winding phase.
 
 Finite sources average |psi|^2 over the projected source disc (radius
 beta = (L2/L1)(R0/R) in u units). The points of the disc at distance r from
@@ -58,8 +57,7 @@ import numpy as np
 
 from .config import ConstraintReport
 from .interaction import EikonalPhase, capture_eta as _capture_eta
-from .numerics import (DEFAULT_SPEC, NumericsError, bessel_j0, bisect,
-                       integrate_adaptive)
+from .numerics import DEFAULT_SPEC, NumericsError, bisect, integrate_adaptive
 from .particles import velocity_nodes
 
 
@@ -160,23 +158,22 @@ def _phase_breakpoints(phase, a):
                   1e-10).tolist()
 
 
-# probe radii for the obstacle panels: every 32nd screen radius + the largest
+# probe scales for the obstacle panels: every 32nd screen radius + the largest
 _PROBE_STRIDE = 32
 
 
-def _integrate_on_probed_panels(integrand, u, a, b, spec, points):
-    """int_a^b integrand(s, u) ds for every radius in u.
+def _integrate_on_probed_panels(g, scales, a, b, spec, points):
+    """int_a^b g(s) J0(c s) ds for every c in scales.
 
-    Adapting on a probe subset of the radii first, and seeding the full pass
-    with the probe's final panels, spares the full grid the evaluations on
-    panels that are later split. The full pass still refines wherever any
-    radius fails the componentwise error test.
+    Adapting on a probe subset of the scales first, and seeding the full
+    pass with the probe's final panels, spares the full grid the
+    evaluations on panels that are later split. The full pass still refines
+    wherever any scale fails the componentwise error test.
     """
-    probe = np.unique(np.append(u[::_PROBE_STRIDE], u.max()))
-    if u.size > probe.size:
-        points = integrate_adaptive(lambda s: integrand(s, probe), a, b,
-                                    spec, points).cuts
-    return integrate_adaptive(lambda s: integrand(s, u), a, b, spec, points)
+    probe = np.unique(np.append(scales[::_PROBE_STRIDE], scales.max()))
+    if scales.size > probe.size:
+        points = integrate_adaptive(g, a, b, probe, spec, points).cuts
+    return integrate_adaptive(g, a, b, scales, spec, points)
 
 
 def _amplitude_grid(u_grid, k, ell, phase=None, quad=None):
@@ -189,30 +186,26 @@ def _amplitude_grid(u_grid, k, ell, phase=None, quad=None):
         phase.obstacle, phase.particle, phase.v_z)
     two_pi_k = 2.0 * math.pi * k
 
-    # the product form of integrate_adaptive: the complex radial factor,
-    # negated where the obstacle blocks (s < a) and times e^{i phi} - 1
-    # past the wall, the J0 matrix as a function of s, and
-    # omega = 2 pi k max radius
-    def obstacle(s, radii):
+    # the complex radial factor of the obstacle integral, negated where the
+    # obstacle blocks (s < a) and times e^{i phi} - 1 past the wall
+    def obstacle(s):
         s = np.asarray(s)
         radial = two_pi_k * ell * s * np.exp(1j * math.pi * k * ell * s * s)
         past = s > a
         radial[~past] = -radial[~past]
         if past.any():
             radial[past] *= np.exp(1j * phase.phi(s[past])) - 1.0
-        return (radial,
-                lambda t: bessel_j0(two_pi_k * np.outer(t, radii)),
-                two_pi_k * radii.max())
+        return radial
 
     free = 1j * np.exp(-1j * math.pi * k * u * u / ell)
     if phase is None:
-        res = integrate_adaptive(lambda s: obstacle(s, u), 0.0, a, spec)
+        res = integrate_adaptive(obstacle, 0.0, a, two_pi_k * u, spec)
     elif phase.s_negligible <= a:
         raise ValueError("capture radius swallows the interaction zone; "
                          "nothing left to integrate")
     else:
         res = _integrate_on_probed_panels(
-            obstacle, u, 0.0, phase.s_negligible, spec,
+            obstacle, two_pi_k * u, 0.0, phase.s_negligible, spec,
             [a] + _phase_breakpoints(phase, a))
     return free + res.require_converged("obstacle integral").value
 

@@ -19,7 +19,7 @@ from arago.cli import (
     serialize_config,
     sweep,
 )
-from arago.config import ConfigError, parse_kv
+from arago.config import ConfigError, parse_kv, serialize_kv
 
 
 def test_cli_import_loads_only_numpy_and_scipy_special():
@@ -300,6 +300,25 @@ def test_main_requires_exactly_one_source(tmp_path, capsys):
     cfg_path = tmp_path / "scenario.cfg"
     cfg_path.write_text(load_preset("fig2a"))
     assert main([str(cfg_path), "--preset", "fig2a"]) == 2
+
+
+@pytest.mark.parametrize("key,value", [
+    ("numerics.max_subdivisions", "inf"), ("grid.n_u", "inf"),
+    ("particle.v_long", "inf"), ("grid.n_u", "nan"), ("grid.u_max", "-1"),
+    ("grid.u_max", "0"), ("grid.u_max", "inf"), ("grid.u_max", "nan")])
+def test_main_rejects_non_finite_and_non_positive_numbers(tmp_path, capsys,
+                                                          key, value):
+    # a number that cannot be used is a configuration error: exit 2 before
+    # anything is computed or written
+    items = parse_kv(load_preset("fig2a"))
+    items[key] = value
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(serialize_kv(items))
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out.exists()
 
 
 def test_main_bad_sweep_value(tmp_path, capsys):

@@ -77,10 +77,13 @@ def test_roundtrip_idempotent():
 
 
 def test_as_float():
-    items = {"x": "2.5", "bad": "abc"}
+    items = {"x": "2.5", "bad": "abc", "big": "-inf", "nan": "nan"}
     assert as_float(items, "x") == 2.5
     assert as_float(items, "missing", default=7.0) == 7.0
     with pytest.raises(ConfigError, match="missing required key"):
         as_float(items, "missing")
     with pytest.raises(ConfigError, match="not a number"):
         as_float(items, "bad")
+    for key in ("big", "nan"):
+        with pytest.raises(ConfigError, match="not finite"):
+            as_float(items, key)

@@ -7,7 +7,6 @@ import scipy.optimize
 import scipy.special
 
 import arago.numerics
-import arago.poisson
 from arago.interaction import EikonalPhase, Obstacle
 from arago.numerics import (
     _CALL_SIZE,
@@ -29,10 +28,14 @@ from arago.particles import ParticleSpecies
 from arago.poisson import PoissonSetup, source_averaged_pattern
 
 
+# scales [0] give the plain integral of g, since J0(0) = 1
+PLAIN = [0.0]
+
+
 def test_smooth_exponential():
-    res = integrate_adaptive(lambda x: np.exp(x), 0.0, 1.0)
+    res = integrate_adaptive(lambda x: np.exp(x), 0.0, 1.0, PLAIN)
     assert res.converged
-    assert res.value == pytest.approx(math.e - 1.0, rel=1e-12)
+    assert res.value[0] == pytest.approx(math.e - 1.0, rel=1e-12)
 
 
 def test_oscillatory_damped():
@@ -48,52 +51,74 @@ def test_oscillatory_damped():
         sizes.append(x.size)
         return np.exp(-x) * np.sin(b * x)
 
-    res = integrate_adaptive(f, 0.0, T)
+    res = integrate_adaptive(f, 0.0, T, PLAIN)
     assert res.converged
-    assert res.value == pytest.approx(exact, rel=1e-9)
+    assert res.value[0] == pytest.approx(exact, rel=1e-9)
+    assert res.subdivisions == 29
     assert len(sizes) <= 12
     assert sum(sizes) == 31 * (2 * res.subdivisions - 1)
 
 
-def test_calls_capped_at_call_size():
-    # 200 seeded panels of a 300-component integrand: the first panel goes
-    # alone (the component count is not known before it), and the rest in
-    # calls of at most _CALL_SIZE abscissa-component pairs, each full but
-    # the last of a round
-    omega = np.linspace(1.0, 1000.0, 300)
-    sizes = []
+def _count_j0(monkeypatch):
+    # every J0 argument matrix that numerics forms, one row per abscissa
+    # and one column per scale
+    formed, j0 = [], arago.numerics.bessel_j0
 
-    def f(x):
-        sizes.append(x.size)
-        return np.sin(np.outer(x, omega))
+    def counted(x):
+        formed.append(x)
+        return j0(x)
+
+    monkeypatch.setattr(arago.numerics, "bessel_j0", counted)
+    return formed
+
+
+def _s_j0_integral(length, c):
+    # int_0^L s J0(c s) ds = L J1(c L) / c, and L^2 / 2 at c = 0
+    c = np.asarray(c, dtype=float)
+    safe = np.where(c == 0.0, 1.0, c)
+    return np.where(c == 0.0, 0.5 * length ** 2,
+                    length * scipy.special.j1(safe * length) / safe)
+
+
+def test_calls_capped_at_call_size(monkeypatch):
+    # 200 seeded panels of s J0(c s) for 300 scales c: every call, the
+    # first included, takes _CALL_SIZE // (31 * 300) = 7 panels but the
+    # last of a round, so no J0 matrix has more than _CALL_SIZE entries
+    scales = np.linspace(1.0, 1000.0, 300)
+    sizes = []
+    formed = _count_j0(monkeypatch)
+
+    def g(s):
+        sizes.append(s.size)
+        return s
 
     seeds = np.linspace(0.0, 10.0, 201)[1:-1]
-    res = integrate_adaptive(f, 0.0, 10.0, points=seeds)
+    res = integrate_adaptive(g, 0.0, 10.0, scales, points=seeds)
     assert res.converged
-    assert np.allclose(res.value, (1.0 - np.cos(10.0 * omega)) / omega,
+    assert np.allclose(res.value, _s_j0_integral(10.0, scales),
                        rtol=1e-8, atol=1e-12)
-    per_call = 31 * (_CALL_SIZE // (31 * omega.size))
-    assert sizes[0] == 31 and sizes[1] == per_call
-    assert max(sizes) * omega.size <= _CALL_SIZE
-    assert all(n % 31 == 0 for n in sizes)
+    per_call = 31 * (_CALL_SIZE // (31 * scales.size))
+    assert sizes[0] == per_call
+    assert max(sizes) == per_call and all(n % 31 == 0 for n in sizes)
+    assert max(x.size for x in formed) <= _CALL_SIZE
 
 
 def test_complex_integrand():
     w = 37.0
     exact = (np.exp(1j * w) - 1.0) / (1j * w)
-    res = integrate_adaptive(lambda x: np.exp(1j * w * x), 0.0, 1.0)
+    res = integrate_adaptive(lambda x: np.exp(1j * w * x), 0.0, 1.0, PLAIN)
     assert res.converged
-    assert abs(res.value - exact) < 1e-10
+    assert abs(res.value[0] - exact) < 1e-10
 
 
 def test_vector_valued():
-    # componentwise closed forms over [0, 2]; integrands return (n, m)
-    res = integrate_adaptive(
-        lambda x: np.stack([x, x * x, np.cos(x)], axis=-1), 0.0, 2.0)
+    # one value and one error per scale, against the closed form
+    # int_0^2 s J0(c s) ds = 2 J1(2 c) / c (2 at c = 0)
+    scales = np.array([0.0, 0.5, 2.0, 7.0])
+    res = integrate_adaptive(lambda s: s, 0.0, 2.0, scales)
     assert res.converged
-    assert res.value.shape == (3,)
-    assert np.allclose(res.value, [2.0, 8.0 / 3.0, math.sin(2.0)], rtol=1e-11)
-    assert res.error.shape == (3,)
+    assert res.value.shape == res.error.shape == (4,)
+    assert np.max(np.abs(res.value - _s_j0_integral(2.0, scales))) <= 1e-14
 
 
 def test_error_bound_honest():
@@ -113,18 +138,18 @@ def test_error_bound_honest():
             return c0 * x + c1 * x * x / 2 + c2 * x ** 3 / 3 \
                 + amp * np.sin(om * x) / om
 
-        res = integrate_adaptive(f, a, b)
-        true_err = abs(res.value - (F(b) - F(a)))
+        res = integrate_adaptive(f, a, b, PLAIN)
+        true_err = abs(res.value[0] - (F(b) - F(a)))
         assert res.converged
-        assert true_err <= max(float(res.error) * 10.0, 1e-13)
+        assert true_err <= max(res.error[0] * 10.0, 1e-13)
 
 
 def test_breakpoint_seeding():
     # kink at x = 0.3; exact value 0.29
-    res = integrate_adaptive(lambda x: np.abs(x - 0.3), 0.0, 1.0,
+    res = integrate_adaptive(lambda x: np.abs(x - 0.3), 0.0, 1.0, PLAIN,
                              points=(0.3,))
     assert res.converged
-    assert res.value == pytest.approx(0.29, rel=1e-12)
+    assert res.value[0] == pytest.approx(0.29, rel=1e-12)
 
 
 def test_seeding_with_final_cuts():
@@ -133,14 +158,14 @@ def test_seeding_with_final_cuts():
     def f(x):
         return np.exp(-x) * np.sin(50.0 * x)
 
-    res = integrate_adaptive(f, 0.0, 10.0)
+    res = integrate_adaptive(f, 0.0, 10.0, PLAIN)
     assert res.converged and len(res.cuts) > 10
     assert list(res.cuts) == sorted(res.cuts)
     assert 0.0 < min(res.cuts) and max(res.cuts) < 10.0
-    seeded = integrate_adaptive(f, 0.0, 10.0, points=res.cuts)
+    seeded = integrate_adaptive(f, 0.0, 10.0, PLAIN, points=res.cuts)
     assert seeded.converged
     assert seeded.subdivisions == len(res.cuts) + 1
-    assert seeded.value == pytest.approx(res.value, rel=1e-14)
+    assert seeded.value[0] == pytest.approx(res.value[0], rel=1e-14)
     assert seeded.cuts == res.cuts
 
 
@@ -151,7 +176,7 @@ def test_budget_exhaustion_flagged():
         spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300,
                               max_subdivisions=budget)
         res = integrate_adaptive(lambda x: np.sin(1000.0 * x), 0.0, 10.0,
-                                 spec=spec)
+                                 PLAIN, spec=spec)
         assert not res.converged
         assert res.subdivisions <= spec.max_subdivisions
         assert len(res.cuts) == res.subdivisions - 1
@@ -160,13 +185,25 @@ def test_budget_exhaustion_flagged():
 
 
 def test_empty_interval():
-    res = integrate_adaptive(lambda x: np.exp(x), 1.0, 1.0)
-    assert res.value == 0.0
+    # one zero value and one zero error per scale
+    res = integrate_adaptive(lambda x: np.exp(x), 1.0, 1.0, [0.0, 1.0, 2.0])
+    assert res.converged and res.subdivisions == 0 and res.cuts == ()
+    assert res.value.shape == res.error.shape == (3,)
+    assert not res.value.any() and not res.error.any()
 
 
 def test_reversed_interval_rejected():
     with pytest.raises(ValueError):
-        integrate_adaptive(lambda x: x, 1.0, 0.0)
+        integrate_adaptive(lambda x: x, 1.0, 0.0, PLAIN)
+
+
+def test_scales_must_be_a_finite_vector():
+    for scales in ([], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="scales"):
+            integrate_adaptive(lambda x: x, 0.0, 1.0, scales)
+    # bessel_j0 rejects the non-finite J0 arguments an infinite scale forms
+    with pytest.raises(ValueError, match="finite"):
+        integrate_adaptive(lambda x: x, 0.0, 1.0, [1.0, math.inf])
 
 
 def test_gauss_subset_is_leggauss15():
@@ -197,67 +234,30 @@ def test_kronrod_polynomial_exactness():
     assert moment_error(_W15, 30) > 1e-10
 
 
-def _hankel_pair(u, k=3.0, chirp=None, omega=None, calls=None):
-    # s exp(i pi c s^2) J0(2 pi k u s) in the product form: a complex
-    # radial factor (c = chirp, default k), the real J0 matrix over the
-    # radii u as a function of its abscissae, and omega = 2 pi k max u (an
-    # infinite omega puts every panel on the 31 Kronrod nodes). calls, if
-    # given, collects the abscissae the J0 matrix is asked for.
-    two_pi_k = 2.0 * math.pi * k
-    chirp = k if chirp is None else chirp
-
-    def kernel(t):
-        if calls is not None:
-            calls.append(t)
-        return bessel_j0(two_pi_k * np.outer(t, u))
-
-    def pair(s):
-        return (s * np.exp(1j * math.pi * chirp * s * s), kernel,
-                two_pi_k * u.max() if omega is None else omega)
-    return pair
+def _chirp(c):
+    # the radial factor s exp(i pi c s^2) of a Hankel integrand
+    return lambda s: s * np.exp(1j * math.pi * c * s * s)
 
 
-def test_pair_integrand_matches_plain_array():
-    u = np.linspace(0.0, 3.0, 50)
-    pair = _hankel_pair(u)
-
-    def plain(s):
-        g, kern, _ = pair(s)
-        return g[:, None] * kern(s)
-
-    res = integrate_adaptive(pair, 0.0, 1.5)
-    ref = integrate_adaptive(plain, 0.0, 1.5)
-    assert res.converged and ref.converged
-    assert res.value.shape == ref.value.shape == (50,)
-    assert np.all(np.abs(res.value - ref.value) <= 1e-13 * np.abs(ref.value))
+def _hankel_scales(u, k=3.0):
+    # the J0 scales 2 pi k u of screen radii u
+    return 2.0 * math.pi * k * u
 
 
-def test_pair_integrand_non_finite_rejected():
-    # the panel named is the one with the bad value, in either factor, for
-    # panels on the 31 Kronrod nodes (u_max = 3) and on Chebyshev rungs of
-    # three sizes (u_max = 0.01). There the J0 rows are grouped by rung,
-    # and [1, 1.5] (p = 8) comes before [0.1, 1] (p = 10)
-    for u_max in (3.0, 0.01):
-        pair = _hankel_pair(np.linspace(0.0, u_max, 50))
+def test_non_finite_factor_rejected():
+    # the panel named is the first one where g has a bad value
+    g = _chirp(3.0)
 
-        def bad_factor(s):
-            g, kern, omega = pair(s)
-            g[s > 1.0] = np.nan
-            return g, kern, omega
+    def bad_factor(s):
+        y = g(s)
+        y[s > 1.0] = np.nan
+        return y
 
-        def bad_kernel(s):
-            g, kern, omega = pair(s)
-
-            def spoilt(t):
-                k = kern(t)
-                k[t > 1.0, 7] = np.inf
-                return k
-            return g, spoilt, omega
-
-        for f in (bad_factor, bad_kernel):
-            with pytest.raises(NumericsError,
-                               match=r"non-finite values on \[1, 1\.5\]"):
-                integrate_adaptive(f, 0.0, 1.5, points=(0.05, 0.1, 1.0))
+    with pytest.raises(NumericsError,
+                       match=r"non-finite values on \[1, 1\.5\]"):
+        integrate_adaptive(bad_factor, 0.0, 1.5,
+                           _hankel_scales(np.linspace(0.0, 3.0, 50)),
+                           points=(0.05, 0.1, 1.0))
 
 
 def test_chebyshev_j0_meets_its_interpolation_bound():
@@ -283,43 +283,42 @@ def test_chebyshev_j0_meets_its_interpolation_bound():
     assert _NODES[np.searchsorted(_RUNG_SPAN, omega * (hi - lo))] == 12
 
 
-def test_product_rule_matches_kronrod_nodes():
-    # the product rule against a forced 31-node run (omega = inf) on the
-    # same panels, on two integrands of s exp(i pi c s^2) J0(2 pi k u s).
-    # A fast chirp (c = 300, u <= 3) makes the panels short while J0 stays
-    # slow across them: the rule asks for under half of the J0 rows, and
-    # the integrals, which cancel to ~1e-3 of the integral of |g| (1.125),
-    # move by at most their a-priori bound, machine epsilon times 1.125
-    # (measured 2e-17). Without a chirp and at u <= 0.1 they do not cancel
-    # (0.32 to 1.125), so the bound is a relative one: on five seeded
-    # panels of four rungs the rule asks for 56 J0 rows against 155, and
-    # every component agrees to 1e-14 relative (measured 4e-16)
-    u = np.linspace(0.0, 3.0, 50)
-    rows, ref_rows = [], []
-    res = integrate_adaptive(_hankel_pair(u, chirp=300.0, calls=rows),
-                             0.0, 1.5)
-    ref = integrate_adaptive(
-        _hankel_pair(u, chirp=300.0, omega=math.inf, calls=ref_rows),
-        0.0, 1.5)
-    assert res.converged and ref.converged
-    assert res.cuts == ref.cuts
-    n_rows = sum(t.size for t in rows)
-    assert n_rows <= 0.5 * sum(t.size for t in ref_rows)
-    assert np.max(np.abs(res.value - ref.value)) <= (
-        np.finfo(float).eps * 1.125)
+def test_product_rule_matches_kronrod_nodes(monkeypatch):
+    # the product rule against a forced 31-node run (every rung's span
+    # patched to 0) on the same panels, on two integrands of
+    # s exp(i pi c s^2) J0(2 pi k u s). A fast chirp (c = 300, u <= 3)
+    # makes the panels short while J0 stays slow across them: the rule asks
+    # for under half of the J0 rows, and the integrals, which cancel to
+    # ~1e-3 of the integral of |g| (1.125), move by at most their a-priori
+    # bound, machine epsilon times 1.125 (measured 2e-17). Without a chirp
+    # and at u <= 0.1 they do not cancel (0.32 to 1.125), so the bound is a
+    # relative one: on five seeded panels of four rungs the rule asks for
+    # 56 J0 rows against 155, and every component agrees to 1e-14 relative
+    # (measured 4e-16)
+    def both(g, u, points=()):
+        formed = _count_j0(monkeypatch)
+        res = integrate_adaptive(g, 0.0, 1.5, _hankel_scales(u),
+                                 points=points)
+        with monkeypatch.context() as m:
+            m.setattr(arago.numerics, "_RUNG_SPAN", np.zeros(len(_RUNGS)))
+            n_rows = sum(x.shape[0] for x in formed)
+            ref = integrate_adaptive(g, 0.0, 1.5, _hankel_scales(u),
+                                     points=points)
+            ref_rows = sum(x.shape[0] for x in formed) - n_rows
+        assert res.converged and ref.converged
+        assert res.cuts == ref.cuts
+        return res.value, ref.value, n_rows, ref_rows
 
-    u = np.linspace(0.0, 0.1, 50)
-    rows, ref_rows = [], []
+    value, ref, n_rows, ref_rows = both(_chirp(300.0),
+                                        np.linspace(0.0, 3.0, 50))
+    assert n_rows <= 0.5 * ref_rows
+    assert np.max(np.abs(value - ref)) <= np.finfo(float).eps * 1.125
+
     seeds = (0.3, 0.5, 0.6, 1.0)
-    res = integrate_adaptive(_hankel_pair(u, chirp=0.0, calls=rows),
-                             0.0, 1.5, points=seeds)
-    ref = integrate_adaptive(
-        _hankel_pair(u, chirp=0.0, omega=math.inf, calls=ref_rows),
-        0.0, 1.5, points=seeds)
-    assert res.converged and res.cuts == ref.cuts == seeds
-    assert sum(t.size for t in rows) == 56
-    assert sum(t.size for t in ref_rows) == 155
-    assert np.all(np.abs(res.value - ref.value) <= 1e-14 * np.abs(ref.value))
+    value, ref, n_rows, ref_rows = both(_chirp(0.0),
+                                        np.linspace(0.0, 0.1, 50), seeds)
+    assert (n_rows, ref_rows) == (56, 155)
+    assert np.all(np.abs(value - ref) <= 1e-14 * np.abs(ref))
 
 
 def test_error_estimate_carries_the_interpolation_bound():
@@ -330,32 +329,32 @@ def test_error_estimate_carries_the_interpolation_bound():
     omega, width = 9.0, 0.05
     bound = 2.0 * (omega * width / 4.0) ** 10 / math.factorial(10)
     res = integrate_adaptive(
-        lambda s: (np.ones_like(s),
-                   lambda t: np.repeat(bessel_j0(omega * t)[:, None], 4, 1),
-                   omega),
-        2.0, 2.0 + 50 * width, QuadratureSpec(max_subdivisions=1),
+        np.ones_like, 2.0, 2.0 + 50 * width, np.full(4, omega),
+        QuadratureSpec(max_subdivisions=1),
         points=2.0 + width * np.arange(1, 50))
     assert np.all(50 * bound * width <= res.error)
     assert np.all(res.error <= 1.1 * 50 * bound * width)
 
 
-def test_wide_panel_keeps_kronrod_nodes():
-    # seeded panels, no refinement: [0, 1], over which J0 spans
-    # D = 2 pi k u_max (hi - lo) = 57 rad, goes alone on its 31 Kronrod
-    # nodes; then one J0 call reads 40 panels of D = 0.057 at the 8
-    # Chebyshev points of their rung, and [1.04, 1.5] (D = 26 rad) at its
-    # Kronrod nodes
+def test_wide_panel_keeps_kronrod_nodes(monkeypatch):
+    # seeded panels, no refinement, one J0 call: 40 panels of
+    # D = 2 pi k u_max (hi - lo) = 0.057 at the 8 Chebyshev points of their
+    # rung come first, then [0, 1] (D = 57 rad) and [1.04, 1.5] (D = 26
+    # rad) on their 31 Kronrod nodes
     u = np.linspace(0.0, 3.0, 50)
     edges = np.concatenate([[0.0], np.linspace(1.0, 1.04, 41), [1.5]])
     lo, hi = edges[:-1], edges[1:]
-    nodes = [_X31] + [_RUNG_POINTS[_RUNGS.index(8)]] * 40 + [_X31]
-    calls = []
-    integrate_adaptive(_hankel_pair(u, calls=calls), 0.0, 1.5,
+    panels = ([(a, b, _RUNG_POINTS[_RUNGS.index(8)])
+               for a, b in zip(lo[1:-1], hi[1:-1])]
+              + [(lo[0], hi[0], _X31), (lo[-1], hi[-1], _X31)])
+    formed = _count_j0(monkeypatch)
+    integrate_adaptive(_chirp(3.0), 0.0, 1.5, _hankel_scales(u),
                        QuadratureSpec(max_subdivisions=1), points=edges[1:-1])
-    assert [t.size for t in calls] == [31, 40 * 8 + 31]
-    assert np.allclose(np.concatenate(calls), np.concatenate([
-        0.5 * (a + b) + 0.5 * (b - a) * t for a, b, t in zip(lo, hi, nodes)]),
-        rtol=1e-15, atol=0.0)
+    assert [x.shape for x in formed] == [(40 * 8 + 2 * 31, 50)]
+    t = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * nodes
+                        for a, b, nodes in panels])
+    assert np.allclose(formed[0], np.outer(t, _hankel_scales(u)),
+                       rtol=1e-15, atol=0.0)
 
 
 def test_bessel_j0_small_argument():
@@ -447,20 +446,15 @@ def test_fig3_disc_reads_j0_at_a_quarter_of_the_kronrod_rows(monkeypatch):
     obs = Obstacle("disc", 500e-9, 10e-9)
     particle = ParticleSpecies("au100", 19700.0, 5e-28, 2.0, 0.0)
     setup = PoissonSetup(500e-9, 500e-9, 0.125, 0.125, obs, particle)
-    formed, kronrod = [], []
-    j0, panels = arago.poisson.bessel_j0, arago.numerics._panels
+    kronrod, panels = [], arago.numerics._panels
 
-    def counted_j0(x):
-        formed.append(np.size(x))
-        return j0(x)
-
-    def counted_panels(f, lo, hi):
-        out = panels(f, lo, hi)
+    def counted_panels(g, lo, hi, scales):
+        out = panels(g, lo, hi, scales)
         kronrod.append(31 * out[0].size)
         return out
 
-    monkeypatch.setattr(arago.poisson, "bessel_j0", counted_j0)
+    formed = _count_j0(monkeypatch)
     monkeypatch.setattr(arago.numerics, "_panels", counted_panels)
     u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 241)
     source_averaged_pattern(u, setup, EikonalPhase(obs, particle, 2.0))
-    assert sum(formed) <= 0.35 * sum(kronrod)
+    assert sum(x.size for x in formed) <= 0.35 * sum(kronrod)

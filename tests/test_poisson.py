@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import arago.numerics
 import arago.poisson
 from arago.classical import _polar_average
 from arago.interaction import EikonalPhase, Obstacle, capture_eta
-from arago.numerics import NumericsError, QuadratureSpec, bessel_j0
+from arago.numerics import (_CALL_SIZE, NumericsError, QuadratureSpec,
+                            bessel_j0)
 from arago.particles import ParticleSpecies, velocity_nodes
 from arago.poisson import (
     DimensionlessParams,
@@ -604,9 +606,9 @@ def test_phase_pattern_is_one_probed_integral(n, calls, monkeypatch):
     direct = arago.poisson.integrate_adaptive
     spans = []
 
-    def recording(f, a, b, spec=None, points=()):
+    def recording(g, a, b, scales, spec=None, points=()):
         spans.append((a, b))
-        return direct(f, a, b, spec, points)
+        return direct(g, a, b, scales, spec, points)
 
     monkeypatch.setattr(arago.poisson, "integrate_adaptive", recording)
     point_source_pattern(np.linspace(0.0, 6.0, n), par, phase)
@@ -614,6 +616,37 @@ def test_phase_pattern_is_one_probed_integral(n, calls, monkeypatch):
     spans.clear()
     point_source_pattern(np.linspace(0.0, 6.0, n), par)
     assert spans == [(0.0, 1.0)]
+
+
+def test_first_panels_call_of_each_integral_is_full(monkeypatch):
+    # the probe pass and the full pass of a fig3-disc point pattern: the
+    # first _panels call of each integral carries as many seeded panels as
+    # a call holds, min(seeded, _CALL_SIZE // (31 m)) for m scales, and
+    # not the one panel that once went alone to learn m
+    setup, phase = _fig3_source("disc", 2.0)
+    direct, panels = arago.poisson.integrate_adaptive, arago.numerics._panels
+    calls = []
+
+    def recording(g, a, b, scales, spec=None, points=()):
+        calls.append(("integral", 1 + len({p for p in points if a < p < b}),
+                      len(scales)))
+        return direct(g, a, b, scales, spec, points)
+
+    def counted_panels(g, lo, hi, scales):
+        calls.append(("panels", lo.size, scales.size))
+        return panels(g, lo, hi, scales)
+
+    monkeypatch.setattr(arago.poisson, "integrate_adaptive", recording)
+    monkeypatch.setattr(arago.numerics, "_panels", counted_panels)
+    point_source_pattern(np.linspace(0.0, 6.0, 241), setup.dimensionless(),
+                         phase)
+    starts = [i for i, call in enumerate(calls) if call[0] == "integral"]
+    assert [calls[i][2] for i in starts] == [9, 241]
+    for i in starts:
+        _, seeded, m = calls[i]
+        assert calls[i + 1] == ("panels", min(seeded, _CALL_SIZE // (31 * m)),
+                                m)
+    assert calls[starts[1] + 1][1] > 1
 
 
 def test_phase_breakpoints_hit_quarter_levels():
