@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 
 from . import classical as cls
 from . import poisson as psn
-from .config import ConfigError, as_float, parse_kv, serialize_kv
+from .config import ConfigError, as_float, as_int, parse_kv, serialize_kv
 from .farfield import FarFieldSetup, feasibility_report
 # capture_eta is unused here: perfbench/test_perfbench.py::
 # test_install_patches_every_binding_and_uninstall_restores_all asserts it
@@ -165,15 +165,15 @@ def parse_config(text):
             raise ConfigError(f"poisson setup: {exc}") from None
 
     try:
-        # each field's type (float or int) converts its value
+        # each field's type (float or int) picks its reader
         quad = QuadratureSpec(**{
-            f.name: f.type(as_float(items, f"numerics.{f.name}",
-                                    default=f.default))
+            f.name: (as_int if f.type is int else as_float)(
+                items, f"numerics.{f.name}", default=f.default)
             for f in fields(QuadratureSpec)})
     except ValueError as exc:
         raise ConfigError(f"numerics: {exc}") from None
 
-    n_u = int(as_float(items, "grid.n_u", default=600))
+    n_u = as_int(items, "grid.n_u", default=600)
     if n_u < 8:
         raise ConfigError("grid.n_u must be at least 8")
     u_max = None

@@ -96,3 +96,12 @@ def as_float(items, key, default=None):
     if not math.isfinite(value):
         raise ConfigError(f"key {key!r}: {items[key]!r} is not finite")
     return value
+
+
+def as_int(items, key, default=None):
+    """Fetch an integer-valued key; a fractional value is an error, never
+    truncated (241.0 is 241, 100.9 is refused)."""
+    value = as_float(items, key, default)
+    if value != int(value):
+        raise ConfigError(f"key {key!r}: {items[key]!r} is not an integer")
+    return int(value)

@@ -26,9 +26,11 @@ integrate_adaptive takes the obstacle integral as a complex radial factor
 g(s) and the J0 scales 2 pi k u, one per screen radius; it reads J0 at a
 few Chebyshev points of each panel that J0 barely changes across, and
 integrates all screen radii at once. With a phase, the panels start from
-the wall 1+eta and the quarter levels of phi, and are adapted on a probe
-subset of the radii first; the whole grid is then integrated once on those
-panels and refined wherever any radius still needs it, under the same
+the wall 1+eta and from where phi crosses levels 24 rad apart down from
+phi(1+eta), about the phase one final panel winds at the wall, and quarter
+levels below (_phase_breakpoints). They are adapted on a probe subset of
+the radii first; the whole grid is then integrated once on those panels
+and refined wherever any radius still needs it, under the same
 componentwise error test. Near a fast beam's wall, where phi reaches
 thousands of radians, the same refinement resolves the winding phase.
 
@@ -140,17 +142,36 @@ def default_grid(params, n=600, u_max=None):
     return np.linspace(0.0, top, n)
 
 
-def _phase_breakpoints(phase, a):
-    """Abscissae where phi crosses successive quarter levels, as quad seeds.
+# seed step of the wall phase, in radians: at the default rel_tol the final
+# panels at the fig3-disc wall wind ~25 rad each, and of 16, 20, 24 and
+# 32 rad, 24 forms the fewest J0 entries on the 9-node fig3 disc and on the
+# 21 fig3 spheres of 1.5-4 m/s
+_PHASE_STEP = 24.0
 
-    The disc phase P (s-1)^-4 crosses a level in closed form; the sphere's
-    crossings are bisected, all levels in one elementwise bisection.
+
+def _phase_breakpoints(phase, a, spec):
+    """Abscissae where phi crosses a ladder of levels, as quad seeds.
+
+    The levels step down from phi(a) by _PHASE_STEP radians while that is
+    the smaller step, then by quarters, L_{j+1} = max(L_j - step, L_j / 4),
+    and stop at the first level at or below the floor. Equal steps put the
+    seeds at the wall, where phi winds fastest, about as far apart as the
+    panels the quadrature keeps there; quarter levels alone left the fig3
+    disc a first panel of ~765 rad, halved over 7 refinement rounds. The
+    seeds only save rounds; the error test is unchanged. The step widens to
+    2 phi(a) / n for the seed allowance n = spec.max_subdivisions // 2, so
+    the equal steps take at most half of it, and the ladder stops at n
+    seeds in any case. The disc phase P (s-1)^-4 crosses a level in closed
+    form; the sphere's crossings are bisected, all levels in one elementwise
+    bisection.
     """
     lo = max(a, 1.0 + 1e-9)
     levels = [phase.phi(lo)]
     floor = max(phase.phase_floor * 4.0, 1e-3)
-    while levels[-1] > floor:
-        levels.append(levels[-1] / 4.0)
+    allowance = spec.max_subdivisions // 2
+    step = max(_PHASE_STEP, 2.0 * levels[0] / max(allowance, 1))
+    while levels[-1] > floor and len(levels) <= allowance:
+        levels.append(max(levels[-1] - step, levels[-1] / 4.0))
     if phase.obstacle.kind == "disc":
         return [1.0 + (phase.prefactor / lvl) ** 0.25 for lvl in levels[1:]]
     targets = np.array(levels[1:])
@@ -206,7 +227,7 @@ def _amplitude_grid(u_grid, k, ell, phase=None, quad=None):
     else:
         res = _integrate_on_probed_panels(
             obstacle, two_pi_k * u, 0.0, phase.s_negligible, spec,
-            [a] + _phase_breakpoints(phase, a))
+            [a] + _phase_breakpoints(phase, a, spec))
     return free + res.require_converged("obstacle integral").value
 
 

@@ -305,11 +305,13 @@ def test_main_requires_exactly_one_source(tmp_path, capsys):
 @pytest.mark.parametrize("key,value", [
     ("numerics.max_subdivisions", "inf"), ("grid.n_u", "inf"),
     ("particle.v_long", "inf"), ("grid.n_u", "nan"), ("grid.u_max", "-1"),
-    ("grid.u_max", "0"), ("grid.u_max", "inf"), ("grid.u_max", "nan")])
+    ("grid.u_max", "0"), ("grid.u_max", "inf"), ("grid.u_max", "nan"),
+    ("grid.n_u", "100.9"), ("numerics.max_subdivisions", "2.5")])
 def test_main_rejects_non_finite_and_non_positive_numbers(tmp_path, capsys,
                                                           key, value):
     # a number that cannot be used is a configuration error: exit 2 before
-    # anything is computed or written
+    # anything is computed or written; a fractional integer key is refused,
+    # never truncated
     items = parse_kv(load_preset("fig2a"))
     items[key] = value
     cfg_path = tmp_path / "scenario.cfg"
@@ -319,6 +321,16 @@ def test_main_rejects_non_finite_and_non_positive_numbers(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "config error" in err and key in err
     assert not out.exists()
+
+
+def test_integral_float_parses_as_integer():
+    items = parse_kv(load_preset("fig2a"))
+    items["grid.n_u"] = "241.0"
+    items["numerics.max_subdivisions"] = "3e3"
+    cfg = parse_config(serialize_kv(items))
+    assert cfg.n_u == 241 and type(cfg.n_u) is int
+    assert cfg.quad.max_subdivisions == 3000
+    assert type(cfg.quad.max_subdivisions) is int
 
 
 def test_main_bad_sweep_value(tmp_path, capsys):

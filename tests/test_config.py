@@ -1,6 +1,7 @@
 import pytest
 
-from arago.config import ConfigError, as_float, parse_kv, serialize_kv
+from arago.config import (ConfigError, as_float, as_int, parse_kv,
+                          serialize_kv)
 
 
 def test_parse_basic():
@@ -87,3 +88,16 @@ def test_as_float():
     for key in ("big", "nan"):
         with pytest.raises(ConfigError, match="not finite"):
             as_float(items, key)
+
+
+def test_as_int():
+    items = {"n": "241.0", "e": "2e3", "frac": "100.9", "half": "2.5",
+             "big": "inf"}
+    assert as_int(items, "n") == 241 and type(as_int(items, "n")) is int
+    assert as_int(items, "e") == 2000
+    assert as_int(items, "missing", default=600) == 600
+    for key in ("frac", "half"):
+        with pytest.raises(ConfigError, match="not an integer"):
+            as_int(items, key)
+    with pytest.raises(ConfigError, match="not finite"):
+        as_int(items, "big")

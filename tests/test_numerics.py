@@ -441,8 +441,8 @@ def test_bisect_elementwise_names_unbracketed_element():
 def test_fig3_disc_reads_j0_at_a_quarter_of_the_kronrod_rows(monkeypatch):
     # the fig3 disc at 2 m/s, averaged over its source: every J0 entry that
     # poisson forms, against the 31 x panels x radii entries of the 31-node
-    # rule on the same panels: 22002 of 86490 (0.25), where the 31-node
-    # rule formed all 86490
+    # rule on the same panels: 19892 of 74214 (0.27), where the 31-node
+    # rule formed all 74214
     obs = Obstacle("disc", 500e-9, 10e-9)
     particle = ParticleSpecies("au100", 19700.0, 5e-28, 2.0, 0.0)
     setup = PoissonSetup(500e-9, 500e-9, 0.125, 0.125, obs, particle)

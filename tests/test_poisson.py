@@ -649,21 +649,82 @@ def test_first_panels_call_of_each_integral_is_full(monkeypatch):
     assert calls[starts[1] + 1][1] > 1
 
 
-def test_phase_breakpoints_hit_quarter_levels():
-    # phi at the j-th breakpoint is phi(1 + eta) / 4^j, down to the floor;
-    # the disc's crossings are closed forms, the sphere's are bisected to
-    # 1e-10 in s
+def test_phase_breakpoints_step_the_wall_phase():
+    # the seed levels step down from phi(1 + eta) by _PHASE_STEP radians
+    # while L_j > 4 step / 3, then by quarters, and stop at the first level
+    # at or below the floor; phi at each seed is its level, in closed form
+    # for the disc and bisected to 1e-10 in s for the sphere
+    step = arago.poisson._PHASE_STEP
     disc = Obstacle("disc", 500e-9, 10e-9)
-    for obs, v, rtol in ((disc, 2.0, 1e-13), (disc, 20.2553946, 1e-13),
-                         (Obstacle("sphere", 500e-9), 2.0, 1e-6)):
+    for obs, v, rtol, linear in ((disc, 2.0, 1e-13, 40),
+                                 (disc, 20.2553946, 1e-13, 85),
+                                 (Obstacle("sphere", 500e-9), 2.0, 1e-6, 25)):
         setup = _setup(v=v, obstacle=obs, alpha=5e-28)
         phase = EikonalPhase(obs, setup.particle, v)
         a = 1.0 + capture_eta(obs, setup.particle, v)
-        pts = np.array(arago.poisson._phase_breakpoints(phase, a))
-        levels = phase.phi(a) / 4.0 ** np.arange(1, pts.size + 1)
-        assert pts.size > 5 and np.all(np.diff(pts) > 0)
+        pts = np.array(arago.poisson._phase_breakpoints(
+            phase, a, QuadratureSpec()))
+        levels = [phase.phi(a)]
+        while levels[-1] > 1e-3:
+            levels.append(levels[-1] - step if levels[-1] > 4.0 * step / 3.0
+                          else levels[-1] / 4.0)
+        levels = np.array(levels)
+        assert np.count_nonzero(levels[:-1] > 4.0 * step / 3.0) >= linear
+        assert pts.size == levels.size - 1 and np.all(np.diff(pts) > 0)
         assert levels[-2] > 1e-3 >= levels[-1]
-        assert np.allclose(phase.phi(pts), levels, rtol=rtol, atol=0.0)
+        assert np.allclose(phase.phi(pts), levels[1:], rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("kind,a", [("disc", 1.0 + 1e-4),
+                                    ("sphere", 1.0 + 1e-6)])
+def test_phase_breakpoints_stay_within_the_seed_allowance(kind, a):
+    # a wall phase of 1e6 rad and more would take phi / _PHASE_STEP equal
+    # steps; the step widens so that the seeds stay within half of
+    # max_subdivisions, and the ladder still reaches the floor when the
+    # allowance holds it
+    setup, phase = _fig3_source(kind, 2.0)
+    assert phase.phi(a) >= 1e6
+    for budget in (2000, 20, 1):
+        pts = np.array(arago.poisson._phase_breakpoints(
+            phase, a, QuadratureSpec(max_subdivisions=budget)))
+        assert pts.size <= budget // 2 and np.all(np.diff(pts) > 0)
+        if budget == 2000:
+            assert pts.size > 500 and phase.phi(pts[-1]) <= 1e-3
+
+
+def test_velocity_averaged_disc_seeds_the_wall_panels(monkeypatch):
+    # the fig3 disc averaged over its 9 velocity nodes and its source: with
+    # the wall phase seeded at equal steps, the 18 integrals (probe and
+    # full pass per node) make 35 _panels calls; halving a ~765 rad first
+    # panel round by round at the wall took 87
+    setup = _setup(R0=500e-9, v=2.0, obstacle=Obstacle("disc", 500e-9, 10e-9),
+                   dv_rel=0.1, alpha=5e-28)
+    phase = EikonalPhase(setup.obstacle, setup.particle, 2.0)
+    panels, calls = arago.numerics._panels, []
+
+    def counted_panels(*args):
+        calls.append(args)
+        return panels(*args)
+
+    monkeypatch.setattr(arago.numerics, "_panels", counted_panels)
+    wavelength_averaged_pattern(default_grid(setup.dimensionless(), 241),
+                                setup, phase)
+    assert len(calls) <= 40
+
+
+@pytest.mark.parametrize("kind", ["disc", "sphere"])
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+def test_fig3_source_average_meets_rel_tol(kind, rel_tol):
+    # the fig3 source-averaged profiles at 2 m/s against the same code at
+    # rel_tol 1e-12, abs_tol 1e-13 and 40000 subdivisions. Measured:
+    # <= 8.9e-15 (disc) and 2.0e-14 (sphere) relative
+    setup, phase = _fig3_source(kind, 2.0)
+    u = default_grid(setup.dimensionless(), 241)
+    w = source_averaged_pattern(u, setup, phase,
+                                QuadratureSpec(rel_tol=rel_tol)).w
+    ref = source_averaged_pattern(u, setup, phase, QuadratureSpec(
+        rel_tol=1e-12, abs_tol=1e-13, max_subdivisions=40000)).w
+    assert np.max(np.abs(w - ref) / ref) <= rel_tol
 
 
 def test_probed_panels_match_single_radius_amplitude():
