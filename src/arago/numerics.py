@@ -63,17 +63,17 @@ DEFAULT_SPEC = QuadratureSpec()
 
 @dataclass
 class QuadratureResult:
-    """Value + componentwise error estimate; `converged` is the accuracy flag.
+    """One value and one error estimate per scale, the panel count and the
+    accuracy flag `converged`.
 
     A False flag means the subdivision budget ran out before the tolerance was
     met. The estimate is still returned, never silently degraded.
     """
 
-    value: object          # complex scalar or complex ndarray (m,)
-    error: object          # float scalar or float ndarray (m,)
+    value: np.ndarray      # complex, shape (m,)
+    error: np.ndarray      # float, shape (m,)
     converged: bool
-    subdivisions: int
-    cuts: tuple            # interior boundaries of the final panels
+    subdivisions: int      # panels of the final partition, 0 if a == b
 
     def require_converged(self, what="quadrature"):
         if not self.converged:
@@ -256,9 +256,8 @@ def integrate_adaptive(g, a, b, scales, spec=None, points=()):
     certifies it to machine epsilon (see _panels), and at the Kronrod nodes
     where it does not. Scales [0] give the plain integral of g.
     `points` seeds the initial subdivision with known breakpoints (phase
-    levels, kinks); they are clipped to the open interval. The result's
-    `cuts` are the interior boundaries of the final panels: passing them as
-    `points` to a related integrand starts it on the panels this one needed.
+    levels, kinks); they are clipped to the open interval. Seeds that
+    already form a converged partition are evaluated once and not split.
 
     Refinement runs in rounds. Each round ranks the panels by their largest
     error-to-budget ratio over the scales, and halves the shortest
@@ -282,7 +281,7 @@ def integrate_adaptive(g, a, b, scales, spec=None, points=()):
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     if a == b:
         return QuadratureResult(np.zeros(scales.size, dtype=complex),
-                                np.zeros(scales.size), True, 0, ())
+                                np.zeros(scales.size), True, 0)
 
     edges = np.array([a] + sorted({float(p) for p in points if a < p < b})
                      + [b], dtype=float)
@@ -320,8 +319,7 @@ def integrate_adaptive(g, a, b, scales, spec=None, points=()):
         val, err = np.repeat(val, grow, axis=0), np.repeat(err, grow, axis=0)
         lo[at], hi[at], val[at], err[at] = new_lo, new_hi, new_val, new_err
 
-    return QuadratureResult(total, total_err, converged, lo.size,
-                            tuple(lo[1:].tolist()))
+    return QuadratureResult(total, total_err, converged, lo.size)
 
 
 # relative part of the bisection stopping test: 4 machine epsilons

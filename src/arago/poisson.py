@@ -28,11 +28,11 @@ few Chebyshev points of each panel that J0 barely changes across, and
 integrates all screen radii at once. With a phase, the panels start from
 the wall 1+eta and from where phi crosses levels 24 rad apart down from
 phi(1+eta), about the phase one final panel winds at the wall, and quarter
-levels below (_phase_breakpoints). They are adapted on a probe subset of
-the radii first; the whole grid is then integrated once on those panels
-and refined wherever any radius still needs it, under the same
-componentwise error test. Near a fast beam's wall, where phi reaches
-thousands of radians, the same refinement resolves the winding phase.
+levels below (_phase_breakpoints). The whole grid is integrated in one
+adaptive pass from those seeds, refined wherever any radius fails the
+componentwise error test, so one radius and a full grid take the same
+path. Near a fast beam's wall, where phi reaches thousands of radians, the
+same refinement resolves the winding phase.
 
 Finite sources average |psi|^2 over the projected source disc (radius
 beta = (L2/L1)(R0/R) in u units). The points of the disc at distance r from
@@ -179,24 +179,6 @@ def _phase_breakpoints(phase, a, spec):
                   1e-10).tolist()
 
 
-# probe scales for the obstacle panels: every 32nd screen radius + the largest
-_PROBE_STRIDE = 32
-
-
-def _integrate_on_probed_panels(g, scales, a, b, spec, points):
-    """int_a^b g(s) J0(c s) ds for every c in scales.
-
-    Adapting on a probe subset of the scales first, and seeding the full
-    pass with the probe's final panels, spares the full grid the
-    evaluations on panels that are later split. The full pass still refines
-    wherever any scale fails the componentwise error test.
-    """
-    probe = np.unique(np.append(scales[::_PROBE_STRIDE], scales.max()))
-    if scales.size > probe.size:
-        points = integrate_adaptive(g, a, b, probe, spec, points).cuts
-    return integrate_adaptive(g, a, b, scales, spec, points)
-
-
 def _amplitude_grid(u_grid, k, ell, phase=None, quad=None):
     """psi(u) for a whole grid of screen radii at once."""
     spec = quad or DEFAULT_SPEC
@@ -220,14 +202,14 @@ def _amplitude_grid(u_grid, k, ell, phase=None, quad=None):
 
     free = 1j * np.exp(-1j * math.pi * k * u * u / ell)
     if phase is None:
-        res = integrate_adaptive(obstacle, 0.0, a, two_pi_k * u, spec)
+        b, points = a, ()
     elif phase.s_negligible <= a:
         raise ValueError("capture radius swallows the interaction zone; "
                          "nothing left to integrate")
     else:
-        res = _integrate_on_probed_panels(
-            obstacle, two_pi_k * u, 0.0, phase.s_negligible, spec,
-            [a] + _phase_breakpoints(phase, a, spec))
+        b = phase.s_negligible
+        points = [a] + _phase_breakpoints(phase, a, spec)
+    res = integrate_adaptive(obstacle, 0.0, b, two_pi_k * u, spec, points)
     return free + res.require_converged("obstacle integral").value
 
 
@@ -323,11 +305,12 @@ def _chebyshev_amplitude(top, params, phase, quad):
     coefficients before it: the coefficients then sit on their rounding
     plateau, which is accepted if it is at most rel_tol times the largest
     coefficient. A plateau above that which a further doubling does not
-    lower either raises NumericsError.
+    lower either raises NumericsError, and so does a starting n above
+    _CHEB_MAX_NODES, before anything is sampled.
     """
     spec = quad or DEFAULT_SPEC
     s_max = phase.s_negligible if phase is not None else 1.0
-    n = int(math.ceil(1.5 * math.pi * params.k * s_max * top)) + 24
+    start = n = int(math.ceil(1.5 * math.pi * params.k * s_max * top)) + 24
     previous = math.inf
     while n <= _CHEB_MAX_NODES:
         theta = math.pi * (np.arange(n) + 0.5) / n
@@ -349,7 +332,8 @@ def _chebyshev_amplitude(top, params, phase, quad):
         n *= 2
     raise NumericsError(
         f"source average: the amplitude on [0, {top:.4g}] is not resolved "
-        f"by {_CHEB_MAX_NODES} Chebyshev nodes")
+        f"by {_CHEB_MAX_NODES} Chebyshev nodes (its bandwidth asks for "
+        f"{start} to start with)")
 
 
 def _source_average(u, beta, top, terms, rel_tol):
