@@ -20,6 +20,7 @@ import importlib.resources
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 
 from . import classical as cls
@@ -272,22 +273,50 @@ def _pattern(cfg, u, phase):
     return psn.point_source_pattern(u, p, phase, cfg.quad)
 
 
-def _classical_pattern(cfg, u, phase):
+def _screen_grid(cfg):
+    """The screen radii a near-field scenario computes on: the default grid,
+    without its origin in the modes with a classical profile, which
+    diverges there."""
+    u = psn.default_grid(cfg.poisson.dimensionless(), cfg.n_u, cfg.u_max)
+    return u[1:] if "classical" in _NEAR_FIELD_PROFILES[cfg.mode] else u
+
+
+def _polar_geometry(cfg):
+    """What a scenario's classical source average depends on besides the
+    profile it averages: the screen grid, beta and ell. None if the
+    scenario has no such average."""
+    if not (cfg.source_averaging
+            and "classical" in _NEAR_FIELD_PROFILES.get(cfg.mode, ())):
+        return None
+    p = cfg.poisson.dimensionless()
+    return _screen_grid(cfg).tobytes(), p.beta, p.ell
+
+
+def _classical_pattern(cfg, u, phase, operators):
     """Classical pattern on the origin-free grid u; the deflection model
-    averages over the source, never over velocities."""
+    averages over the source, never over velocities. A source average whose
+    geometry is a key of operators uses the operator stored there, built on
+    first use."""
     p = cfg.poisson.dimensionless()
     rmap = cls.ray_map(p, phase, s_max=max(8.0, u[-1] / p.ell + 2.0))
-    if cfg.source_averaging:
-        return cls.classical_source_averaged(u, cfg.poisson, rmap)
-    return cls.classical_point_pattern(u, rmap)
+    if not cfg.source_averaging:
+        return cls.classical_point_pattern(u, rmap)
+    key = _polar_geometry(cfg)
+    if key in operators and operators[key] is None:
+        operators[key] = cls.polar_average_operator(u, p.beta, p.ell)
+    return cls.classical_source_averaged(u, cfg.poisson, rmap,
+                                         operators.get(key))
 
 
-def run_scenario(cfg, out_dir):
+def run_scenario(cfg, out_dir, operators=None):
     """Execute one scenario, writing its artifacts into out_dir.
 
     Returns a ScenarioResult with the paths and summary metrics. On a
     numerical failure every partially written artifact is removed and the
-    exception propagates.
+    exception propagates. operators maps the classical source-average
+    geometries that several scenarios of a sweep share to their
+    polar_average_operator, None until the first of them builds it; a
+    single run passes none and averages directly.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -306,9 +335,7 @@ def run_scenario(cfg, out_dir):
             return ScenarioResult(list(written), math.nan, math.nan, math.nan)
 
         names = _NEAR_FIELD_PROFILES[cfg.mode]
-        u = psn.default_grid(cfg.poisson.dimensionless(), cfg.n_u, cfg.u_max)
-        if "classical" in names:
-            u = u[1:]  # the classical pattern diverges at the origin
+        u = _screen_grid(cfg)
         _write_report_kv(target("visibility.kv"),
                          psn.visibility_checks(cfg.poisson))
 
@@ -319,8 +346,11 @@ def run_scenario(cfg, out_dir):
                                  cfg.particle.v_long)
         profiles = []
         for name in names:
-            engine = _classical_pattern if name == "classical" else _pattern
-            profiles.append(engine(cfg, u, phase))
+            if name == "classical":
+                profiles.append(_classical_pattern(cfg, u, phase,
+                                                   operators or {}))
+            else:
+                profiles.append(_pattern(cfg, u, phase))
             _write_profile_csv(target(f"profile_{name}.csv"), profiles[-1])
 
         dist = math.nan
@@ -362,10 +392,19 @@ def sweep(cfg, key, values, out_dir):
     a scenario fails, the files of the earlier ones and the scenario
     directories the sweep created are removed (a directory only if empty),
     and the exception propagates.
+
+    A classical source-average geometry (screen grid, beta, ell) that two
+    or more scenarios share gets one polar_average_operator: the first of
+    them builds it, the rest reuse it, and it is dropped when the sweep
+    returns. A geometry that occurs once, as in a sweep over poisson.R0,
+    averages directly, since a build costs about two direct averages.
     """
     if key not in _KNOWN_KEYS or key == "mode":
         raise ConfigError(f"cannot sweep over {key!r}")
     configs = [(v, _apply_override(cfg.raw, key, v)) for v in values]
+    geometries = Counter(_polar_geometry(c) for _, c in configs)
+    operators = {g: None for g, n in geometries.items()
+                 if g is not None and n > 1}
 
     slug = key.replace(".", "_")
     dirs = [os.path.join(out_dir, f"{slug}_{i:02d}")
@@ -374,7 +413,7 @@ def sweep(cfg, key, values, out_dir):
     results = []
     try:
         for d, (_, c) in zip(dirs, configs):
-            results.append(run_scenario(c, d))
+            results.append(run_scenario(c, d, operators))
     except Exception:
         # the failed scenario has removed its own files already
         _discard([path for res in results for path in res.paths])

@@ -9,6 +9,7 @@ from arago.classical import (
     classical_point_pattern,
     classical_source_averaged,
     distinguishability,
+    polar_average_operator,
     ray_map,
 )
 from arago.interaction import EikonalPhase, Obstacle, capture_eta
@@ -18,14 +19,15 @@ from arago.poisson import (
     DimensionlessParams,
     PoissonSetup,
     RadialProfile,
+    default_grid,
 )
 
 
-def _fig3(kind):
+def _fig3(kind, R0=500e-9):
     b = 10e-9 if kind == "disc" else None
     obs = Obstacle(kind, 500e-9, b)
     p = ParticleSpecies("au100", 19700.0, 5e-28, 2.0)
-    setup = PoissonSetup(500e-9, 500e-9, 0.125, 0.125, obs, p)
+    setup = PoissonSetup(R0, 500e-9, 0.125, 0.125, obs, p)
     phase = EikonalPhase(obs, p, p.v_long)
     return setup, phase, ray_map(setup.dimensionless(), phase)
 
@@ -182,6 +184,27 @@ def test_source_averaged_beta_zero_identity():
     a = classical_point_pattern(grid, rmap)
     b = classical_source_averaged(grid, setup, rmap)
     assert np.array_equal(a.w, b.w)
+
+
+@pytest.mark.parametrize("kind,R0", [("sphere", 500e-9), ("disc", 500e-9),
+                                     ("sphere", 100e-9)])
+def test_polar_operator_matches_direct_average(kind, R0):
+    # the fig3 presets (beta = 1) and a smaller source (beta = 0.2) on their
+    # origin-free compare grid
+    setup, _, rmap = _fig3(kind, R0)
+    p = setup.dimensionless()
+    u = default_grid(p, 241)[1:]
+    op = polar_average_operator(u, p.beta, p.ell)
+    # g = work makes f = interp(r, work, work)/r = 1, and Gauss-Legendre
+    # integrates the disc's weight t exactly: every row averages to 1
+    # (measured 9e-16)
+    assert np.max(np.abs(op.apply(op.work) - 1.0)) <= 1e-14
+    # the operator reorders the direct rule's sums (measured 1e-15)
+    direct = classical_source_averaged(u, setup, rmap).w
+    shared = classical_source_averaged(u, setup, rmap, op).w
+    np.testing.assert_allclose(shared, direct, rtol=1e-13, atol=0)
+    with pytest.raises(ValueError, match="another grid"):
+        classical_source_averaged(u[:-1], setup, rmap, op)
 
 
 def test_pattern_rejects_origin():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import arago
+import arago.classical
 from arago.cli import (
     PRESET_NAMES,
     load_preset,
@@ -223,18 +224,81 @@ def test_rerun_byte_identical(tmp_path):
                        shallow=False)
 
 
+# a number as the artifacts print it
+_NUMBER = re.compile(r"[-+]?\d\.\d{8}e[-+]\d+")
+
+
+def _small_fig3_sphere(**overrides):
+    items = dict(parse_kv(load_preset("fig3-sphere")), **{"grid.n_u": "41"})
+    items.update(overrides)
+    return parse_config(serialize_kv(items))
+
+
 def test_sweep_matches_single_runs(tmp_path):
-    cfg = parse_config(load_preset("fig2a"))
-    summary = sweep(cfg, "particle.v_long", ["2.02553946"],
-                    str(tmp_path / "sw"))
-    single = tmp_path / "single"
-    run_scenario(cfg, str(single))
-    assert filecmp.cmp(tmp_path / "sw" / "particle_v_long_00"
-                       / "profile_ideal.csv",
-                       single / "profile_ideal.csv", shallow=False)
-    lines = open(summary).read().splitlines()
-    assert lines[1] == "value,w0,spot_radius,distinguishability"
-    assert len(lines) == 3
+    # fig2a matches byte for byte. The fig3-sphere compare scenarios share
+    # one classical source-average operator, whose mat-vec reorders the
+    # direct rule's sums: every printed number agrees to 1e-12.
+    cases = {"fig2a": (parse_config(load_preset("fig2a")), ["2.02553946"]),
+             "fig3-sphere": (_small_fig3_sphere(), ["1.5", "2.5"])}
+    for preset, (cfg, values) in cases.items():
+        out = tmp_path / preset
+        summary = sweep(cfg, "particle.v_long", values, str(out / "sw"))
+        for i, value in enumerate(values):
+            single = out / f"single_{i:02d}"
+            run_scenario(parse_config(serialize_kv(
+                dict(cfg.raw, **{"particle.v_long": value}))), str(single))
+            swept = out / "sw" / f"particle_v_long_{i:02d}"
+            assert sorted(os.listdir(swept)) == sorted(os.listdir(single))
+            for name in os.listdir(single):
+                a, b = (swept / name).read_text(), (single / name).read_text()
+                if preset == "fig2a":
+                    assert a == b, name
+                    continue
+                assert _NUMBER.sub("#", a) == _NUMBER.sub("#", b), name
+                np.testing.assert_allclose(
+                    [float(x) for x in _NUMBER.findall(a)],
+                    [float(x) for x in _NUMBER.findall(b)], rtol=1e-12,
+                    atol=0, err_msg=name)
+        lines = open(summary).read().splitlines()
+        assert lines[1] == "value,w0,spot_radius,distinguishability"
+        assert len(lines) == 2 + len(values)
+
+
+@pytest.fixture
+def operator_builds(monkeypatch):
+    """Counts the classical source-average operators built."""
+    builds = []
+    build = arago.classical.polar_average_operator
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+    monkeypatch.setattr(arago.classical, "polar_average_operator", counted)
+    return builds
+
+
+def test_sweep_shares_one_operator_per_geometry(tmp_path, operator_builds):
+    # the velocity does not enter the source average: three velocities
+    # share one geometry and build once
+    cfg = _small_fig3_sphere()
+    sweep(cfg, "particle.v_long", ["1.5", "2", "2.5"], str(tmp_path / "v"))
+    assert len(operator_builds) == 1
+    # each source radius is its own geometry, used once: averaged directly
+    sweep(cfg, "poisson.R0", ["250e-9", "500e-9"], str(tmp_path / "r0"))
+    assert len(operator_builds) == 1
+    # a single run averages directly
+    run_scenario(cfg, str(tmp_path / "single"))
+    assert len(operator_builds) == 1
+
+
+def test_operator_lives_for_one_sweep(tmp_path, operator_builds):
+    # a second sweep of the same geometry in the same process builds again
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(serialize_config(_small_fig3_sphere()))
+    for run in ("a", "b"):
+        assert main([str(cfg_path), "--out", str(tmp_path / run),
+                     "--sweep", "particle.v_long=1.5,2"]) == 0
+    assert len(operator_builds) == 2
 
 
 def test_sweep_velocity_scaling(tmp_path):
