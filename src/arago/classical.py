@@ -20,15 +20,13 @@ element u du and is never evaluated at u = 0.
 The classical and quantum engines consume the same EikonalPhase object and
 read the particle, velocity and capture radius from it. The finite-source
 averages differ: the quantum engine uses the arc-length kernel of
-poisson.annular_average, this engine a polar rule (_polar_average) whose
-discretization error near the focal divergence is frozen in the recorded
-classical reference profile; it keeps that rule until the reference is
-re-recorded. The rule is linear in the tabulated profile g = u w(u) and
-depends otherwise only on the screen grid, beta and ell. Profiles that
-share those, as the scenarios of a velocity sweep do, can share it as one
-banded matrix (polar_average_operator), built once and applied as a
-mat-vec per profile; a lone profile runs the rule directly, at about half
-the cost of a build.
+poisson.annular_average, this engine a polar rule whose discretization
+error near the focal divergence is frozen in the recorded classical
+reference profile; it keeps that rule until the reference is re-recorded.
+The rule is linear in the tabulated profile g = u w(u) and depends
+otherwise only on the screen grid, beta and ell, so it runs as one banded
+matrix (polar_average_operator) applied to g. Profiles that share the
+geometry, as the scenarios of a velocity sweep do, share the matrix.
 """
 
 import math
@@ -142,32 +140,34 @@ def _polar_rule(n_t, n_theta):
 # the classical source average's rule: 48 offsets x 256 angles
 _POLAR_RULE = _polar_rule(48, 256)
 
-
-def _polar_average(u, beta, radial_fn, rule=_POLAR_RULE):
-    """Mean of a radial function over the disc of radius beta around each u:
-    (2/beta^2) int_0^beta t dt <f(sqrt(u^2 + t^2 + 2 u t cos theta))>_theta,
-    Gauss-Legendre in t, midpoints in theta (see _polar_rule). Near the
-    focal 1/r divergence the default rule is off by 0.4 % at u = 0.275 and
-    0.7 % at u = 0.5 in both fig3 presets (against the arc-length kernel at
-    4096 nodes).
-    """
-    x1, w_t, cos_t = rule
-    t = 0.5 * beta * x1
-    wt = 0.5 * beta * w_t
-    out = np.zeros_like(u)
-    for ti, wi in zip(t, wt):
-        r = np.sqrt(np.maximum(u[:, None] ** 2 + ti * ti
-                               + 2.0 * u[:, None] * ti * cos_t[None, :], 0.0))
-        out += wi * ti * radial_fn(r.ravel()).reshape(r.shape).mean(axis=1)
-    return out * (2.0 / beta ** 2)
+# nodes of the work grid: geometric up to 0.2 ell, then uniform
+_GEOMETRIC_NODES = 500
+_UNIFORM_NODES = 2000
 
 
 def _work_grid(top, ell):
     """Radii on which the classical source average tabulates g = u w(u):
-    geometric near the focus, uniform beyond 0.2 ell, up to 1.001 top."""
+    geometric near the focus, uniform beyond 0.2 ell, up to 1.001 top. The
+    two parts share 0.2 ell, at index _GEOMETRIC_NODES - 1."""
     return np.unique(np.concatenate([
-        np.geomspace(1e-6 * ell, 0.2 * ell, 500),
-        np.linspace(0.2 * ell, top * 1.001, 2000)]))
+        np.geomspace(1e-6 * ell, 0.2 * ell, _GEOMETRIC_NODES),
+        np.linspace(0.2 * ell, top * 1.001, _UNIFORM_NODES)]))
+
+
+def _work_position(r, work):
+    """Fractional index of radii r <= work[-1] on work = _work_grid(...),
+    as np.interp(r, work, np.arange(work.size)) gives it, clamped to 0
+    below work[0]: in closed form on the uniform part, by np.interp on the
+    geometric part below it."""
+    seam = _GEOMETRIC_NODES - 1
+    scale = (_UNIFORM_NODES - 1) / (work[-1] - work[seam])
+    pos = r * scale
+    pos += seam - work[seam] * scale
+    below = r < work[seam]
+    if below.any():
+        pos[below] = np.interp(r[below], work[:seam + 1],
+                               np.arange(seam + 1.0))
+    return pos
 
 
 # screen radii per block of the banded operator
@@ -176,7 +176,8 @@ _BLOCK_ROWS = 6
 
 @dataclass(frozen=True)
 class PolarAverage:
-    """_polar_average of f(r) = np.interp(r, work, g)/r as a matrix M on g.
+    """The polar rule's mean of f(r) = np.interp(r, work, g)/r over the
+    source disc around each screen radius, as a matrix M on g.
 
     A row of M reaches only the work cells of [|u - beta|, u + beta], so M
     is stored by blocks of _BLOCK_ROWS rows, each dense over the columns
@@ -199,62 +200,69 @@ def polar_average_operator(u_grid, beta, ell):
     """The classical source average on the origin-free grid u_grid as a
     PolarAverage; it depends on the geometry only, not on the profile.
 
-    Node (t_k, theta_m) of the rule adds c_k/r, c_k = (2/beta^2) w_k t_k /
-    (n_theta/2), to row u, split as (1 - lam) on the work cell j below its
-    radius r and lam on cell j + 1, as np.interp weighs them (below work[0]
-    it clamps to j = 0, lam = 0). Building costs about two direct passes of
-    _polar_average and applying it about a millisecond, so it pays where
-    several profiles share the geometry.
+    The rule averages f over the disc of radius beta around u,
+    (2/beta^2) int_0^beta t dt <f(sqrt(u^2 + t^2 + 2 u t cos theta))>_theta,
+    by Gauss-Legendre in t and midpoints in theta (_POLAR_RULE). Node
+    (t_k, theta_m) adds c_k/r, c_k = (2/beta^2) w_k t_k / (n_theta/2), to
+    row u, split as (1 - lam) on the work cell j below its radius r and
+    lam on cell j + 1, as np.interp weighs them (below work[0] it clamps to
+    j = 0, lam = 0). Near the focal 1/r divergence the rule is off by
+    0.4 % at u = 0.275 and 0.7 % at u = 0.5 in both fig3 presets (against
+    the arc-length kernel at 4096 nodes). A build takes about 25 ms on the
+    fig3 grids and a mat-vec about a millisecond.
     """
     u = np.asarray(u_grid, dtype=float)
     work = _work_grid(u.max() + beta, ell)
     x1, w_t, cos_t = _POLAR_RULE
     t = (0.5 * beta * x1)[:, None]
     c = (0.5 * beta * w_t)[:, None] * t * (2.0 / beta ** 2) / cos_t.size
-    cells = np.arange(work.size, dtype=float)
+    t_sq = t * t
     blocks = []
     for i0 in range(0, u.size, _BLOCK_ROWS):
         ub = u[i0:i0 + _BLOCK_ROWS, None, None]
         nb = ub.shape[0]
-        r = np.sqrt(np.maximum(ub * ub + t * t + 2.0 * ub * t * cos_t, 0.0))
-        weight = c / np.maximum(r, 1e-300)
-        pos = np.interp(r, work, cells)
-        j = np.minimum(pos.astype(np.intp), work.size - 2)
-        lam_weight = (pos - j) * weight
+        # r^2 = u^2 + t^2 + 2 u t cos(theta), rounded as the direct sum
+        # does; |cos| < 1 and t > 0 keep it positive, and r < u + beta
+        # keeps j + 1 on the work grid, which ends at 1.001 (u.max() + beta)
+        r = (2.0 * ub * t) * cos_t
+        r += ub * ub + t_sq
+        np.sqrt(r, out=r)
+        weight = c / r
+        pos = _work_position(r, work)
+        j = pos.astype(np.intp)
+        lam = np.subtract(pos, j, out=pos)
+        lam *= weight
+        weight -= lam
         j0 = int(j.min())
         width = int(j.max()) + 2 - j0
         flat = (j + (np.arange(nb) * width - j0)[:, None, None]).ravel()
         size = nb * width
-        block = (np.bincount(flat, (weight - lam_weight).ravel(), size)
-                 + np.bincount(flat + 1, lam_weight.ravel(), size))
+        block = np.bincount(flat, weight.ravel(), size)
+        block[1:] += np.bincount(flat, lam.ravel(), size - 1)
         blocks.append((i0, j0, block.reshape(nb, width)))
     return PolarAverage(u, beta, work, tuple(blocks))
 
 
 def classical_source_averaged(u_grid, setup, rmap, operator=None):
     """Finite-source version of classical_point_pattern, averaged with the
-    polar rule of _polar_average (see the module notes). The integrable 1/u
-    focal divergence is handled by interpolating u * w(u), which stays
-    finite down to the axis. The projected source radius beta does not
-    depend on velocity, so profiles that share the grid and geometry can
-    share one polar_average_operator: given one, the average is its
-    mat-vec, which agrees with the direct rule to rounding (1e-13
-    relative); without one, the rule runs directly."""
+    polar rule of polar_average_operator (see the module notes). The
+    integrable 1/u focal divergence is handled by interpolating u * w(u),
+    which stays finite down to the axis. The projected source radius beta
+    does not depend on velocity, so profiles that share the grid and
+    geometry can share one operator; without one, one is built for this
+    profile."""
     beta = setup.dimensionless().beta
     u = np.asarray(u_grid, dtype=float)
     if beta == 0.0:
         return classical_point_pattern(u, rmap)
     work = _work_grid(u.max() + beta, rmap.ell)
-    g = work * classical_point_pattern(work, rmap).w  # u*w, finite at 0
     if operator is None:
-        w = _polar_average(u, beta, lambda r: np.interp(r, work, g)
-                           / np.maximum(r, 1e-300))
-    else:
-        if not (np.array_equal(operator.u, u) and operator.beta == beta
-                and np.array_equal(operator.work, work)):
-            raise ValueError("operator built for another grid or geometry")
-        w = operator.apply(g)
-    return RadialProfile(u, np.maximum(w, 0.0))
+        operator = polar_average_operator(u, beta, rmap.ell)
+    elif not (np.array_equal(operator.u, u) and operator.beta == beta
+              and np.array_equal(operator.work, work)):
+        raise ValueError("operator built for another grid or geometry")
+    g = work * classical_point_pattern(work, rmap).w  # u*w, finite at 0
+    return RadialProfile(u, np.maximum(operator.apply(g), 0.0))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import importlib.resources
 import math
 import os
 import sys
-from collections import Counter
 from dataclasses import asdict, dataclass, fields
 
 from . import classical as cls
@@ -281,31 +280,21 @@ def _screen_grid(cfg):
     return u[1:] if "classical" in _NEAR_FIELD_PROFILES[cfg.mode] else u
 
 
-def _polar_geometry(cfg):
-    """What a scenario's classical source average depends on besides the
-    profile it averages: the screen grid, beta and ell. None if the
-    scenario has no such average."""
-    if not (cfg.source_averaging
-            and "classical" in _NEAR_FIELD_PROFILES.get(cfg.mode, ())):
-        return None
-    p = cfg.poisson.dimensionless()
-    return _screen_grid(cfg).tobytes(), p.beta, p.ell
-
-
 def _classical_pattern(cfg, u, phase, operators):
     """Classical pattern on the origin-free grid u; the deflection model
-    averages over the source, never over velocities. A source average whose
-    geometry is a key of operators uses the operator stored there, built on
-    first use."""
+    averages over the source, never over velocities. A source average takes
+    its polar_average_operator from operators, keyed by what it depends on
+    besides the profile (the screen grid, beta and ell), and builds and
+    stores it on first use."""
     p = cfg.poisson.dimensionless()
     rmap = cls.ray_map(p, phase, s_max=max(8.0, u[-1] / p.ell + 2.0))
     if not cfg.source_averaging:
         return cls.classical_point_pattern(u, rmap)
-    key = _polar_geometry(cfg)
-    if key in operators and operators[key] is None:
+    key = u.tobytes(), p.beta, p.ell
+    if key not in operators:
         operators[key] = cls.polar_average_operator(u, p.beta, p.ell)
     return cls.classical_source_averaged(u, cfg.poisson, rmap,
-                                         operators.get(key))
+                                         operators[key])
 
 
 def run_scenario(cfg, out_dir, operators=None):
@@ -313,10 +302,10 @@ def run_scenario(cfg, out_dir, operators=None):
 
     Returns a ScenarioResult with the paths and summary metrics. On a
     numerical failure every partially written artifact is removed and the
-    exception propagates. operators maps the classical source-average
-    geometries that several scenarios of a sweep share to their
-    polar_average_operator, None until the first of them builds it; a
-    single run passes none and averages directly.
+    exception propagates. operators is the dict of classical
+    source-average operators that the scenarios of one sweep share (see
+    _classical_pattern); a single run passes none, and builds its own
+    operator and drops it.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -347,8 +336,8 @@ def run_scenario(cfg, out_dir, operators=None):
         profiles = []
         for name in names:
             if name == "classical":
-                profiles.append(_classical_pattern(cfg, u, phase,
-                                                   operators or {}))
+                profiles.append(_classical_pattern(
+                    cfg, u, phase, {} if operators is None else operators))
             else:
                 profiles.append(_pattern(cfg, u, phase))
             _write_profile_csv(target(f"profile_{name}.csv"), profiles[-1])
@@ -393,18 +382,15 @@ def sweep(cfg, key, values, out_dir):
     directories the sweep created are removed (a directory only if empty),
     and the exception propagates.
 
-    A classical source-average geometry (screen grid, beta, ell) that two
-    or more scenarios share gets one polar_average_operator: the first of
-    them builds it, the rest reuse it, and it is dropped when the sweep
-    returns. A geometry that occurs once, as in a sweep over poisson.R0,
-    averages directly, since a build costs about two direct averages.
+    Scenarios that share a classical source-average geometry (screen grid,
+    beta, ell), as a velocity sweep's do, share one polar_average_operator:
+    the first of them builds it, the rest reuse it, and it is dropped when
+    the sweep returns.
     """
     if key not in _KNOWN_KEYS or key == "mode":
         raise ConfigError(f"cannot sweep over {key!r}")
     configs = [(v, _apply_override(cfg.raw, key, v)) for v in values]
-    geometries = Counter(_polar_geometry(c) for _, c in configs)
-    operators = {g: None for g, n in geometries.items()
-                 if g is not None and n > 1}
+    operators = {}
 
     slug = key.replace(".", "_")
     dirs = [os.path.join(out_dir, f"{slug}_{i:02d}")

@@ -19,7 +19,9 @@ with m = -1 on [0, 1+eta), where the obstacle blocks the free wave, and
 m = e^{i phi} - 1 on (1+eta, s_neg]. The capture parameter eta removes
 adsorbed particles, with eta = capture_eta of the phase's own obstacle,
 particle and velocity; the integral truncates where phi falls below the
-phase floor, with a truncation error bounded by the floor. The ideal
+phase floor. The floor bounds the dropped integrand's phase factor
+|e^{i phi} - 1|, not the dropped integral: the point pattern's truncation
+error at the spot measures 1-3x the floor (ROADMAP item 3). The ideal
 obstacle (no phase) has eta = 0 and s_neg = 1: the blocked disc alone.
 
 integrate_adaptive takes the obstacle integral as a complex radial factor

@@ -1,5 +1,9 @@
 """Reference formulas that only the tests use."""
 
+import numpy as np
+
+from arago.classical import _POLAR_RULE
+
 
 def spot_radius(params):
     """Estimated bright-spot radius 0.4/k (units of R).
@@ -8,3 +12,21 @@ def spot_radius(params):
     2.40483/(2 pi k) = 0.383/k; 0.4/k is the conventional round number.
     """
     return 0.4 / params.k
+
+
+def polar_average(u, beta, radial_fn, rule=_POLAR_RULE):
+    """Mean of a radial function over the disc of radius beta around each u:
+    (2/beta^2) int_0^beta t dt <f(sqrt(u^2 + t^2 + 2 u t cos theta))>_theta,
+    Gauss-Legendre in t, midpoints in theta (see classical._polar_rule),
+    summed directly. The default is the classical source average's rule,
+    which classical.polar_average_operator builds as a matrix.
+    """
+    x1, w_t, cos_t = rule
+    t = 0.5 * beta * x1
+    wt = 0.5 * beta * w_t
+    out = np.zeros_like(u)
+    for ti, wi in zip(t, wt):
+        r = np.sqrt(np.maximum(u[:, None] ** 2 + ti * ti
+                               + 2.0 * u[:, None] * ti * cos_t[None, :], 0.0))
+        out += wi * ti * radial_fn(r.ravel()).reshape(r.shape).mean(axis=1)
+    return out * (2.0 / beta ** 2)

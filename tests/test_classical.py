@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from arago.classical import (
+    _POLAR_RULE,
     RayMap,
     _branch_sum,
+    _work_grid,
+    _work_position,
     classical_point_pattern,
     classical_source_averaged,
     distinguishability,
@@ -21,6 +24,8 @@ from arago.poisson import (
     RadialProfile,
     default_grid,
 )
+
+from references import polar_average
 
 
 def _fig3(kind, R0=500e-9):
@@ -190,21 +195,55 @@ def test_source_averaged_beta_zero_identity():
                                      ("sphere", 100e-9)])
 def test_polar_operator_matches_direct_average(kind, R0):
     # the fig3 presets (beta = 1) and a smaller source (beta = 0.2) on their
-    # origin-free compare grid
+    # origin-free compare grid, against the rule summed directly
     setup, _, rmap = _fig3(kind, R0)
     p = setup.dimensionless()
     u = default_grid(p, 241)[1:]
     op = polar_average_operator(u, p.beta, p.ell)
+    work = op.work
+
+    def direct(g):
+        return polar_average(u, p.beta, lambda r: np.interp(r, work, g)
+                             / np.maximum(r, 1e-300))
+
     # g = work makes f = interp(r, work, work)/r = 1, and Gauss-Legendre
     # integrates the disc's weight t exactly: every row averages to 1
     # (measured 9e-16)
-    assert np.max(np.abs(op.apply(op.work) - 1.0)) <= 1e-14
-    # the operator reorders the direct rule's sums (measured 1e-15)
-    direct = classical_source_averaged(u, setup, rmap).w
-    shared = classical_source_averaged(u, setup, rmap, op).w
-    np.testing.assert_allclose(shared, direct, rtol=1e-13, atol=0)
+    assert np.max(np.abs(op.apply(work) - 1.0)) <= 1e-14
+    # the physical g, and a random g kinked at every work cell, where a node
+    # put in the wrong cell moves its term by O(1); the operator reorders
+    # the direct rule's sums (measured 1.1e-15 and 4.9e-15)
+    physical = work * classical_point_pattern(work, rmap).w
+    kinked = np.random.default_rng(17).uniform(0.5, 1.5, work.size)
+    for g in (physical, kinked):
+        np.testing.assert_allclose(op.apply(g), direct(g), rtol=1e-13,
+                                   atol=0)
+    np.testing.assert_array_equal(
+        classical_source_averaged(u, setup, rmap, op).w,
+        classical_source_averaged(u, setup, rmap).w)
     with pytest.raises(ValueError, match="another grid"):
         classical_source_averaged(u[:-1], setup, rmap, op)
+
+
+@pytest.mark.parametrize("R0", [500e-9, 100e-9])
+def test_work_position_matches_interp(R0):
+    # every node radius of the rule on the fig3 compare grid, with the seam
+    # at 0.2 ell, its neighbours and the clamp below work[0] added
+    setup, _, _ = _fig3("sphere", R0)
+    p = setup.dimensionless()
+    u = default_grid(p, 241)[1:]
+    work = _work_grid(u.max() + p.beta, p.ell)
+    seam = 0.2 * p.ell
+    x1, _, cos_t = _POLAR_RULE
+    t = 0.5 * p.beta * x1[:, None]
+    r = np.sqrt(np.maximum(u[:, None, None] ** 2 + t * t
+                           + 2.0 * u[:, None, None] * t * cos_t, 0.0)).ravel()
+    assert r.min() < seam < r.max()
+    r = np.concatenate([r, [0.0, 0.5 * work[0], work[0], np.nextafter(
+        seam, 0.0), seam, np.nextafter(seam, 1.0), work[-1]]])
+    ref = np.interp(r, work, np.arange(work.size))
+    # measured 4.5e-13, one ulp of the index
+    assert np.max(np.abs(_work_position(r, work) - ref)) <= 1e-9
 
 
 def test_pattern_rejects_origin():

@@ -5,7 +5,7 @@ import pytest
 
 import arago.numerics
 import arago.poisson
-from arago.classical import _polar_average, _polar_rule
+from arago.classical import _polar_rule
 from arago.interaction import EikonalPhase, Obstacle, capture_eta
 from arago.numerics import (_CALL_SIZE, NumericsError, QuadratureSpec,
                             bessel_j0)
@@ -22,7 +22,7 @@ from arago.poisson import (
     visibility_checks,
     wavelength_averaged_pattern,
 )
-from references import spot_radius
+from references import polar_average, spot_radius
 
 # velocity that puts a 19700 amu particle at a 10 pm wavelength, so that the
 # 500 nm / 0.125 m geometry lands at k = 0.2, ell = 2 exactly
@@ -176,7 +176,7 @@ def test_annular_average_matches_polar_rule():
 
     for beta in ANNULAR_BETA:
         u = ANNULAR_U * beta
-        ref = _polar_average(u, beta, f, rule=_polar_rule(400, 8192))
+        ref = polar_average(u, beta, f, rule=_polar_rule(400, 8192))
         assert np.allclose(annular_average(u, beta, f), ref, rtol=0,
                            atol=1e-9)
 
