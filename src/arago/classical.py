@@ -20,7 +20,8 @@ element u du and is never evaluated at u = 0.
 The classical and quantum engines consume the same EikonalPhase object and
 read the particle, velocity and capture radius from it. The finite-source
 averages differ: the quantum engine uses the arc-length kernel of
-poisson.annular_average, this engine a polar rule whose discretization
+poisson.annular_average (as the matrix poisson.arc_average_operator), this
+engine a polar rule whose discretization
 error near the focal divergence is frozen in the recorded classical
 reference profile; it keeps that rule until the reference is re-recorded.
 The rule is linear in the tabulated profile g = u w(u) and depends

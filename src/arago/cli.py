@@ -197,22 +197,17 @@ def parse_config(text):
                           velocity_averaging=vel_avg, raw=dict(items))
 
 
-def serialize_config(cfg):
-    """Canonical text form of a parsed scenario (sorted keys, LF)."""
-    return serialize_kv(cfg.raw)
-
-
 def _fmt(x):
     return f"{x:.8e}"
 
 
 def _write_profile_csv(path, profile):
+    rows = "".join(f"{ui:.8e},{wi:.8e}\n" for ui, wi in
+                   zip(profile.u.tolist(), profile.w.tolist()))
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write("# u = screen radius in units of the obstacle radius R; "
-                 "w = intensity normalized to the obstacle-free beam\n")
-        fh.write("u,w\n")
-        for ui, wi in zip(profile.u, profile.w):
-            fh.write(f"{_fmt(ui)},{_fmt(wi)}\n")
+                 "w = intensity normalized to the obstacle-free beam\n"
+                 "u,w\n" + rows)
 
 
 def _write_report_kv(path, rows):
@@ -260,15 +255,25 @@ def _discard(paths, remove=os.unlink):
             pass
 
 
-def _pattern(cfg, u, phase):
-    """Quantum/ideal pattern on grid u honoring the averaging flags."""
+def _pattern(cfg, u, phase, operators):
+    """Quantum/ideal pattern on grid u honoring the averaging flags. A
+    source average takes its arc_average_operator from operators, keyed by
+    what it depends on (the screen grid and beta), and builds and stores it
+    on first use."""
+    p = cfg.poisson.dimensionless()
+    operator = None
+    if cfg.source_averaging:
+        key = "arc", u.tobytes(), p.beta
+        if key not in operators:
+            operators[key] = psn.arc_average_operator(u, p.beta)
+        operator = operators[key]
     if cfg.velocity_averaging:
         return psn.wavelength_averaged_pattern(
             u, cfg.poisson, phase, cfg.quad,
-            source_averaging=cfg.source_averaging)
+            source_averaging=cfg.source_averaging, operator=operator)
     if cfg.source_averaging:
-        return psn.source_averaged_pattern(u, cfg.poisson, phase, cfg.quad)
-    p = cfg.poisson.dimensionless()
+        return psn.source_averaged_pattern(u, cfg.poisson, phase, cfg.quad,
+                                           operator)
     return psn.point_source_pattern(u, p, phase, cfg.quad)
 
 
@@ -290,7 +295,7 @@ def _classical_pattern(cfg, u, phase, operators):
     rmap = cls.ray_map(p, phase, s_max=max(8.0, u[-1] / p.ell + 2.0))
     if not cfg.source_averaging:
         return cls.classical_point_pattern(u, rmap)
-    key = u.tobytes(), p.beta, p.ell
+    key = "polar", u.tobytes(), p.beta, p.ell
     if key not in operators:
         operators[key] = cls.polar_average_operator(u, p.beta, p.ell)
     return cls.classical_source_averaged(u, cfg.poisson, rmap,
@@ -302,12 +307,13 @@ def run_scenario(cfg, out_dir, operators=None):
 
     Returns a ScenarioResult with the paths and summary metrics. On a
     numerical failure every partially written artifact is removed and the
-    exception propagates. operators is the dict of classical
-    source-average operators that the scenarios of one sweep share (see
-    _classical_pattern); a single run passes none, and builds its own
-    operator and drops it.
+    exception propagates. operators is the dict of source-average
+    operators that the scenarios of one sweep share, quantum and classical
+    (see _pattern and _classical_pattern); a single run passes none, and
+    builds its own operators and drops them.
     """
     os.makedirs(out_dir, exist_ok=True)
+    operators = {} if operators is None else operators
     written = []
 
     def target(name):
@@ -336,10 +342,9 @@ def run_scenario(cfg, out_dir, operators=None):
         profiles = []
         for name in names:
             if name == "classical":
-                profiles.append(_classical_pattern(
-                    cfg, u, phase, {} if operators is None else operators))
+                profiles.append(_classical_pattern(cfg, u, phase, operators))
             else:
-                profiles.append(_pattern(cfg, u, phase))
+                profiles.append(_pattern(cfg, u, phase, operators))
             _write_profile_csv(target(f"profile_{name}.csv"), profiles[-1])
 
         dist = math.nan
@@ -382,10 +387,13 @@ def sweep(cfg, key, values, out_dir):
     directories the sweep created are removed (a directory only if empty),
     and the exception propagates.
 
-    Scenarios that share a classical source-average geometry (screen grid,
-    beta, ell), as a velocity sweep's do, share one polar_average_operator:
-    the first of them builds it, the rest reuse it, and it is dropped when
-    the sweep returns.
+    Scenarios that share a source-average geometry, as a velocity sweep's
+    do, share its operators: one arc_average_operator per screen grid and
+    beta for the quantum profiles, which grows to the longest intensity
+    series among them, and one polar_average_operator per screen grid,
+    beta and ell for the classical ones. The first scenario that needs an
+    operator builds it, the rest reuse it, and all are dropped when the
+    sweep returns.
     """
     if key not in _KNOWN_KEYS or key == "mode":
         raise ConfigError(f"cannot sweep over {key!r}")

@@ -43,13 +43,6 @@ def amu_to_kg(m):
     return m * CONST.amu
 
 
-def kg_to_amu(m):
-    """Inverse of amu_to_kg."""
-    if not m > 0:
-        raise ValueError(f"mass must be positive, got {m}")
-    return m / CONST.amu
-
-
 def polarizability_to_C4(alpha):
     """C4 coefficient (J m^4) of the retarded surface attraction -C4/z^4.
 

@@ -22,20 +22,6 @@ def de_broglie_wavelength(mass, v):
     return CONST.h / (amu_to_kg(mass) * v)
 
 
-def thermal_velocity(mass, T):
-    """Most probable velocity sqrt(2 kB T / m) of a thermal beam source."""
-    if not (mass > 0 and T > 0):
-        raise ValueError("mass and temperature must be positive")
-    return math.sqrt(2.0 * CONST.kB * T / amu_to_kg(mass))
-
-
-def thermal_wavelength(mass, T):
-    """Wavelength at the most probable thermal velocity, h/sqrt(2 kB T m)."""
-    if not (mass > 0 and T > 0):
-        raise ValueError("mass and temperature must be positive")
-    return CONST.h / math.sqrt(2.0 * CONST.kB * T * amu_to_kg(mass))
-
-
 @dataclass(frozen=True)
 class ParticleSpecies:
     """A particle type plus its beam kinematics.

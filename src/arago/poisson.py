@@ -39,18 +39,23 @@ same refinement resolves the winding phase.
 Finite sources average |psi|^2 over the projected source disc (radius
 beta = (L2/L1)(R0/R) in u units). The points of the disc at distance r from
 the origin form an arc, so the disc mean is a 1-D integral of the radial
-pattern against an arc-length kernel (annular_average). The kernel's nodes
-read psi from a Chebyshev interpolant on [0, u_max + beta]: psi is an entire
-function of u (the free chirp plus Hankel transforms of radial functions
-supported on [0, s_neg]), so its Chebyshev coefficients decay geometrically
-once the degree passes its bandwidth, and the decay of the coefficient tail
-certifies the degree. The kernel reads |psi|^2 from a real Chebyshev series
-of its own, exact because its degree is below twice the amplitude's, and
-cut where its coefficient tail sums below 1e-6 rel_tol of its largest.
-Velocity spreads average over deterministic velocity nodes with the
-interaction phase, and with it eta, rebuilt per node; the source average
-is linear in the intensity, so the nodes' weighted intensities are summed
-into one series on the shared [0, u_max + beta] and the kernel runs once.
+pattern against an arc-length kernel (annular_average). psi is read from a
+Chebyshev interpolant on [0, u_max + beta]: psi is an entire function of u
+(the free chirp plus Hankel transforms of radial functions supported on
+[0, s_neg]), so its Chebyshev coefficients decay geometrically once the
+degree passes its bandwidth, and the decay of the coefficient tail
+certifies the degree. |psi|^2 is a real Chebyshev series of its own, exact
+because its degree is below twice the amplitude's, and cut where its
+coefficient tail sums below 1e-6 rel_tol of its largest. The kernel is
+linear in that series, so it runs as a matrix on its coefficients
+(arc_average_operator): column m is the kernel average of T_m, made by the
+three-term recurrence at the kernel's nodes, and a profile costs one
+mat-vec. The matrix depends on the screen grid and beta only, not on the
+velocity, so the scenarios of a velocity sweep share one, grown to the
+longest series among them. Velocity spreads average over deterministic
+velocity nodes with the interaction phase, and with it eta, rebuilt per
+node; the nodes' weighted intensities are summed into one series on the
+shared [0, u_max + beta], which takes one mat-vec.
 """
 
 import math
@@ -215,12 +220,6 @@ def _amplitude_grid(u_grid, k, ell, phase=None, quad=None):
     return free + res.require_converged("obstacle integral").value
 
 
-def amplitude(u, params, phase=None, quad=None):
-    """Complex diffraction amplitude psi at a single scaled screen radius."""
-    return complex(_amplitude_grid([float(u)], params.k, params.ell,
-                                   phase, quad)[0])
-
-
 def point_source_pattern(u_grid, params, phase=None, quad=None):
     """w_p(u) = |psi(u)|^2 for a point source on axis."""
     psi = _amplitude_grid(u_grid, params.k, params.ell, phase, quad)
@@ -229,6 +228,29 @@ def point_source_pattern(u_grid, params, phase=None, quad=None):
 
 # Gauss-Legendre nodes on [-1, 1] for both pieces of the arc-length kernel
 _XK, _WK = np.polynomial.legendre.leggauss(64)
+
+
+def _arc_rule(u, beta):
+    """The nodes r and weights w of annular_average's rule, in groups of 64.
+
+    Group i < u.size holds the arc of row i, the groups after it the full
+    circles of the rows in `inner` (u < beta), in order. The disc mean at
+    row i is the weighted sum of f over its groups, divided by beta^2.
+    """
+    inner = u < beta
+    c = (beta - u[inner])[:, None]
+    r_in = 0.5 * c * (1.0 + _XK)
+    m = np.maximum(u, beta)[:, None]
+    h = np.minimum(u, beta)[:, None]
+    phi = 0.5 * math.pi * (1.0 + _XK)
+    r_arc = m - h * np.cos(phi)
+    two_ur = 2.0 * u[:, None] * r_arc
+    cos_arc = (u[:, None] ** 2 + r_arc ** 2 - beta ** 2) / np.where(
+        two_ur > 0.0, two_ur, 1.0)
+    w_arc = (_WK * h * np.sin(phi)) * r_arc * np.arccos(
+        np.clip(cos_arc, -1.0, 1.0))
+    return (np.concatenate([r_arc, r_in]),
+            np.concatenate([w_arc, c * _WK * r_in]), inner)
 
 
 def annular_average(u_grid, beta, radial_fn):
@@ -243,29 +265,91 @@ def annular_average(u_grid, beta, radial_fn):
     r < beta - u. The circles, present for u < beta only, take 64
     Gauss-Legendre nodes in r; the arcs take 64 nodes in phi in [0, pi] with
     r = m - h cos(phi), m and h the midpoint and half-width of the arc band,
-    which makes the square-root edges of the arccos smooth. f is called once
-    with every node. The factor r of K cancels a 1/r focal divergence of f.
+    which makes the square-root edges of the arccos smooth (_arc_rule). f is
+    called once with every node. The factor r of K cancels a 1/r focal
+    divergence of f.
     """
     u = np.asarray(u_grid, dtype=float)
     if beta == 0.0:
         return radial_fn(u)
-    inner = u < beta
-    c = (beta - u[inner])[:, None]
-    r_in = 0.5 * c * (1.0 + _XK)
-    m = np.maximum(u, beta)[:, None]
-    h = np.minimum(u, beta)[:, None]
-    phi = 0.5 * math.pi * (1.0 + _XK)
-    r_arc = m - h * np.cos(phi)
-    two_ur = 2.0 * u[:, None] * r_arc
-    cos_arc = (u[:, None] ** 2 + r_arc ** 2 - beta ** 2) / np.where(
-        two_ur > 0.0, two_ur, 1.0)
-    w_arc = (_WK * h * np.sin(phi)) * r_arc * np.arccos(
-        np.clip(cos_arc, -1.0, 1.0))
-    f = radial_fn(np.concatenate([r_arc.ravel(), r_in.ravel()]))
-    out = (w_arc * f[:r_arc.size].reshape(r_arc.shape)).sum(axis=1)
-    out[inner] += (c * _WK * r_in
-                   * f[r_arc.size:].reshape(r_in.shape)).sum(axis=1)
+    r, w, inner = _arc_rule(u, beta)
+    sums = (w * radial_fn(r.ravel()).reshape(r.shape)).sum(axis=1)
+    out = sums[:u.size]
+    out[inner] += sums[u.size:]
     return out / beta ** 2
+
+
+# columns of an ArcAverage made per block: the block's buffer of
+# _ARC_BLOCK + 2 rows over the 17,856 nodes of a fig3 grid takes 1.1 MB
+_ARC_BLOCK = 6
+
+
+def _aligned_empty(rows, cols):
+    """np.empty((rows, cols)) starting on a 64-byte boundary. A ufunc
+    writes into an aligned row about 1.5x as fast: one recurrence step over
+    the 17,856 fig3 nodes measured 11-12 us against 18 us unaligned, on a
+    2-core AVX-512 Xeon."""
+    raw = np.empty(rows * cols + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start:start + rows * cols].reshape(rows, cols)
+
+
+@dataclass
+class ArcAverage:
+    """annular_average of Chebyshev series on [0, u_max + beta], as a matrix.
+
+    Row i, column m holds the disc mean of T_m(2 r / top - 1) around u[i],
+    top = u.max() + beta, by the rule of annular_average; a series with
+    coefficients c averages to the mat-vec sum_m c_m A[:, m]. The matrix
+    depends on the grid and beta only, so every series on the grid shares
+    it. Its columns are made on demand, in whole blocks of _ARC_BLOCK, by
+    the three-term recurrence W_{m+1} = 2 x W_m - W_{m-1} on W_m = w T_m(x)
+    at the rule's nodes x, weights w; each block is summed over every group
+    of nodes. Growing never revisits a made column, so a column has the
+    same bits however the matrix grew.
+    """
+
+    u: np.ndarray            # the screen radii, one per row
+    beta: float
+    inner: np.ndarray        # the rows that have a full-circle group
+    x2: np.ndarray           # 2 x at the nodes, x = 2 r / top - 1
+    recurrence: np.ndarray   # W_m, W_{m+1} for the next column m to make,
+                             # then the block's other _ARC_BLOCK rows
+    columns: np.ndarray      # column m of the matrix in row m, contiguous
+
+    def apply(self, coef):
+        """The disc means of the Chebyshev series coef on the grid."""
+        if coef.size > self.columns.shape[0]:
+            self._grow(coef.size)
+        return coef @ self.columns[:coef.size]
+
+    def _grow(self, size):
+        rows, x2 = self.recurrence, self.x2
+        blocks = [self.columns]
+        for _ in range(self.columns.shape[0], size, _ARC_BLOCK):
+            for i in range(2, _ARC_BLOCK + 2):
+                np.multiply(x2, rows[i - 1], out=rows[i])
+                rows[i] -= rows[i - 2]
+            sums = np.einsum("mgj->mg", rows[:_ARC_BLOCK].reshape(
+                _ARC_BLOCK, -1, _XK.size))
+            block = sums[:, :self.u.size]
+            block[:, self.inner] += sums[:, self.u.size:]
+            blocks.append(block / self.beta ** 2)
+            rows[:2] = rows[_ARC_BLOCK:]
+        self.columns = np.concatenate(blocks)
+
+
+def arc_average_operator(u_grid, beta):
+    """The ArcAverage of the grid u_grid and source radius beta > 0, with no
+    columns made yet: its rule's nodes and weights, and the first two terms
+    W_0 = w and W_1 = w x of the recurrence."""
+    u = np.asarray(u_grid, dtype=float)
+    r, w, inner = _arc_rule(u, beta)
+    x = 2.0 * r.ravel() / (u.max() + beta) - 1.0
+    rows = _aligned_empty(_ARC_BLOCK + 2, x.size)
+    rows[0] = w.ravel()
+    np.multiply(rows[0], x, out=rows[1])
+    return ArcAverage(u, beta, inner, 2.0 * x, rows, np.empty((0, u.size)))
 
 
 # a source average whose amplitude needs more Chebyshev nodes than this is
@@ -338,18 +422,30 @@ def _chebyshev_amplitude(top, params, phase, quad):
         f"{start} to start with)")
 
 
-def _source_average(u, beta, top, terms, rel_tol):
+def _source_operator(u, beta, operator):
+    """The ArcAverage a source average on grid u reads: operator, checked
+    against u and beta, or a new one when operator is None."""
+    if operator is None:
+        return arc_average_operator(u, beta)
+    if not (np.array_equal(operator.u, u) and operator.beta == beta):
+        raise ValueError("operator built for another grid or geometry")
+    return operator
+
+
+def _source_average(operator, terms, rel_tol):
     """Annular average of I = sum_i w_i |psi_i|^2 over the source disc.
 
     terms are (w_i, c_i) pairs, c_i the Chebyshev coefficients of psi_i on
-    [0, top]. I is a polynomial of degree < n = 2 max_i len(c_i), so its
-    values at the n first-kind Chebyshev points give its coefficients
-    exactly. Each psi_i is evaluated there with one inverse FFT of its
-    zero-padded coefficients (the inverse of _chebyshev_coefficients), and
-    the sum is transformed back. The longest tail of I's coefficients whose
-    magnitudes sum to at most _TRIM rel_tol of the largest is cut, which
-    moves I by no more than that, and annular_average reads I from the one
-    real series that is left.
+    [0, top], top = u_max + beta of the operator's grid. I is a polynomial
+    of degree < n = 2 max_i len(c_i), so its values at the n first-kind
+    Chebyshev points give its coefficients exactly. Each psi_i is evaluated
+    there with one inverse FFT of its zero-padded coefficients (the inverse
+    of _chebyshev_coefficients), and the sum is transformed back. The
+    longest tail of I's coefficients whose magnitudes sum to at most
+    _TRIM rel_tol of the largest is cut, which moves I by no more than
+    that, and the one real series that is left is averaged by one mat-vec
+    of the operator (an ArcAverage, grown to the series' length if it is
+    shorter).
     """
     n = 2 * max(c.size for _, c in terms)
     shift = np.exp(0.5j * math.pi * np.arange(n) / n)
@@ -365,36 +461,38 @@ def _source_average(u, beta, top, terms, rel_tol):
     tail = np.cumsum(np.abs(coef[::-1]))[::-1]
     coef = coef[:max(np.count_nonzero(
         tail > _TRIM * rel_tol * np.abs(coef).max()), 1)]
-
-    def intensity(r):
-        return np.polynomial.chebyshev.chebval(2.0 * r / top - 1.0, coef)
-
-    return annular_average(u, beta, intensity)
+    return operator.apply(coef)
 
 
-def source_averaged_pattern(u_grid, setup, phase=None, quad=None):
+def source_averaged_pattern(u_grid, setup, phase=None, quad=None,
+                            operator=None):
     """Pattern averaged over the finite source disc (radius R0).
 
     The amplitude psi is represented on [0, u_max + beta] by the certified
     Chebyshev interpolant of _chebyshev_amplitude; |psi|^2 is turned into a
     Chebyshev series of its own, cut at its tail, and averaged over the
-    disc of radius beta around each screen radius with one pass of the
-    arc-length kernel of annular_average (_source_average with the single
-    term (1, c)). The wavelength is taken at the phase's velocity phase.v_z,
-    and at the particle's mean velocity v_long for the ideal obstacle.
+    disc of radius beta around each screen radius by one mat-vec of the
+    arc-length kernel matrix (_source_average with the single term (1, c)).
+    The matrix depends on the grid and beta only, not on the velocity, so
+    profiles that share them can share one arc_average_operator, passed as
+    operator; a ValueError refuses one built for another grid or beta, and
+    without one, one is built for this profile. The wavelength is taken at
+    the phase's velocity phase.v_z, and at the particle's mean velocity
+    v_long for the ideal obstacle.
     """
     p = setup.dimensionless(None if phase is None else phase.v_z)
     u = np.asarray(u_grid, dtype=float)
     if p.beta == 0.0:
         return point_source_pattern(u, p, phase, quad)
+    operator = _source_operator(u, p.beta, operator)
     top = u.max() + p.beta
     return RadialProfile(u, _source_average(
-        u, p.beta, top, [(1.0, _chebyshev_amplitude(top, p, phase, quad))],
+        operator, [(1.0, _chebyshev_amplitude(top, p, phase, quad))],
         (quad or DEFAULT_SPEC).rel_tol))
 
 
 def wavelength_averaged_pattern(u_grid, setup, phase=None, quad=None,
-                                source_averaging=True):
+                                source_averaging=True, operator=None):
     """Pattern averaged over the particle's velocity distribution.
 
     At each of the velocity_nodes v_i the Fresnel parameter and the phase,
@@ -403,8 +501,10 @@ def wavelength_averaged_pattern(u_grid, setup, phase=None, quad=None,
     With source averaging each node contributes the Chebyshev series of
     its amplitude on the shared [0, u_max + beta] (beta does not depend on
     the velocity), and the weighted intensities are summed into one series
-    that takes one pass of the arc-length kernel (_source_average).
-    dv_rel = 0 reduces to the single-velocity result.
+    that takes one mat-vec of the arc-length kernel matrix
+    (_source_average); operator is that matrix, as in
+    source_averaged_pattern. dv_rel = 0 reduces to the single-velocity
+    result.
     """
     u = np.asarray(u_grid, dtype=float)
     vs, weights = velocity_nodes(setup.particle)
@@ -413,8 +513,9 @@ def wavelength_averaged_pattern(u_grid, setup, phase=None, quad=None,
              for v_i, w_i in zip(vs, weights)]
     beta = setup.dimensionless().beta
     if source_averaging and beta > 0.0:
+        operator = _source_operator(u, beta, operator)
         top = u.max() + beta
-        return RadialProfile(u, _source_average(u, beta, top, [
+        return RadialProfile(u, _source_average(operator, [
             (w_i, _chebyshev_amplitude(top, p_i, phase_i, quad))
             for w_i, p_i, phase_i in nodes], (quad or DEFAULT_SPEC).rel_tol))
     acc = np.zeros_like(u)

@@ -1,8 +1,13 @@
 """Reference formulas that only the tests use."""
 
+import math
+
 import numpy as np
 
 from arago.classical import _POLAR_RULE
+from arago.config import serialize_kv
+from arago.constants_units import CONST, amu_to_kg
+from arago.poisson import _amplitude_grid
 
 
 def spot_radius(params):
@@ -30,3 +35,36 @@ def polar_average(u, beta, radial_fn, rule=_POLAR_RULE):
                                + 2.0 * u[:, None] * ti * cos_t[None, :], 0.0))
         out += wi * ti * radial_fn(r.ravel()).reshape(r.shape).mean(axis=1)
     return out * (2.0 / beta ** 2)
+
+
+def amplitude(u, params, phase=None, quad=None):
+    """Complex diffraction amplitude psi at a single scaled screen radius."""
+    return complex(_amplitude_grid([float(u)], params.k, params.ell,
+                                   phase, quad)[0])
+
+
+def serialize_config(cfg):
+    """Canonical text form of a parsed scenario (sorted keys, LF)."""
+    return serialize_kv(cfg.raw)
+
+
+def kg_to_amu(m):
+    """Inverse of constants_units.amu_to_kg."""
+    if not m > 0:
+        raise ValueError(f"mass must be positive, got {m}")
+    return m / CONST.amu
+
+
+def thermal_velocity(mass, T):
+    """Most probable velocity sqrt(2 kB T / m) of a thermal beam source;
+    mass in amu."""
+    if not (mass > 0 and T > 0):
+        raise ValueError("mass and temperature must be positive")
+    return math.sqrt(2.0 * CONST.kB * T / amu_to_kg(mass))
+
+
+def thermal_wavelength(mass, T):
+    """Wavelength at the most probable thermal velocity, h/sqrt(2 kB T m)."""
+    if not (mass > 0 and T > 0):
+        raise ValueError("mass and temperature must be positive")
+    return CONST.h / math.sqrt(2.0 * CONST.kB * T * amu_to_kg(mass))

@@ -28,15 +28,14 @@ from arago.farfield import (
 )
 from arago.interaction import EikonalPhase, Obstacle, capture_eta
 from arago.numerics import bessel_j0
-from arago.particles import ParticleSpecies, species_preset, thermal_velocity
+from arago.particles import ParticleSpecies, species_preset
 from arago.poisson import (
     DimensionlessParams,
     PoissonSetup,
-    amplitude,
     point_source_pattern,
     source_averaged_pattern,
 )
-from references import spot_radius
+from references import amplitude, spot_radius, thermal_velocity
 
 K_SWEEP = (0.05, 0.2, 1.0, 2.0, 5.0)
 ELL_SWEEP = (1.5, 2.0, 3.0)

@@ -11,16 +11,17 @@ import pytest
 
 import arago
 import arago.classical
+import arago.poisson
 from arago.cli import (
     PRESET_NAMES,
     load_preset,
     main,
     parse_config,
     run_scenario,
-    serialize_config,
     sweep,
 )
 from arago.config import ConfigError, parse_kv, serialize_kv
+from references import serialize_config
 
 
 def test_cli_import_loads_only_numpy_and_scipy_special():
@@ -254,14 +255,16 @@ def test_sweep_matches_single_runs(tmp_path):
 
 @pytest.fixture
 def operator_builds(monkeypatch):
-    """Counts the classical source-average operators built."""
-    builds = []
-    build = arago.classical.polar_average_operator
+    """Counts the source-average operators built, classical ("polar") and
+    quantum ("arc")."""
+    builds = {"polar": 0, "arc": 0}
+    for name, module in (("polar", arago.classical), ("arc", arago.poisson)):
+        build = getattr(module, f"{name}_average_operator")
 
-    def counted(*args):
-        builds.append(args)
-        return build(*args)
-    monkeypatch.setattr(arago.classical, "polar_average_operator", counted)
+        def counted(*args, name=name, build=build):
+            builds[name] += 1
+            return build(*args)
+        monkeypatch.setattr(module, f"{name}_average_operator", counted)
     return builds
 
 
@@ -270,13 +273,13 @@ def test_sweep_shares_one_operator_per_geometry(tmp_path, operator_builds):
     # share one geometry and build once
     cfg = _small_fig3_sphere()
     sweep(cfg, "particle.v_long", ["1.5", "2", "2.5"], str(tmp_path / "v"))
-    assert len(operator_builds) == 1
+    assert operator_builds == {"polar": 1, "arc": 1}
     # each source radius is its own geometry: one build each
     sweep(cfg, "poisson.R0", ["250e-9", "500e-9"], str(tmp_path / "r0"))
-    assert len(operator_builds) == 3
+    assert operator_builds == {"polar": 3, "arc": 3}
     # a single run builds its own
     run_scenario(cfg, str(tmp_path / "single"))
-    assert len(operator_builds) == 4
+    assert operator_builds == {"polar": 4, "arc": 4}
 
 
 def test_operator_lives_for_one_sweep(tmp_path, operator_builds):
@@ -286,7 +289,7 @@ def test_operator_lives_for_one_sweep(tmp_path, operator_builds):
     for run in ("a", "b"):
         assert main([str(cfg_path), "--out", str(tmp_path / run),
                      "--sweep", "particle.v_long=1.5,2"]) == 0
-    assert len(operator_builds) == 2
+    assert operator_builds == {"polar": 2, "arc": 2}
 
 
 def test_sweep_velocity_scaling(tmp_path):

@@ -6,9 +6,9 @@ from arago.constants_units import (
     CONST,
     PhysicalConstants,
     amu_to_kg,
-    kg_to_amu,
     polarizability_to_C4,
 )
+from references import kg_to_amu
 
 
 def test_constant_values():

