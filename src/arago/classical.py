@@ -20,14 +20,15 @@ element u du and is never evaluated at u = 0.
 The classical and quantum engines consume the same EikonalPhase object and
 read the particle, velocity and capture radius from it. The finite-source
 averages differ: the quantum engine uses the arc-length kernel of
-poisson.annular_average (as the matrix poisson.arc_average_operator), this
+poisson._arc_rule (as the matrix poisson.arc_average_operator), this
 engine a polar rule whose discretization
 error near the focal divergence is frozen in the recorded classical
 reference profile; it keeps that rule until the reference is re-recorded.
 The rule is linear in the tabulated profile g = u w(u) and depends
 otherwise only on the screen grid, beta and ell, so it runs as one banded
 matrix (polar_average_operator) applied to g. Profiles that share the
-geometry, as the scenarios of a velocity sweep do, share the matrix.
+geometry, as the scenarios of a velocity sweep do, share the matrix through
+a dict that classical_source_averaged keys by it.
 """
 
 import math
@@ -244,25 +245,25 @@ def polar_average_operator(u_grid, beta, ell):
     return PolarAverage(u, beta, work, tuple(blocks))
 
 
-def classical_source_averaged(u_grid, setup, rmap, operator=None):
+def classical_source_averaged(u_grid, setup, rmap, operators=None):
     """Finite-source version of classical_point_pattern, averaged with the
     polar rule of polar_average_operator (see the module notes). The
     integrable 1/u focal divergence is handled by interpolating u * w(u),
-    which stays finite down to the axis. The projected source radius beta
-    does not depend on velocity, so profiles that share the grid and
-    geometry can share one operator; without one, one is built for this
-    profile."""
+    which stays finite down to the axis. The operator depends on the grid,
+    beta and ell only, not on the velocity, so the profiles of a sweep share
+    one: operators is a dict shared by those profiles, in which the operator
+    is built and stored on first use under ("polar", grid bytes, beta,
+    ell)."""
     beta = setup.dimensionless().beta
     u = np.asarray(u_grid, dtype=float)
     if beta == 0.0:
         return classical_point_pattern(u, rmap)
-    work = _work_grid(u.max() + beta, rmap.ell)
-    if operator is None:
-        operator = polar_average_operator(u, beta, rmap.ell)
-    elif not (np.array_equal(operator.u, u) and operator.beta == beta
-              and np.array_equal(operator.work, work)):
-        raise ValueError("operator built for another grid or geometry")
-    g = work * classical_point_pattern(work, rmap).w  # u*w, finite at 0
+    operators = {} if operators is None else operators
+    key = "polar", u.tobytes(), beta, rmap.ell
+    if key not in operators:
+        operators[key] = polar_average_operator(u, beta, rmap.ell)
+    operator = operators[key]
+    g = operator.work * classical_point_pattern(operator.work, rmap).w
     return RadialProfile(u, np.maximum(operator.apply(g), 0.0))
 
 

@@ -88,7 +88,10 @@ class ScenarioConfig:
 def _parse_particle(items):
     values = {}
     if "particle.preset" in items:
-        values = asdict(species_preset(items["particle.preset"]))
+        try:
+            values = asdict(species_preset(items["particle.preset"]))
+        except KeyError as exc:
+            raise ConfigError(f"particle: {exc.args[0]}") from None
     for short in _names(ParticleSpecies):
         key = f"particle.{short}"
         if key in items:
@@ -255,28 +258,6 @@ def _discard(paths, remove=os.unlink):
             pass
 
 
-def _pattern(cfg, u, phase, operators):
-    """Quantum/ideal pattern on grid u honoring the averaging flags. A
-    source average takes its arc_average_operator from operators, keyed by
-    what it depends on (the screen grid and beta), and builds and stores it
-    on first use."""
-    p = cfg.poisson.dimensionless()
-    operator = None
-    if cfg.source_averaging:
-        key = "arc", u.tobytes(), p.beta
-        if key not in operators:
-            operators[key] = psn.arc_average_operator(u, p.beta)
-        operator = operators[key]
-    if cfg.velocity_averaging:
-        return psn.wavelength_averaged_pattern(
-            u, cfg.poisson, phase, cfg.quad,
-            source_averaging=cfg.source_averaging, operator=operator)
-    if cfg.source_averaging:
-        return psn.source_averaged_pattern(u, cfg.poisson, phase, cfg.quad,
-                                           operator)
-    return psn.point_source_pattern(u, p, phase, cfg.quad)
-
-
 def _screen_grid(cfg):
     """The screen radii a near-field scenario computes on: the default grid,
     without its origin in the modes with a classical profile, which
@@ -287,19 +268,14 @@ def _screen_grid(cfg):
 
 def _classical_pattern(cfg, u, phase, operators):
     """Classical pattern on the origin-free grid u; the deflection model
-    averages over the source, never over velocities. A source average takes
-    its polar_average_operator from operators, keyed by what it depends on
-    besides the profile (the screen grid, beta and ell), and builds and
-    stores it on first use."""
+    averages over the source, never over velocities. A source average
+    takes its polar_average_operator from the shared dict operators (see
+    classical_source_averaged)."""
     p = cfg.poisson.dimensionless()
     rmap = cls.ray_map(p, phase, s_max=max(8.0, u[-1] / p.ell + 2.0))
     if not cfg.source_averaging:
         return cls.classical_point_pattern(u, rmap)
-    key = "polar", u.tobytes(), p.beta, p.ell
-    if key not in operators:
-        operators[key] = cls.polar_average_operator(u, p.beta, p.ell)
-    return cls.classical_source_averaged(u, cfg.poisson, rmap,
-                                         operators[key])
+    return cls.classical_source_averaged(u, cfg.poisson, rmap, operators)
 
 
 def run_scenario(cfg, out_dir, operators=None):
@@ -308,12 +284,13 @@ def run_scenario(cfg, out_dir, operators=None):
     Returns a ScenarioResult with the paths and summary metrics. On a
     numerical failure every partially written artifact is removed and the
     exception propagates. operators is the dict of source-average
-    operators that the scenarios of one sweep share, quantum and classical
-    (see _pattern and _classical_pattern); a single run passes none, and
-    builds its own operators and drops them.
+    operators that the scenarios of one sweep share, quantum and classical;
+    each engine keys it by what its operator depends on (see
+    poisson.averaged_pattern and classical.classical_source_averaged). A
+    single run passes none, and each profile builds its own operator and
+    drops it.
     """
     os.makedirs(out_dir, exist_ok=True)
-    operators = {} if operators is None else operators
     written = []
 
     def target(name):
@@ -344,7 +321,9 @@ def run_scenario(cfg, out_dir, operators=None):
             if name == "classical":
                 profiles.append(_classical_pattern(cfg, u, phase, operators))
             else:
-                profiles.append(_pattern(cfg, u, phase, operators))
+                profiles.append(psn.averaged_pattern(
+                    u, cfg.poisson, phase, cfg.quad, cfg.source_averaging,
+                    cfg.velocity_averaging, operators))
             _write_profile_csv(target(f"profile_{name}.csv"), profiles[-1])
 
         dist = math.nan
@@ -388,8 +367,9 @@ def sweep(cfg, key, values, out_dir):
     and the exception propagates.
 
     Scenarios that share a source-average geometry, as a velocity sweep's
-    do, share its operators: one arc_average_operator per screen grid and
-    beta for the quantum profiles, which grows to the longest intensity
+    do, share its operators through one dict, which each engine keys by
+    what its operator depends on: one arc_average_operator per screen grid
+    and beta for the quantum profiles, which grows to the longest intensity
     series among them, and one polar_average_operator per screen grid,
     beta and ell for the classical ones. The first scenario that needs an
     operator builds it, the rest reuse it, and all are dropped when the

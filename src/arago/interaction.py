@@ -81,8 +81,10 @@ class EikonalPhase:
     The prefactor is C4 b / (hbar v_z R^4) for a disc and C4 / (hbar v_z R^3)
     for a sphere, so phi scales exactly as 1/v_z. Exposes phi(s) and
     dphi_ds(s) for s > 1. s_negligible is where phi falls below phase_floor;
-    integrals against (e^{i phi} - 1) truncate there with an error bounded by
-    phase_floor times the remaining envelope.
+    integrals against (e^{i phi} - 1) truncate there. The floor bounds the
+    dropped integrand's phase factor |e^{i phi} - 1|, not the dropped
+    integral: the point pattern's truncation error at the spot measures
+    1-3x the floor.
     """
 
     phase_floor = 1e-4

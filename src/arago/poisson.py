@@ -39,7 +39,7 @@ same refinement resolves the winding phase.
 Finite sources average |psi|^2 over the projected source disc (radius
 beta = (L2/L1)(R0/R) in u units). The points of the disc at distance r from
 the origin form an arc, so the disc mean is a 1-D integral of the radial
-pattern against an arc-length kernel (annular_average). psi is read from a
+pattern against an arc-length kernel (_arc_rule). psi is read from a
 Chebyshev interpolant on [0, u_max + beta]: psi is an entire function of u
 (the free chirp plus Hankel transforms of radial functions supported on
 [0, s_neg]), so its Chebyshev coefficients decay geometrically once the
@@ -52,10 +52,11 @@ linear in that series, so it runs as a matrix on its coefficients
 three-term recurrence at the kernel's nodes, and a profile costs one
 mat-vec. The matrix depends on the screen grid and beta only, not on the
 velocity, so the scenarios of a velocity sweep share one, grown to the
-longest series among them. Velocity spreads average over deterministic
-velocity nodes with the interaction phase, and with it eta, rebuilt per
-node; the nodes' weighted intensities are summed into one series on the
-shared [0, u_max + beta], which takes one mat-vec.
+longest series among them (averaged_pattern keys it by both). Velocity
+spreads average over deterministic velocity nodes with the interaction
+phase, and with it eta, rebuilt per node; the nodes' weighted intensities
+are summed into one series on the shared [0, u_max + beta], which takes
+one mat-vec.
 """
 
 import math
@@ -231,11 +232,22 @@ _XK, _WK = np.polynomial.legendre.leggauss(64)
 
 
 def _arc_rule(u, beta):
-    """The nodes r and weights w of annular_average's rule, in groups of 64.
+    """Nodes r and weights w, in groups of 64, of the mean of a radial
+    function f over the disc of radius beta around each screen radius u.
 
-    Group i < u.size holds the arc of row i, the groups after it the full
-    circles of the rows in `inner` (u < beta), in order. The disc mean at
-    row i is the weighted sum of f over its groups, divided by beta^2.
+    The points at distance r from the origin fill an arc of the disc, so the
+    mean is the 1-D integral int f(r) K(u, r) dr with the arc-length kernel
+
+        K = (2 r / (pi beta^2)) arccos((u^2 + r^2 - beta^2) / (2 u r))
+
+    on |u - beta| < r < u + beta, plus K = 2 r / beta^2 (full circles) on
+    r < beta - u. Group i < u.size holds the arc of row i: 64 nodes in phi
+    in [0, pi] with r = m - h cos(phi), m and h the midpoint and half-width
+    of the arc band, which makes the square-root edges of the arccos smooth.
+    The groups after it hold the full circles of the rows in `inner`
+    (u < beta), in order, at 64 Gauss-Legendre nodes in r. The disc mean at
+    row i is the weighted sum of f over its groups, divided by beta^2. The
+    factor r of K cancels a 1/r focal divergence of f.
     """
     inner = u < beta
     c = (beta - u[inner])[:, None]
@@ -251,32 +263,6 @@ def _arc_rule(u, beta):
         np.clip(cos_arc, -1.0, 1.0))
     return (np.concatenate([r_arc, r_in]),
             np.concatenate([w_arc, c * _WK * r_in]), inner)
-
-
-def annular_average(u_grid, beta, radial_fn):
-    """Mean of a radial function f over the disc of radius beta around each u.
-
-    The points at distance r from the origin fill an arc of the disc, so the
-    mean is the 1-D integral int f(r) K(u, r) dr with the arc-length kernel
-
-        K = (2 r / (pi beta^2)) arccos((u^2 + r^2 - beta^2) / (2 u r))
-
-    on |u - beta| < r < u + beta, plus K = 2 r / beta^2 (full circles) on
-    r < beta - u. The circles, present for u < beta only, take 64
-    Gauss-Legendre nodes in r; the arcs take 64 nodes in phi in [0, pi] with
-    r = m - h cos(phi), m and h the midpoint and half-width of the arc band,
-    which makes the square-root edges of the arccos smooth (_arc_rule). f is
-    called once with every node. The factor r of K cancels a 1/r focal
-    divergence of f.
-    """
-    u = np.asarray(u_grid, dtype=float)
-    if beta == 0.0:
-        return radial_fn(u)
-    r, w, inner = _arc_rule(u, beta)
-    sums = (w * radial_fn(r.ravel()).reshape(r.shape)).sum(axis=1)
-    out = sums[:u.size]
-    out[inner] += sums[u.size:]
-    return out / beta ** 2
 
 
 # columns of an ArcAverage made per block: the block's buffer of
@@ -296,10 +282,10 @@ def _aligned_empty(rows, cols):
 
 @dataclass
 class ArcAverage:
-    """annular_average of Chebyshev series on [0, u_max + beta], as a matrix.
+    """The disc mean of Chebyshev series on [0, u_max + beta], as a matrix.
 
     Row i, column m holds the disc mean of T_m(2 r / top - 1) around u[i],
-    top = u.max() + beta, by the rule of annular_average; a series with
+    top = u.max() + beta, by the rule _arc_rule; a series with
     coefficients c averages to the mat-vec sum_m c_m A[:, m]. The matrix
     depends on the grid and beta only, so every series on the grid shares
     it. Its columns are made on demand, in whole blocks of _ARC_BLOCK, by
@@ -422,16 +408,6 @@ def _chebyshev_amplitude(top, params, phase, quad):
         f"{start} to start with)")
 
 
-def _source_operator(u, beta, operator):
-    """The ArcAverage a source average on grid u reads: operator, checked
-    against u and beta, or a new one when operator is None."""
-    if operator is None:
-        return arc_average_operator(u, beta)
-    if not (np.array_equal(operator.u, u) and operator.beta == beta):
-        raise ValueError("operator built for another grid or geometry")
-    return operator
-
-
 def _source_average(operator, terms, rel_tol):
     """Annular average of I = sum_i w_i |psi_i|^2 over the source disc.
 
@@ -464,58 +440,41 @@ def _source_average(operator, terms, rel_tol):
     return operator.apply(coef)
 
 
-def source_averaged_pattern(u_grid, setup, phase=None, quad=None,
-                            operator=None):
-    """Pattern averaged over the finite source disc (radius R0).
+def averaged_pattern(u_grid, setup, phase=None, quad=None, source=False,
+                     velocity=False, operators=None):
+    """Pattern on u_grid, averaged over the source disc (radius R0) if
+    source and over the particle's velocity distribution if velocity.
 
-    The amplitude psi is represented on [0, u_max + beta] by the certified
-    Chebyshev interpolant of _chebyshev_amplitude; |psi|^2 is turned into a
-    Chebyshev series of its own, cut at its tail, and averaged over the
-    disc of radius beta around each screen radius by one mat-vec of the
-    arc-length kernel matrix (_source_average with the single term (1, c)).
-    The matrix depends on the grid and beta only, not on the velocity, so
-    profiles that share them can share one arc_average_operator, passed as
-    operator; a ValueError refuses one built for another grid or beta, and
-    without one, one is built for this profile. The wavelength is taken at
-    the phase's velocity phase.v_z, and at the particle's mean velocity
-    v_long for the ideal obstacle.
-    """
-    p = setup.dimensionless(None if phase is None else phase.v_z)
-    u = np.asarray(u_grid, dtype=float)
-    if p.beta == 0.0:
-        return point_source_pattern(u, p, phase, quad)
-    operator = _source_operator(u, p.beta, operator)
-    top = u.max() + p.beta
-    return RadialProfile(u, _source_average(
-        operator, [(1.0, _chebyshev_amplitude(top, p, phase, quad))],
-        (quad or DEFAULT_SPEC).rel_tol))
-
-
-def wavelength_averaged_pattern(u_grid, setup, phase=None, quad=None,
-                                source_averaging=True, operator=None):
-    """Pattern averaged over the particle's velocity distribution.
-
-    At each of the velocity_nodes v_i the Fresnel parameter and the phase,
-    EikonalPhase(phase.obstacle, phase.particle, v_i), are rebuilt (phase
-    None is the ideal obstacle); the phase's own velocity is not used.
-    With source averaging each node contributes the Chebyshev series of
-    its amplitude on the shared [0, u_max + beta] (beta does not depend on
-    the velocity), and the weighted intensities are summed into one series
-    that takes one mat-vec of the arc-length kernel matrix
-    (_source_average); operator is that matrix, as in
-    source_averaged_pattern. dv_rel = 0 reduces to the single-velocity
-    result.
+    Without velocity the one node is the phase's velocity phase.v_z (v_long
+    for the ideal obstacle, phase None), with the phase as given. With
+    velocity the nodes are the velocity_nodes v_i, with the Fresnel
+    parameter and the phase, EikonalPhase(phase.obstacle, phase.particle,
+    v_i), rebuilt at each; dv_rel = 0 gives the single-velocity result. A
+    source average (beta > 0) sums the nodes' weighted intensities, each
+    from the certified Chebyshev series of its amplitude on
+    [0, u_max + beta], into one series and averages it by one mat-vec of
+    the arc-length kernel matrix (_source_average); otherwise the nodes'
+    point-source patterns are summed. The matrix depends on the grid and
+    beta only: operators is a dict that the profiles of a sweep share, in
+    which it is built on first use under ("arc", grid bytes, beta).
     """
     u = np.asarray(u_grid, dtype=float)
-    vs, weights = velocity_nodes(setup.particle)
-    nodes = [(w_i, setup.dimensionless(v_i), None if phase is None else
-              EikonalPhase(phase.obstacle, phase.particle, v_i))
-             for v_i, w_i in zip(vs, weights)]
+    if velocity:
+        vs, weights = velocity_nodes(setup.particle)
+        nodes = [(w_i, setup.dimensionless(v_i), None if phase is None else
+                  EikonalPhase(phase.obstacle, phase.particle, v_i))
+                 for v_i, w_i in zip(vs, weights)]
+    else:
+        nodes = [(1.0, setup.dimensionless(
+            None if phase is None else phase.v_z), phase)]
     beta = setup.dimensionless().beta
-    if source_averaging and beta > 0.0:
-        operator = _source_operator(u, beta, operator)
+    if source and beta > 0.0:
+        operators = {} if operators is None else operators
+        key = "arc", u.tobytes(), beta
+        if key not in operators:
+            operators[key] = arc_average_operator(u, beta)
         top = u.max() + beta
-        return RadialProfile(u, _source_average(operator, [
+        return RadialProfile(u, _source_average(operators[key], [
             (w_i, _chebyshev_amplitude(top, p_i, phase_i, quad))
             for w_i, p_i, phase_i in nodes], (quad or DEFAULT_SPEC).rel_tol))
     acc = np.zeros_like(u)

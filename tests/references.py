@@ -7,7 +7,7 @@ import numpy as np
 from arago.classical import _POLAR_RULE
 from arago.config import serialize_kv
 from arago.constants_units import CONST, amu_to_kg
-from arago.poisson import _amplitude_grid
+from arago.poisson import _amplitude_grid, _arc_rule
 
 
 def spot_radius(params):
@@ -35,6 +35,21 @@ def polar_average(u, beta, radial_fn, rule=_POLAR_RULE):
                                + 2.0 * u[:, None] * ti * cos_t[None, :], 0.0))
         out += wi * ti * radial_fn(r.ravel()).reshape(r.shape).mean(axis=1)
     return out * (2.0 / beta ** 2)
+
+
+def annular_average(u_grid, beta, radial_fn):
+    """Mean of a radial function f over the disc of radius beta around each
+    u, by the arc-length kernel rule of poisson._arc_rule with f called once
+    at every node, which poisson.arc_average_operator builds as a matrix on
+    Chebyshev coefficients."""
+    u = np.asarray(u_grid, dtype=float)
+    if beta == 0.0:
+        return radial_fn(u)
+    r, w, inner = _arc_rule(u, beta)
+    sums = (w * radial_fn(r.ravel()).reshape(r.shape)).sum(axis=1)
+    out = sums[:u.size]
+    out[inner] += sums[u.size:]
+    return out / beta ** 2
 
 
 def amplitude(u, params, phase=None, quad=None):

@@ -22,6 +22,7 @@ from arago.poisson import (
     DimensionlessParams,
     PoissonSetup,
     RadialProfile,
+    averaged_pattern,
     default_grid,
 )
 
@@ -218,11 +219,36 @@ def test_polar_operator_matches_direct_average(kind, R0):
     for g in (physical, kinked):
         np.testing.assert_allclose(op.apply(g), direct(g), rtol=1e-13,
                                    atol=0)
+    # the profile is the operator of its geometry applied to the physical g
     np.testing.assert_array_equal(
-        classical_source_averaged(u, setup, rmap, op).w,
-        classical_source_averaged(u, setup, rmap).w)
-    with pytest.raises(ValueError, match="another grid"):
-        classical_source_averaged(u[:-1], setup, rmap, op)
+        classical_source_averaged(u, setup, rmap).w,
+        np.maximum(op.apply(physical), 0.0))
+
+
+def test_shared_operators_are_keyed_by_their_whole_geometry():
+    # one operators dict shared by both engines across two grids of the same
+    # size and three geometries, (beta, ell) = (1, 2), (0.5, 2) and (1, 3),
+    # must give each profile the bits of a fresh dict. A key that left out
+    # the grid, beta or (classical) ell would hand a profile an operator of
+    # another geometry. The quantum matrix does not depend on ell, so the
+    # two geometries with beta = 1 share it on each grid: 4 quantum and 6
+    # classical operators
+    obs = Obstacle("disc", 500e-9, 10e-9)
+    p = ParticleSpecies("au100", 19700.0, 5e-28, 2.0)
+    phase = EikonalPhase(obs, p, p.v_long)
+    shared = {}
+    for u in (np.linspace(0.05, 6.0, 41), np.linspace(0.1, 5.0, 41)):
+        for R0, L2 in ((500e-9, 0.125), (250e-9, 0.125), (250e-9, 0.25)):
+            setup = PoissonSetup(R0, 500e-9, 0.125, L2, obs, p)
+            rmap = ray_map(setup.dimensionless(), phase)
+            np.testing.assert_array_equal(
+                averaged_pattern(u, setup, phase, source=True,
+                                 operators=shared).w,
+                averaged_pattern(u, setup, phase, source=True).w)
+            np.testing.assert_array_equal(
+                classical_source_averaged(u, setup, rmap, shared).w,
+                classical_source_averaged(u, setup, rmap).w)
+    assert sorted(key[0] for key in shared) == ["arc"] * 4 + ["polar"] * 6
 
 
 @pytest.mark.parametrize("R0", [500e-9, 100e-9])

@@ -398,6 +398,23 @@ def test_main_bad_sweep_value(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_main_unknown_particle_preset(tmp_path, capsys):
+    # an unknown species is a configuration error: exit 2 with the known
+    # names and nothing written, for a single run and inside a sweep
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(load_preset("fig3-sphere").replace(
+        "particle.preset = au100", "particle.preset = nosuch"))
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: particle: unknown species preset 'nosuch'" in err
+    assert "Traceback" not in err
+    assert main(["--preset", "fig3-sphere", "--out", str(out),
+                 "--sweep", "particle.preset=c60,nosuch"]) == 2
+    assert "'nosuch'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_numerical_failure(tmp_path, capsys):
     # a starved quadrature budget must exit 3 and leave no partial artifacts
     # (fig2b: the k = 2 integrand needs real subdivision depth)

@@ -25,7 +25,7 @@ from arago.numerics import (
     integrate_adaptive,
 )
 from arago.particles import ParticleSpecies
-from arago.poisson import PoissonSetup, source_averaged_pattern
+from arago.poisson import PoissonSetup, averaged_pattern
 
 
 # scales [0] give the plain integral of g, since J0(0) = 1
@@ -462,5 +462,5 @@ def test_fig3_disc_reads_j0_at_a_quarter_of_the_kronrod_rows(monkeypatch):
     formed = _count_j0(monkeypatch)
     monkeypatch.setattr(arago.numerics, "_panels", counted_panels)
     u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 241)
-    source_averaged_pattern(u, setup, EikonalPhase(obs, particle, 2.0))
+    averaged_pattern(u, setup, EikonalPhase(obs, particle, 2.0), source=True)
     assert sum(x.size for x in formed) <= 0.35 * sum(kronrod)

@@ -14,15 +14,13 @@ from arago.poisson import (
     DimensionlessParams,
     PoissonSetup,
     RadialProfile,
-    annular_average,
     arc_average_operator,
+    averaged_pattern,
     default_grid,
     point_source_pattern,
-    source_averaged_pattern,
     visibility_checks,
-    wavelength_averaged_pattern,
 )
-from references import amplitude, polar_average, spot_radius
+from references import amplitude, annular_average, polar_average, spot_radius
 
 # velocity that puts a 19700 amu particle at a 10 pm wavelength, so that the
 # 500 nm / 0.125 m geometry lands at k = 0.2, ell = 2 exactly
@@ -184,15 +182,15 @@ def test_annular_average_matches_polar_rule():
 def test_source_averaging_beta_zero_identity():
     grid = np.linspace(0.0, 4.0, 41)
     point = point_source_pattern(grid, _params(0.2, 2.0))
-    avg = source_averaged_pattern(grid, _setup(R0=0.0))
+    avg = averaged_pattern(grid, _setup(R0=0.0), source=True)
     assert np.array_equal(point.w, avg.w)
 
 
 def test_source_averaging_lowers_spot():
     grid = np.array([0.0])
     w_point = point_source_pattern(grid, _params(0.2, 2.0)).w[0]
-    w_half = source_averaged_pattern(grid, _setup(R0=250e-9)).w[0]
-    w_full = source_averaged_pattern(grid, _setup(R0=500e-9)).w[0]
+    w_half = averaged_pattern(grid, _setup(R0=250e-9), source=True).w[0]
+    w_full = averaged_pattern(grid, _setup(R0=500e-9), source=True).w[0]
     assert w_point > w_half > w_full
     # frozen: beta = 1 spot height for k = 0.2
     assert w_full == pytest.approx(0.677814, abs=2e-4)
@@ -244,7 +242,7 @@ def test_source_average_matches_direct_amplitude(kind, v, monkeypatch):
         return direct(*args)
 
     monkeypatch.setattr(arago.poisson, "_amplitude_grid", counted)
-    w = source_averaged_pattern(u, setup, phase).w
+    w = averaged_pattern(u, setup, phase, source=True).w
     assert np.max(np.abs(w - ref) / ref) <= 1e-12
     if v < 5.0:
         assert len(calls) == 1
@@ -260,7 +258,7 @@ def test_arc_operator_matches_annular_average(kind, v, monkeypatch):
     u = np.linspace(0.0, 3.0 * par.ell, 241)
     top = u.max() + par.beta
     applied = _recorded_series(monkeypatch)
-    w = source_averaged_pattern(u, setup, phase).w
+    w = averaged_pattern(u, setup, phase, source=True).w
     (coef,) = applied
     ref = annular_average(u, par.beta, lambda r: np.polynomial.chebyshev
                           .chebval(2.0 * r / top - 1.0, coef))
@@ -282,15 +280,6 @@ def test_arc_operator_grows_bit_for_bit():
     assert grown.columns[:130].flags.c_contiguous
 
 
-def test_source_average_refuses_an_operator_of_another_geometry():
-    setup, phase = _fig3_source("disc", 2.0)
-    u = np.linspace(0.0, 6.0, 61)
-    for other in (arc_average_operator(u[1:], 1.0),
-                  arc_average_operator(u, 0.5)):
-        with pytest.raises(ValueError, match="another grid"):
-            source_averaged_pattern(u, setup, phase, operator=other)
-
-
 def test_source_average_refuses_past_degree_cap(monkeypatch):
     # the fast disc needs 322 Chebyshev nodes: the first degree (161) fails
     # the coefficient-tail test, and past a cap of 200 the doubling raises
@@ -298,7 +287,7 @@ def test_source_average_refuses_past_degree_cap(monkeypatch):
     u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 11)
     monkeypatch.setattr(arago.poisson, "_CHEB_MAX_NODES", 200)
     with pytest.raises(NumericsError, match="Chebyshev"):
-        source_averaged_pattern(u, setup, phase)
+        averaged_pattern(u, setup, phase, source=True)
 
 
 def test_source_average_refuses_a_start_past_the_cap(monkeypatch):
@@ -314,8 +303,8 @@ def test_source_average_refuses_a_start_past_the_cap(monkeypatch):
     monkeypatch.setattr(arago.poisson, "_amplitude_grid",
                         lambda *args: calls.append(args))
     with pytest.raises(NumericsError, match="asks for 8792 to start with"):
-        source_averaged_pattern(default_grid(setup.dimensionless(), 241),
-                                setup, phase)
+        averaged_pattern(default_grid(setup.dimensionless(), 241),
+                         setup, phase, source=True)
     assert calls == []
 
 
@@ -342,7 +331,7 @@ def test_source_average_stops_on_rounding_plateau(kind, monkeypatch):
         return direct(*args)
 
     monkeypatch.setattr(arago.poisson, "_amplitude_grid", counted)
-    w = source_averaged_pattern(u, setup, phase, quad).w
+    w = averaged_pattern(u, setup, phase, quad, source=True).w
     assert len(calls) <= 2
     assert np.max(np.abs(w - ref) / ref) <= 1e-12
 
@@ -364,7 +353,7 @@ def test_source_average_refuses_a_plateau_above_rel_tol(monkeypatch):
 
     monkeypatch.setattr(arago.poisson, "_amplitude_grid", noisy)
     with pytest.raises(NumericsError, match="stall"):
-        source_averaged_pattern(u, setup, phase)
+        averaged_pattern(u, setup, phase, source=True)
     assert len(calls) == 2
 
 
@@ -376,16 +365,18 @@ def test_source_average_takes_velocity_from_phase():
     setup_2, phase_2 = _fig3_source("disc", 2.0)
     setup_3, phase_3 = _fig3_source("disc", 3.0)
     u = np.linspace(0.0, 3.0, 7)
-    w = source_averaged_pattern(u, setup_2, phase_3).w
-    assert np.array_equal(w, source_averaged_pattern(u, setup_3, phase_3).w)
+    w = averaged_pattern(u, setup_2, phase_3, source=True).w
+    assert np.array_equal(
+        w, averaged_pattern(u, setup_3, phase_3, source=True).w)
     assert not np.array_equal(
-        w, source_averaged_pattern(u, setup_2, phase_2).w)
+        w, averaged_pattern(u, setup_2, phase_2, source=True).w)
 
 
 def test_velocity_averaging_identity_at_zero_spread():
     grid = np.linspace(0.0, 2.0, 11)
-    a = source_averaged_pattern(grid, _setup(R0=500e-9))
-    b = wavelength_averaged_pattern(grid, _setup(R0=500e-9, dv_rel=0.0))
+    a = averaged_pattern(grid, _setup(R0=500e-9), source=True)
+    b = averaged_pattern(grid, _setup(R0=500e-9, dv_rel=0.0), source=True,
+                         velocity=True)
     assert np.array_equal(a.w, b.w)
 
 
@@ -407,15 +398,15 @@ def test_interacting_velocity_average_rebuilds_phase(kind, source_averaging):
         setup = _setup(R0=500e-9, v=2.0, obstacle=obs, dv_rel=dv_rel,
                        alpha=5e-28)
         phase = EikonalPhase(obs, setup.particle, 3.0)
-        got = wavelength_averaged_pattern(u, setup, phase,
-                                          source_averaging=source_averaging)
+        got = averaged_pattern(u, setup, phase, source=source_averaging,
+                               velocity=True)
         vs, weights = velocity_nodes(setup.particle)
         assert vs.size == (9 if dv_rel else 1)
         ref = np.zeros_like(u)
         for v_i, w_i in zip(vs, weights):
             phase_i = EikonalPhase(obs, setup.particle, v_i)
             if source_averaging:
-                prof = source_averaged_pattern(u, setup, phase_i)
+                prof = averaged_pattern(u, setup, phase_i, source=True)
             else:
                 prof = point_source_pattern(u, setup.dimensionless(v_i),
                                             phase_i)
@@ -425,8 +416,8 @@ def test_interacting_velocity_average_rebuilds_phase(kind, source_averaging):
         else:
             assert np.array_equal(got.w, ref)
     if source_averaging:
-        single = source_averaged_pattern(
-            u, setup, EikonalPhase(obs, setup.particle, 2.0))
+        single = averaged_pattern(
+            u, setup, EikonalPhase(obs, setup.particle, 2.0), source=True)
         assert np.array_equal(got.w, single.w)
 
 
@@ -458,8 +449,8 @@ def test_intensity_series_matches_node_amplitudes(kind, v, dv_rel,
     monkeypatch.setattr(arago.poisson, "_chebyshev_amplitude",
                         recorded_amplitude)
     applied = _recorded_series(monkeypatch)
-    wavelength_averaged_pattern(u, setup, EikonalPhase(obs, setup.particle,
-                                                       v))
+    averaged_pattern(u, setup, EikonalPhase(obs, setup.particle, v),
+                     source=True, velocity=True)
     _, weights = velocity_nodes(setup.particle)
     assert len(terms) == weights.size == (9 if dv_rel else 1)
     top = u.max() + par.beta
@@ -490,7 +481,7 @@ def test_intensity_series_is_cut_at_its_tail(monkeypatch):
                         recorded_amplitude)
     u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 241)
     applied = _recorded_series(monkeypatch)
-    source_averaged_pattern(u, setup, phase)
+    averaged_pattern(u, setup, phase, source=True)
     (n,), (kept,) = amplitudes, [c.size for c in applied]
     assert n == 86 and kept < 0.6 * 2 * n
 
@@ -511,8 +502,9 @@ def test_velocity_average_takes_one_kernel_pass(kind, monkeypatch):
 
     monkeypatch.setattr(arago.poisson, "_amplitude_grid", counted_amplitude)
     applied = _recorded_series(monkeypatch)
-    wavelength_averaged_pattern(np.linspace(0.0, 6.0, 61), setup,
-                                EikonalPhase(obs, setup.particle, 2.0))
+    averaged_pattern(np.linspace(0.0, 6.0, 61), setup,
+                     EikonalPhase(obs, setup.particle, 2.0), source=True,
+                     velocity=True)
     calls["kernel"] = len(applied)
     assert calls == {"amplitude": 9, "kernel": 1}
 
@@ -527,8 +519,9 @@ def test_velocity_averaged_profile_is_non_negative(kind, v):
     obs = Obstacle(kind, 500e-9, 10e-9 if kind == "disc" else None)
     setup = _setup(R0=20e-9, v=v, obstacle=obs, dv_rel=0.1, alpha=5e-28)
     assert setup.dimensionless().beta == pytest.approx(0.04, rel=1e-12)
-    prof = wavelength_averaged_pattern(np.linspace(0.0, 6.0, 601), setup,
-                                       EikonalPhase(obs, setup.particle, v))
+    prof = averaged_pattern(np.linspace(0.0, 6.0, 601), setup,
+                            EikonalPhase(obs, setup.particle, v),
+                            source=True, velocity=True)
     assert np.all(prof.w >= 0.0)
 
 
@@ -537,11 +530,11 @@ def test_velocity_averaging_softens_spot():
     # velocity spread, quadratically in dv (frozen dev measurements:
     # 1.3e-5 at 5%, 5.2e-5 at 10%)
     grid = np.array([0.0])
-    w_mono = source_averaged_pattern(grid, _setup(R0=500e-9)).w[0]
-    w_5 = wavelength_averaged_pattern(
-        grid, _setup(R0=500e-9, dv_rel=0.05)).w[0]
-    w_10 = wavelength_averaged_pattern(
-        grid, _setup(R0=500e-9, dv_rel=0.10)).w[0]
+    w_mono = averaged_pattern(grid, _setup(R0=500e-9), source=True).w[0]
+    w_5 = averaged_pattern(
+        grid, _setup(R0=500e-9, dv_rel=0.05), source=True, velocity=True).w[0]
+    w_10 = averaged_pattern(
+        grid, _setup(R0=500e-9, dv_rel=0.10), source=True, velocity=True).w[0]
     drop5 = w_mono - w_5
     drop10 = w_mono - w_10
     assert 2e-6 < drop5 < 5e-5
@@ -764,8 +757,8 @@ def test_velocity_averaged_disc_seeds_the_wall_panels(monkeypatch):
         return panels(*args)
 
     monkeypatch.setattr(arago.numerics, "_panels", counted_panels)
-    wavelength_averaged_pattern(default_grid(setup.dimensionless(), 241),
-                                setup, phase)
+    averaged_pattern(default_grid(setup.dimensionless(), 241),
+                     setup, phase, source=True, velocity=True)
     assert len(calls) <= 24
 
 
@@ -777,10 +770,10 @@ def test_fig3_source_average_meets_rel_tol(kind, rel_tol):
     # <= 8.9e-15 (disc) and 2.0e-14 (sphere) relative
     setup, phase = _fig3_source(kind, 2.0)
     u = default_grid(setup.dimensionless(), 241)
-    w = source_averaged_pattern(u, setup, phase,
-                                QuadratureSpec(rel_tol=rel_tol)).w
-    ref = source_averaged_pattern(u, setup, phase, QuadratureSpec(
-        rel_tol=1e-12, abs_tol=1e-13, max_subdivisions=40000)).w
+    w = averaged_pattern(u, setup, phase, QuadratureSpec(rel_tol=rel_tol),
+                         source=True).w
+    ref = averaged_pattern(u, setup, phase, QuadratureSpec(
+        rel_tol=1e-12, abs_tol=1e-13, max_subdivisions=40000), source=True).w
     assert np.max(np.abs(w - ref) / ref) <= rel_tol
 
 
