@@ -205,8 +205,9 @@ def _fmt(x):
 
 
 def _write_profile_csv(path, profile):
-    rows = "".join(f"{ui:.8e},{wi:.8e}\n" for ui, wi in
-                   zip(profile.u.tolist(), profile.w.tolist()))
+    # "%.8e" writes the bytes of format(x, ".8e"), inf and nan included
+    rows = "".join(map("%.8e,%.8e\n".__mod__,
+                       zip(profile.u.tolist(), profile.w.tolist())))
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write("# u = screen radius in units of the obstacle radius R; "
                  "w = intensity normalized to the obstacle-free beam\n"

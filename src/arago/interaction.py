@@ -80,11 +80,12 @@ class EikonalPhase:
 
     The prefactor is C4 b / (hbar v_z R^4) for a disc and C4 / (hbar v_z R^3)
     for a sphere, so phi scales exactly as 1/v_z. Exposes phi(s) and
-    dphi_ds(s) for s > 1. s_negligible is where phi falls below phase_floor;
-    integrals against (e^{i phi} - 1) truncate there. The floor bounds the
-    dropped integrand's phase factor |e^{i phi} - 1|, not the dropped
-    integral: the point pattern's truncation error at the spot measures
-    1-3x the floor.
+    dphi_ds(s) for s > 1, and crossing(level, ...), where phi equals a level.
+    s_negligible is where phi falls to phase_floor, in closed form for the
+    disc and by crossing for the sphere; integrals against (e^{i phi} - 1)
+    truncate there. The floor bounds the dropped integrand's phase factor
+    |e^{i phi} - 1|, not the dropped integral: the point pattern's
+    truncation error at the spot measures 1-3x the floor.
     """
 
     phase_floor = 1e-4
@@ -112,13 +113,39 @@ class EikonalPhase:
             hi = max(4.0, 2.0 * s_far)
             while self.phi(hi) > phase_floor:
                 hi *= 2.0
-            self.s_negligible = bisect(lambda s: self.phi(s) - phase_floor,
-                                       max(s_far, 1.0 + 1e-9), hi, 1e-6)
+            self.s_negligible = float(self.crossing(
+                phase_floor, max(s_far, 1.0 + 1e-9), hi, 1e-6))
+
+    def crossing(self, level, lo, hi, tol):
+        """s in [lo, hi] where phi(s) = level, elementwise over level, to
+        tol in s; phi(lo) >= level >= phi(hi) > 0 is required.
+
+        Solved as log phi = log level in x = log(s - 1), by bisect with
+        the closed-form slope d log phi / dx = (s - 1) dphi_ds / phi. Near
+        the wall phi spans many decades, as (s - 1)^-4 for the disc and
+        (s - 1)^-3.5 for the sphere, and far out the sphere's falls as
+        s^-3; in these variables log phi is close to linear, so Newton
+        steps converge from the start, and every iterate stays at s > 1. A
+        step dx moves s by at most (hi - 1) dx, so x is solved to
+        tol / (hi - 1).
+        """
+        log_level = np.log(level)
+
+        def log_phi(x):
+            return np.log(self.phi(1.0 + np.exp(x))) - log_level
+
+        def slope(x):
+            e = np.exp(x)
+            return e * self.dphi_ds(1.0 + e) / self.phi(1.0 + e)
+
+        x = bisect(log_phi, math.log(lo - 1.0), math.log(hi - 1.0),
+                   tol / (hi - 1.0), slope)
+        return 1.0 + np.exp(x)
 
     def phi(self, s):
         """Phase in radians, vectorized over s (> 1 required)."""
         s = np.asarray(s, dtype=float)
-        if np.any(s <= 1.0):
+        if (s <= 1.0).any():
             raise ValueError("phi(s) requires s > 1")
         out = self.prefactor * self._shape(s)
         return float(out) if out.ndim == 0 else out
@@ -126,7 +153,7 @@ class EikonalPhase:
     def dphi_ds(self, s):
         """Derivative dphi/ds (negative), vectorized over s (> 1 required)."""
         s = np.asarray(s, dtype=float)
-        if np.any(s <= 1.0):
+        if (s <= 1.0).any():
             raise ValueError("dphi_ds(s) requires s > 1")
         out = self.prefactor * self._shape_ds(s)
         return float(out) if out.ndim == 0 else out
@@ -165,7 +192,8 @@ def capture_eta(obstacle, particle, v_z):
     It is captured iff it reaches the roughness shell r = 1 + delta, so
     (1 + eta)^2 is the minimum of B over r >= 1 + delta (the fall-to-centre
     capture cross-section). B has a single minimum, at the root r* of
-    (r-1)^5 = (A/2)(r+1). Disc: the transit-time capture cutoff of the wall
+    (r-1)^5 = (A/2)(r+1), found by bisect with the closed-form derivative
+    to within an ulp. Disc: the transit-time capture cutoff of the wall
     formula with the disc thickness, eta = x_c / R.
     """
     if not v_z > 0:
@@ -179,9 +207,13 @@ def capture_eta(obstacle, particle, v_z):
 
     half_A = 2.0 * C4 / (particle.mass_kg * v_z ** 2 * R ** 4)
     delta = _ROUGHNESS / R
-    # at r - 1 = 2 + A^(1/4) the left side already exceeds the right
-    r_star = bisect(lambda r: (r - 1.0) ** 5 - half_A * (r + 1.0), 1.0,
-                    3.0 + (2.0 * half_A) ** 0.25, 1e-12)
+    # at r - 1 = A^(1/5) the right side exceeds the left by A/2 (r - 1), at
+    # r - 1 = 2 + A^(1/4) the left side already exceeds the right; from the
+    # lower end, where the two nearly agree, a Newton step is good to second
+    # order in A^(1/5)
+    r_star = bisect(lambda r: (r - 1.0) ** 5 - half_A * (r + 1.0),
+                    1.0 + (2.0 * half_A) ** 0.2, 3.0 + (2.0 * half_A) ** 0.25,
+                    1e-12, lambda r: 5.0 * (r - 1.0) ** 4 - half_A)
     r_min = max(r_star, 1.0 + delta)
     return r_min * math.sqrt(1.0 + half_A / (r_min - 1.0) ** 4) - 1.0
 

@@ -1,5 +1,5 @@
-"""Shared numerical machinery: Bessel J0, adaptive Hankel quadrature,
-bisection.
+"""Shared numerical machinery: Bessel J0, adaptive Hankel quadrature, a
+bracketed root finder.
 
 The quadrature engine computes int_a^b g(s) J0(c_j s) ds for every scale c_j
 of a list at once: one oscillatory Hankel integral for an entire screen
@@ -23,7 +23,11 @@ most machine epsilon; that bound times the panel's sum of |weight * g|
 (real and imaginary parts taken apart) is added to its error estimate. A
 panel that meets no rung reads J0 at its 31 Kronrod nodes.
 
-Bisection is elementwise, so one call finds the crossings of many levels.
+The root finder bisect is elementwise, so one call finds the crossings of
+many levels. Without a derivative it bisects, step for step as
+scipy.optimize.bisect; given the derivative, it takes Newton steps that stay
+inside each element's bisection bracket (the rtsafe rule), which converge
+quadratically where the function is smooth.
 
 Semi-infinite oscillatory integrals never reach this module; the callers reduce
 them to finite intervals plus analytic closed forms first, so only robust
@@ -326,17 +330,35 @@ def integrate_adaptive(g, a, b, scales, spec=None, points=()):
 _BISECT_RTOL = 4.0 * np.finfo(float).eps
 
 
-def bisect(f, lo, hi, tol):
-    """Root of f in [lo, hi] by bisection; requires a sign change.
+def bisect(f, lo, hi, tol, df=None):
+    """Root of f in [lo, hi], which must bracket a sign change: by
+    bisection, or with df, the derivative of f, by Newton steps kept inside
+    the bisection bracket.
 
-    Elementwise over arrays: lo and hi may be arrays, and f may return an
-    array (say, one phase minus an array of levels); each element is
-    bisected on its own bracket, and f is called once per step with every
-    element. The midpoints are scipy.optimize.bisect's: the step dm halves,
-    xm = xa + dm, and an element stops at xm once f(xm) == 0 or
-    |dm| < tol + 4 eps |xm|. A single root takes the same steps on Python
-    floats. Raises ValueError if f(lo) and f(hi) do not bracket a root, or
-    if f returns NaN.
+    Elementwise over arrays: lo and hi may be arrays, and f and df may
+    return an array (say, one phase minus an array of levels); each element
+    keeps its own bracket, and f and df are called once per step with every
+    element. A single root takes the same steps on Python floats.
+
+    Without df every step is scipy.optimize.bisect's: the step dm halves,
+    xm = xa + dm, and an element stops at xm once f(xm) == 0 or |dm| < tol
+    + 4 eps |xm|.
+
+    With df an element steps by the rule of rtsafe (Press et al., Numerical
+    Recipes, 3rd ed., sec. 9.4): from its last iterate x, at first the
+    bracket end where |f| is smaller, it takes the Newton point x - f/df if
+    that lies strictly inside its sign bracket and the Newton step is below
+    half the last step, when that was one, and the bracket's midpoint
+    otherwise. It stops where f is 0, by scipy's test after a midpoint, or
+    at the Newton point once a Newton step below tol + 4 eps |x| halves the
+    last one. Near a simple root the steps converge quadratically, so that
+    point is far closer than tol; near a multiple root a step below tol
+    does not bound the error, and there the steps fail to halve. No iterate
+    leaves its bracket, and none stalls: Newton steps in a row at least
+    halve, and a midpoint halves the bracket.
+
+    Raises ValueError if f(lo) and f(hi) do not bracket a root, or if f or
+    df returns NaN.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -352,34 +374,81 @@ def bisect(f, lo, hi, tol):
             f"are {fa.flat[j]:.3e}, {fb.flat[j]:.3e}")
     root = np.where(fa == 0, xa, xb)
     todo = (fa != 0) & (fb != 0)
-    dm = xb - xa
     if root.ndim == 0:
-        return (_bisect_scalar(f, float(xa), float(dm), float(fa), tol)
-                if todo else float(root))
-    while np.any(todo):
-        dm = dm * 0.5
-        xm = xa + dm
-        fm = f(xm)
-        if np.any(np.isnan(fm)):
+        return (_bisect_scalar(f, df, float(xa), float(xb), float(fa),
+                               float(fb), tol) if todo else float(root))
+    # the bracket is xa, where f has the sign of fa, and xa + dm; the last
+    # iterate x and f there, first the bracket end where |f| is smaller; and
+    # the size of the last step if it was a Newton step, else inf
+    dm = xb - xa
+    nearer = np.abs(fa) < np.abs(fb)
+    x, fx = np.where(nearer, xa, xb), np.where(nearer, fa, fb)
+    last = np.full(root.shape, np.inf)
+    while todo.any():
+        half = dm * 0.5
+        xm, midpoint = xa + half, True
+        if df is not None:
+            dfx = df(x)
+            if np.isnan(dfx).any():
+                raise ValueError("df returned NaN")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dx = -fx / dfx
+            xn, xb = x + dx, xa + dm
+            fast = np.abs(dx) < 0.5 * last
+            # a fast Newton step below the tolerance ends at its point
+            close = todo & fast & (last < np.inf) & (
+                np.abs(dx) < tol + _BISECT_RTOL * np.abs(xn))
+            root = np.where(close, xn, root)
+            todo = todo & ~close
+            if not todo.any():
+                break
+            newton = fast & ((xn - xa) * (xn - xb) < 0)
+            xm, midpoint = np.where(newton, xn, xm), ~newton
+            last = np.where(newton, np.abs(dx), np.inf)
+        x, fx = xm, f(xm)
+        if np.isnan(fx).any():
             raise ValueError("f returned NaN inside the bracket")
-        xa = np.where(fm * fa >= 0, xm, xa)
-        stop = todo & ((fm == 0) | (np.abs(dm) < tol + _BISECT_RTOL
-                                    * np.abs(xm)))
+        move = fx * fa >= 0
+        # scipy's dm halves; a Newton point splits the bracket unevenly
+        dm = half if df is None else np.where(move, xb - xm, xm - xa)
+        xa = np.where(move, xm, xa)
+        stop = todo & ((fx == 0) | (midpoint & (
+            np.abs(half) < tol + _BISECT_RTOL * np.abs(xm))))
         root = np.where(stop, xm, root)
         todo = todo & ~stop
     return root
 
 
-def _bisect_scalar(f, xa, dm, fa, tol):
+def _bisect_scalar(f, df, xa, xb, fa, fb, tol):
     """bisect's steps for a single root, on Python floats: a tenth of the
     cost of the array steps for one element."""
+    dm = xb - xa
+    x, fx = (xa, fa) if abs(fa) < abs(fb) else (xb, fb)
+    last = math.inf
     while True:
-        dm *= 0.5
-        xm = xa + dm
-        fm = f(xm)
-        if np.isnan(fm):
+        half = dm * 0.5
+        xm, newton = xa + half, False
+        if df is not None:
+            dfx = df(x)
+            if np.isnan(dfx):
+                raise ValueError("df returned NaN")
+            dx = -fx / dfx if dfx else math.inf
+            xn, xb = x + dx, xa + dm
+            fast = abs(dx) < 0.5 * last
+            if (fast and last < math.inf
+                    and abs(dx) < tol + _BISECT_RTOL * abs(xn)):
+                return xn
+            newton = fast and (xn - xa) * (xn - xb) < 0
+            if newton:
+                xm = xn
+            last = abs(dx) if newton else math.inf
+        x, fx = xm, f(xm)
+        if np.isnan(fx):
             raise ValueError("f returned NaN inside the bracket")
-        if fm * fa >= 0:
+        move = fx * fa >= 0
+        dm = half if df is None else xb - xm if move else xm - xa
+        if move:
             xa = xm
-        if fm == 0 or abs(dm) < tol + _BISECT_RTOL * abs(xm):
+        if fx == 0 or (not newton
+                       and abs(half) < tol + _BISECT_RTOL * abs(xm)):
             return xm

@@ -67,7 +67,7 @@ import numpy as np
 
 from .config import ConstraintReport
 from .interaction import EikonalPhase, capture_eta as _capture_eta
-from .numerics import DEFAULT_SPEC, NumericsError, bisect, integrate_adaptive
+from .numerics import DEFAULT_SPEC, NumericsError, integrate_adaptive
 from .particles import velocity_nodes
 
 
@@ -170,8 +170,8 @@ def _phase_breakpoints(phase, a, spec):
     2 phi(a) / n for the seed allowance n = spec.max_subdivisions // 2, so
     the equal steps take at most half of it, and the ladder stops at n
     seeds in any case. The disc phase P (s-1)^-4 crosses a level in closed
-    form; the sphere's crossings are bisected, all levels in one elementwise
-    bisection.
+    form; the sphere's crossings are found by EikonalPhase.crossing, all
+    levels in one elementwise call, to 1e-10 in s.
     """
     lo = max(a, 1.0 + 1e-9)
     levels = [phase.phi(lo)]
@@ -182,9 +182,8 @@ def _phase_breakpoints(phase, a, spec):
         levels.append(max(levels[-1] - step, levels[-1] / 4.0))
     if phase.obstacle.kind == "disc":
         return [1.0 + (phase.prefactor / lvl) ** 0.25 for lvl in levels[1:]]
-    targets = np.array(levels[1:])
-    return bisect(lambda s: phase.phi(s) - targets, lo, phase.s_negligible,
-                  1e-10).tolist()
+    return phase.crossing(np.array(levels[1:]), lo, phase.s_negligible,
+                          1e-10).tolist()
 
 
 def _amplitude_grid(u_grid, k, ell, phase=None, quad=None):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import arago.classical
 import arago.poisson
 from arago.cli import (
     PRESET_NAMES,
+    _write_profile_csv,
     load_preset,
     main,
     parse_config,
@@ -223,6 +225,20 @@ def test_rerun_byte_identical(tmp_path):
                        shallow=False)
     assert filecmp.cmp(a / "visibility.kv", b / "visibility.kv",
                        shallow=False)
+
+
+def test_profile_csv_rows_are_the_format_spec_bytes(tmp_path):
+    # each row is f"{u:.8e},{w:.8e}", byte for byte, at signed zeros, the
+    # smallest subnormal, the exponent extremes and the non-finite values
+    # (which no RadialProfile holds, so the writer gets bare arrays)
+    values = [0.0, -0.0, 5e-324, 1e-300, 1e300, math.inf, -math.inf, math.nan]
+    profile = types.SimpleNamespace(u=np.array(values),
+                                    w=np.array(values[::-1]))
+    _write_profile_csv(tmp_path / "p.csv", profile)
+    rows = (tmp_path / "p.csv").read_bytes().split(b"\n", 2)[2]
+    assert rows == "".join(f"{a:.8e},{b:.8e}\n"
+                           for a, b in zip(values, values[::-1])).encode()
+    assert rows.split(b"\n")[1] == b"-0.00000000e+00,-inf"
 
 
 def _small_fig3_sphere(**overrides):

@@ -17,6 +17,7 @@ from arago.interaction import (
     capture_eta_shooting,
     classical_kick,
 )
+from arago.numerics import bisect
 from arago.particles import ParticleSpecies, species_preset
 
 AU = species_preset("au100")          # 19700 amu, alpha 5e-28 m^3, v 2 m/s
@@ -161,6 +162,48 @@ def test_s_negligible():
     assert float(sp.phi(2.0 * sp.s_negligible)) < sp.phase_floor
 
 
+# fig3 sphere velocities (m/s) of the root oracles
+ORACLE_VELOCITIES = (1.5, 4.0, 20.0, 50.0)
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("v", ORACLE_VELOCITIES)
+def test_s_negligible_is_the_floor_crossing(v):
+    # s_negligible is the root of phi = phase_floor, solved by Newton steps
+    # in log(s - 1): phi there is the floor to 1e-12, and bisection without
+    # the slope lands within its 1e-6 tolerance in s of it
+    phase = EikonalPhase(SPHERE, AU, v)
+    floor = phase.phase_floor
+    assert phase.phi(phase.s_negligible) == pytest.approx(floor, rel=1e-12)
+    s_far = (phase.prefactor * math.pi / (2.0 * floor)) ** (1.0 / 3.0)
+    ref = bisect(lambda s: phase.phi(s) - floor, s_far, 4.0 * s_far, 1e-6)
+    assert abs(phase.s_negligible - ref) <= 1e-6 + 4.0 * EPS * ref
+
+
+@pytest.mark.parametrize("v", ORACLE_VELOCITIES)
+def test_capture_minimum_is_a_root_to_rounding(v, monkeypatch):
+    # r* solves (r - 1)^5 = (A/2)(r + 1): its residual is below what one
+    # ulp of r moves it (measured 0.17-0.29 of that), and bisection without
+    # the slope lands within its 1e-12 tolerance of it
+    roots = []
+
+    def recorded(*args):
+        roots.append(bisect(*args))
+        return roots[-1]
+
+    monkeypatch.setattr(arago.interaction, "bisect", recorded)
+    capture_eta(SPHERE, AU, v)
+    r = roots[0]
+    half_A = 2.0 * AU.C4 / (AU.mass_kg * v ** 2 * SPHERE.R ** 4)
+    residual = (r - 1.0) ** 5 - half_A * (r + 1.0)
+    slope = 5.0 * (r - 1.0) ** 4 - half_A
+    assert len(roots) == 1
+    assert abs(residual) <= abs(slope) * np.spacing(r)
+    ref = bisect(lambda r: (r - 1.0) ** 5 - half_A * (r + 1.0), 1.0,
+                 3.0 + (2.0 * half_A) ** 0.25, 1e-12)
+    assert abs(r - ref) <= 1e-12 + 4.0 * EPS * ref
+
+
 def test_dphi_ds_consistency():
     phase = EikonalPhase(SPHERE, AU, AU.v_long)
     for s in (1.1, 1.5, 3.0, 8.0):
@@ -189,7 +232,7 @@ def test_capture_eta_sphere():
     eta = capture_eta(SPHERE, AU, AU.v_long)
     assert eta == pytest.approx(0.078445686340332, rel=1e-4)
     assert eta * 500e-9 == pytest.approx(39.2e-9, rel=0.02)
-    # brute-force oracle, independent of the r* bisection: (1 + eta)^2 is the
+    # brute-force oracle, independent of the r* root-find: (1 + eta)^2 is the
     # minimum of B(r) = r^2 (1 + (A/2)/(r-1)^4) over r in [1 + delta, 3],
     # here on 1e5 nodes geometric in r - 1. Measured: 1.0e-9 relative at
     # fig3 (the grid's quadratic error at the interior minimum r*); exactly

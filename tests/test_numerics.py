@@ -444,6 +444,116 @@ def test_bisect_elementwise_names_unbracketed_element():
                1e-10)
 
 
+def _recorded(f):
+    """f, and the list of the points it is called at."""
+    points = []
+
+    def g(x):
+        points.append(np.array(x, dtype=float))
+        return f(x)
+    return g, points
+
+
+def _assert_nested(f, points):
+    # replays bisect's sign bracket: each point after the two ends lies
+    # strictly inside the bracket that the points before it left
+    a, b = np.broadcast_arrays(points[0], points[1])
+    fa = f(a)
+    for x in points[2:]:
+        assert np.all((x - a) * (x - b) < 0)
+        same = f(x) * fa >= 0
+        a, b = np.where(same, x, a), np.where(same, b, x)
+
+
+# (f, df, lo, hi): functions on which raw Newton steps fail
+NEWTON_TRAPS = {
+    # from |x - 0.3| > 1.39 a Newton step lands farther out on the other
+    # side: from the end -10 it lands at 148
+    "arctan": (lambda x: np.arctan(x - 0.3),
+               lambda x: 1.0 / (1.0 + (x - 0.3) ** 2), -10.0, 10.0),
+    # every Newton step doubles the distance to the root and flips its side
+    "cube root": (lambda x: np.cbrt(x - 0.2),
+                  lambda x: np.abs(x - 0.2) ** (-2.0 / 3.0) / 3.0, -1.0, 2.0),
+    # Newton cycles 1 -> 0 -> 1, and the root is at -1.769
+    "cycle": (lambda x: x ** 3 - 2.0 * x + 2.0, lambda x: 3.0 * x ** 2 - 2.0,
+              -3.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("trap", NEWTON_TRAPS)
+def test_bisect_newton_steps_stay_in_the_bracket(trap):
+    # with df the root matches bisection's within tol, and no point that f
+    # is read at leaves its bracket; single roots and elementwise alike
+    f, df, lo, hi = NEWTON_TRAPS[trap]
+    shift = np.array([-0.4, 0.0, 0.05, 0.3])
+    for tol in (1e-6, 1e-12):
+        g, points = _recorded(f)
+        root = bisect(g, lo, hi, tol, df)
+        assert abs(root - bisect(f, lo, hi, tol)) <= tol
+        _assert_nested(f, points)
+
+        g, points = _recorded(lambda x: f(x - shift))
+        roots = bisect(g, lo + shift, hi + shift, tol,
+                       lambda x: df(x - shift))
+        assert roots.shape == shift.shape
+        assert np.all(np.abs(roots - bisect(lambda x: f(x - shift),
+                                            lo + shift, hi + shift, tol))
+                      <= tol)
+        _assert_nested(lambda x: f(x - shift), points)
+
+
+def test_bisect_newton_converges_in_few_steps():
+    # 1/s^3 at five levels, the case of test_bisect_elementwise_targets:
+    # with df, f is called 13 times where bisection calls it 55 times, and
+    # 8 to 13 times for each level alone; every root is within 4 eps of the
+    # closed form
+    levels = np.array([3.0, 1.0, 0.2, 0.01, 1.0 / 8.0])
+    g, points = _recorded(lambda s: 1.0 / s ** 3 - levels)
+    roots = bisect(g, 0.1, 10.0, 1e-15, lambda s: -3.0 / s ** 4)
+    assert np.allclose(roots, levels ** (-1.0 / 3.0), rtol=4e-16, atol=0.0)
+    assert len(points) <= 13
+    for level in levels:
+        g, points = _recorded(lambda s: 1.0 / s ** 3 - level)
+        root = bisect(g, 0.1, 10.0, 1e-15, lambda s: -3.0 / s ** 4)
+        assert root == pytest.approx(level ** (-1.0 / 3.0), rel=4e-16)
+        assert len(points) <= 13
+
+
+def test_bisect_newton_ends_within_tol_at_a_multiple_root():
+    # at a root of multiplicity 9 each Newton step closes only 1/9 of the
+    # distance, so a step below tol does not put the root within tol; the
+    # element ends there only after a Newton step that halves the one
+    # before, and otherwise by scipy's test on a midpoint
+    def f(x):
+        return (x - 0.1) ** 9
+
+    def df(x):
+        return 9.0 * (x - 0.1) ** 8
+    for tol in (1e-6, 1e-12):
+        for lo in (-0.5, np.array([-0.5, -0.4, 0.0])):
+            g, points = _recorded(f)
+            root = bisect(g, lo, 1.0, tol, df)
+            assert np.all(np.abs(root - 0.1) <= tol)
+            _assert_nested(f, points)
+
+
+def test_bisect_newton_rejects_nan_and_names_unbracketed_element():
+    levels = np.array([1.0, 2000.0])
+    with pytest.raises(ValueError, match=r"sign change on \[0\.1, 10\]"):
+        bisect(lambda s: 1.0 / s ** 3 - levels, 0.1, 10.0, 1e-10,
+               lambda s: -3.0 / s ** 4)
+    # NaN inside (0.55, 0.95), where the first Newton step lands
+    def nan_inside(x, y):
+        return np.where((x > 0.55) & (x < 0.95), np.nan, y)
+    for lo in (0.5, np.full(3, 0.5)):
+        with pytest.raises(ValueError, match="df returned NaN"):
+            bisect(lambda x: x ** 3 - 0.4, lo, 1.0, 1e-10,
+                   lambda x: nan_inside(x, 3.0 * x * x))
+        with pytest.raises(ValueError, match="f returned NaN inside"):
+            bisect(lambda x: nan_inside(x, x ** 3 - 0.4), lo, 1.0, 1e-10,
+                   lambda x: 3.0 * x * x)
+
+
 def test_fig3_disc_reads_j0_at_a_quarter_of_the_kronrod_rows(monkeypatch):
     # the fig3 disc at 2 m/s, averaged over its source: every J0 entry that
     # poisson forms, against the 31 x panels x radii entries of the 31-node

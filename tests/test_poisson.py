@@ -8,7 +8,7 @@ import arago.poisson
 from arago.classical import _polar_rule
 from arago.interaction import EikonalPhase, Obstacle, capture_eta
 from arago.numerics import (_CALL_SIZE, NumericsError, QuadratureSpec,
-                            bessel_j0)
+                            bessel_j0, bisect)
 from arago.particles import ParticleSpecies, velocity_nodes
 from arago.poisson import (
     DimensionlessParams,
@@ -703,12 +703,12 @@ def test_phase_breakpoints_step_the_wall_phase():
     # the seed levels step down from phi(1 + eta) by _PHASE_STEP radians
     # while L_j > 4 step / 3, then by quarters, and stop at the first level
     # at or below the floor; phi at each seed is its level, in closed form
-    # for the disc and bisected to 1e-10 in s for the sphere
+    # for the disc and solved to rounding for the sphere
     step = arago.poisson._PHASE_STEP
     disc = Obstacle("disc", 500e-9, 10e-9)
     for obs, v, rtol, linear in ((disc, 2.0, 1e-13, 40),
                                  (disc, 20.2553946, 1e-13, 85),
-                                 (Obstacle("sphere", 500e-9), 2.0, 1e-6, 25)):
+                                 (Obstacle("sphere", 500e-9), 2.0, 1e-12, 25)):
         setup = _setup(v=v, obstacle=obs, alpha=5e-28)
         phase = EikonalPhase(obs, setup.particle, v)
         a = 1.0 + capture_eta(obs, setup.particle, v)
@@ -723,6 +723,34 @@ def test_phase_breakpoints_step_the_wall_phase():
         assert pts.size == levels.size - 1 and np.all(np.diff(pts) > 0)
         assert levels[-2] > 1e-3 >= levels[-1]
         assert np.allclose(phase.phi(pts), levels[1:], rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("v,a", [(1.5, None), (4.0, None), (20.0, None),
+                                 (50.0, None), (2.0, 1.0 + 1e-6)])
+def test_sphere_seeds_are_the_level_crossings(v, a):
+    # the sphere's seeds are found by Newton steps in log(s - 1), at the
+    # fig3 capture radius and at the seed-allowance wall a = 1 + 1e-6: each
+    # is within the 1e-10 tolerance in s of the bisection without the
+    # slope, and phi there is its level to 1e-12 plus what one ulp of s
+    # moves phi (below 4e-14 at the capture radii, 7.5e-10 at s - 1 = 1e-6)
+    setup, phase = _fig3_source("sphere", v)
+    if a is None:
+        a = 1.0 + capture_eta(phase.obstacle, phase.particle, v)
+    calls = []
+
+    def crossing(level, lo, hi, tol):
+        calls.append((level, lo, hi, tol))
+        return EikonalPhase.crossing(phase, level, lo, hi, tol)
+
+    phase.crossing = crossing
+    seeds = np.array(arago.poisson._phase_breakpoints(
+        phase, a, QuadratureSpec()))
+    (levels, lo, hi, tol), = calls
+    assert tol == 1e-10 and seeds.size == levels.size > 30
+    ref = bisect(lambda s: phase.phi(s) - levels, lo, hi, tol)
+    assert np.all(np.abs(seeds - ref) <= tol + 4.0 * np.spacing(ref))
+    ulp = np.abs(phase.dphi_ds(seeds)) * np.spacing(seeds) / levels
+    assert np.all(np.abs(phase.phi(seeds) / levels - 1.0) <= 1e-12 + ulp)
 
 
 @pytest.mark.parametrize("kind,a", [("disc", 1.0 + 1e-4),
