@@ -18,17 +18,17 @@ like 1/u at the origin; the divergence is integrable against the area
 element u du and is never evaluated at u = 0.
 
 The classical and quantum engines consume the same EikonalPhase object and
-read the particle, velocity and capture radius from it. The finite-source
+read the particle, velocity and capture radius from it, and average over
+the same velocity nodes (poisson.velocity_terms). The finite-source
 averages differ: the quantum engine uses the arc-length kernel of
-poisson._arc_rule (as the matrix poisson.arc_average_operator), this
-engine a polar rule whose discretization
-error near the focal divergence is frozen in the recorded classical
-reference profile; it keeps that rule until the reference is re-recorded.
-The rule is linear in the tabulated profile g = u w(u) and depends
-otherwise only on the screen grid, beta and ell, so it runs as one banded
-matrix (polar_average_operator) applied to g. Profiles that share the
-geometry, as the scenarios of a velocity sweep do, share the matrix through
-a dict that classical_source_averaged keys by it.
+poisson._arc_rule (as the matrix poisson.arc_average_operator), this engine
+a polar rule whose discretization error near the focal divergence is frozen
+in the recorded classical reference profile; it keeps that rule until the
+reference is re-recorded. The rule is linear in the tabulated profile
+g = u w(u) and depends otherwise only on the screen grid, beta and ell, so
+it runs as one banded matrix (polar_average_operator) applied to g. Profiles
+that share the geometry, as the scenarios of a velocity sweep do, share the
+matrix through a dict that classical_source_averaged keys by it.
 """
 
 import math
@@ -38,7 +38,7 @@ import numpy as np
 
 from .interaction import capture_eta, classical_kick
 from .numerics import NumericsError
-from .poisson import RadialProfile
+from .poisson import RadialProfile, velocity_terms
 
 
 @dataclass
@@ -245,26 +245,39 @@ def polar_average_operator(u_grid, beta, ell):
     return PolarAverage(u, beta, work, tuple(blocks))
 
 
-def classical_source_averaged(u_grid, setup, rmap, operators=None):
-    """Finite-source version of classical_point_pattern, averaged with the
-    polar rule of polar_average_operator (see the module notes). The
-    integrable 1/u focal divergence is handled by interpolating u * w(u),
-    which stays finite down to the axis. The operator depends on the grid,
-    beta and ell only, not on the velocity, so the profiles of a sweep share
-    one: operators is a dict shared by those profiles, in which the operator
-    is built and stored on first use under ("polar", grid bytes, beta,
-    ell)."""
-    beta = setup.dimensionless().beta
+def classical_source_averaged(u_grid, setup, terms, operators=None):
+    """The polar rule's source average (see polar_average_operator and the
+    module notes) of sum_i w_i classical_point_pattern(RayMap_i) over the
+    (w_i, RayMap_i) terms, for beta > 0. The rule is linear in the
+    interpolated g = u w(u), finite down to the axis, so the terms' weighted
+    g are summed on the work grid and averaged once. The operator depends on
+    the grid, beta and ell only, so the profiles of a sweep share it through
+    the dict operators, under ("polar", grid bytes, beta, ell)."""
+    p = setup.dimensionless()
     u = np.asarray(u_grid, dtype=float)
-    if beta == 0.0:
-        return classical_point_pattern(u, rmap)
     operators = {} if operators is None else operators
-    key = "polar", u.tobytes(), beta, rmap.ell
+    key = "polar", u.tobytes(), p.beta, p.ell
     if key not in operators:
-        operators[key] = polar_average_operator(u, beta, rmap.ell)
-    operator = operators[key]
-    g = operator.work * classical_point_pattern(operator.work, rmap).w
-    return RadialProfile(u, np.maximum(operator.apply(g), 0.0))
+        operators[key] = polar_average_operator(u, p.beta, p.ell)
+    op = operators[key]
+    g = op.work * sum(w_i * classical_point_pattern(op.work, rmap).w
+                      for w_i, rmap in terms)
+    return RadialProfile(u, np.maximum(op.apply(g), 0.0))
+
+
+def averaged_pattern(u_grid, setup, phase=None, source=False,
+                     velocity=False, operators=None):
+    """Classical pattern on the origin-free u_grid, averaged as
+    poisson.averaged_pattern averages the quantum one: over the nodes of
+    poisson.velocity_terms, each with a ray map to s_max =
+    max(8, u_max / ell + 2), and over the source disc if source."""
+    u = np.asarray(u_grid, dtype=float)
+    terms = [(w_i, ray_map(p_i, phase_i, max(8.0, u[-1] / p_i.ell + 2.0)))
+             for w_i, p_i, phase_i in velocity_terms(setup, phase, velocity)]
+    if source and setup.dimensionless().beta > 0.0:
+        return classical_source_averaged(u, setup, terms, operators)
+    return RadialProfile(u, sum(w_i * classical_point_pattern(u, rmap).w
+                                for w_i, rmap in terms))
 
 
 @dataclass(frozen=True)

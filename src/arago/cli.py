@@ -6,10 +6,11 @@ Scenario files use the flat key=value grammar (see `config`); `--preset`
 loads a packaged scenario by name instead. Far-field scenarios write a
 constraint report (plain text and machine-readable key-value). Near-field
 scenarios run one pipeline: a visibility report, the radial-profile CSVs
-that _NEAR_FIELD_PROFILES lists for the mode, and a distinguishability
-report when compare mode has both. Exit codes: 0 success, 2 configuration
-error (nothing is written), 3 numerical failure (partial outputs, a whole
-sweep's included, are removed).
+that _NEAR_FIELD_PROFILES lists for the mode, each from its engine's
+averaged_pattern with the same source and velocity averaging, and a
+distinguishability report when compare mode has both. Exit codes: 0
+success, 2 configuration error (nothing is written), 3 numerical failure
+(partial outputs, a whole sweep's included, are removed).
 
 Output files are deterministic for a fixed config: rerunning a scenario
 produces byte-identical artifacts.
@@ -267,29 +268,18 @@ def _screen_grid(cfg):
     return u[1:] if "classical" in _NEAR_FIELD_PROFILES[cfg.mode] else u
 
 
-def _classical_pattern(cfg, u, phase, operators):
-    """Classical pattern on the origin-free grid u; the deflection model
-    averages over the source, never over velocities. A source average
-    takes its polar_average_operator from the shared dict operators (see
-    classical_source_averaged)."""
-    p = cfg.poisson.dimensionless()
-    rmap = cls.ray_map(p, phase, s_max=max(8.0, u[-1] / p.ell + 2.0))
-    if not cfg.source_averaging:
-        return cls.classical_point_pattern(u, rmap)
-    return cls.classical_source_averaged(u, cfg.poisson, rmap, operators)
-
-
 def run_scenario(cfg, out_dir, operators=None):
     """Execute one scenario, writing its artifacts into out_dir.
 
     Returns a ScenarioResult with the paths and summary metrics. On a
     numerical failure every partially written artifact is removed and the
-    exception propagates. operators is the dict of source-average
-    operators that the scenarios of one sweep share, quantum and classical;
-    each engine keys it by what its operator depends on (see
-    poisson.averaged_pattern and classical.classical_source_averaged). A
-    single run passes none, and each profile builds its own operator and
-    drops it.
+    exception propagates. Both engines' averaged_pattern get the same
+    source, velocity and operators, so a compare run's profiles share their
+    velocity nodes. operators is the dict of source-average operators that
+    the scenarios of one sweep share, quantum and classical; each engine
+    keys it by what its operator depends on (see poisson.averaged_pattern
+    and classical.classical_source_averaged). A single run passes none, and
+    each profile builds its own operator and drops it.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -317,14 +307,14 @@ def run_scenario(cfg, out_dir, operators=None):
         if names != ("ideal",) and cfg.particle.alpha > 0:
             phase = EikonalPhase(cfg.poisson.obstacle, cfg.particle,
                                  cfg.particle.v_long)
+        averaging = dict(source=cfg.source_averaging,
+                         velocity=cfg.velocity_averaging, operators=operators)
         profiles = []
         for name in names:
-            if name == "classical":
-                profiles.append(_classical_pattern(cfg, u, phase, operators))
-            else:
-                profiles.append(psn.averaged_pattern(
-                    u, cfg.poisson, phase, cfg.quad, cfg.source_averaging,
-                    cfg.velocity_averaging, operators))
+            profiles.append(
+                cls.averaged_pattern(u, cfg.poisson, phase, **averaging)
+                if name == "classical" else psn.averaged_pattern(
+                    u, cfg.poisson, phase, cfg.quad, **averaging))
             _write_profile_csv(target(f"profile_{name}.csv"), profiles[-1])
 
         dist = math.nan
@@ -369,12 +359,12 @@ def sweep(cfg, key, values, out_dir):
 
     Scenarios that share a source-average geometry, as a velocity sweep's
     do, share its operators through one dict, which each engine keys by
-    what its operator depends on: one arc_average_operator per screen grid
-    and beta for the quantum profiles, which grows to the longest intensity
-    series among them, and one polar_average_operator per screen grid,
-    beta and ell for the classical ones. The first scenario that needs an
-    operator builds it, the rest reuse it, and all are dropped when the
-    sweep returns.
+    what it depends on: one arc_average_operator per screen grid and beta
+    (quantum), grown to the longest intensity series among them, and one
+    polar_average_operator per grid, beta and ell (classical). Each profile
+    applies its operator once, to the sum over its velocity nodes; the
+    first scenario to need an operator builds it, the rest reuse it, and
+    all are dropped when the sweep returns.
     """
     if key not in _KNOWN_KEYS or key == "mode":
         raise ConfigError(f"cannot sweep over {key!r}")

@@ -439,33 +439,35 @@ def _source_average(operator, terms, rel_tol):
     return operator.apply(coef)
 
 
+def velocity_terms(setup, phase, velocity):
+    """The (w_i, params_i, phase_i) nodes that either engine averages over:
+    without velocity, weight 1 at phase.v_z (v_long for phase None) with
+    the phase as given; with velocity, the velocity_nodes v_i, each with
+    its own params and EikonalPhase (one node at dv_rel = 0)."""
+    if not velocity:
+        return [(1.0, setup.dimensionless(
+            None if phase is None else phase.v_z), phase)]
+    vs, weights = velocity_nodes(setup.particle)
+    return [(w_i, setup.dimensionless(v_i), None if phase is None else
+             EikonalPhase(phase.obstacle, phase.particle, v_i))
+            for v_i, w_i in zip(vs, weights)]
+
+
 def averaged_pattern(u_grid, setup, phase=None, quad=None, source=False,
                      velocity=False, operators=None):
     """Pattern on u_grid, averaged over the source disc (radius R0) if
-    source and over the particle's velocity distribution if velocity.
-
-    Without velocity the one node is the phase's velocity phase.v_z (v_long
-    for the ideal obstacle, phase None), with the phase as given. With
-    velocity the nodes are the velocity_nodes v_i, with the Fresnel
-    parameter and the phase, EikonalPhase(phase.obstacle, phase.particle,
-    v_i), rebuilt at each; dv_rel = 0 gives the single-velocity result. A
-    source average (beta > 0) sums the nodes' weighted intensities, each
-    from the certified Chebyshev series of its amplitude on
-    [0, u_max + beta], into one series and averages it by one mat-vec of
-    the arc-length kernel matrix (_source_average); otherwise the nodes'
-    point-source patterns are summed. The matrix depends on the grid and
-    beta only: operators is a dict that the profiles of a sweep share, in
-    which it is built on first use under ("arc", grid bytes, beta).
+    source and over the particle's velocity distribution if velocity, at
+    the nodes of velocity_terms. A source average (beta > 0) sums the
+    nodes' weighted intensities, each from the certified Chebyshev series
+    of its amplitude on [0, u_max + beta], into one series and averages it
+    by one mat-vec of the arc-length kernel matrix (_source_average);
+    otherwise the nodes' point-source patterns are summed. The matrix
+    depends on the grid and beta only: operators is a dict that the
+    profiles of a sweep share, in which it is built on first use under
+    ("arc", grid bytes, beta).
     """
     u = np.asarray(u_grid, dtype=float)
-    if velocity:
-        vs, weights = velocity_nodes(setup.particle)
-        nodes = [(w_i, setup.dimensionless(v_i), None if phase is None else
-                  EikonalPhase(phase.obstacle, phase.particle, v_i))
-                 for v_i, w_i in zip(vs, weights)]
-    else:
-        nodes = [(1.0, setup.dimensionless(
-            None if phase is None else phase.v_z), phase)]
+    nodes = velocity_terms(setup, phase, velocity)
     beta = setup.dimensionless().beta
     if source and beta > 0.0:
         operators = {} if operators is None else operators

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from arago import classical
 from arago.classical import (
     _POLAR_RULE,
     RayMap,
@@ -17,7 +18,7 @@ from arago.classical import (
 )
 from arago.interaction import EikonalPhase, Obstacle, capture_eta
 from arago.numerics import NumericsError
-from arago.particles import ParticleSpecies
+from arago.particles import ParticleSpecies, velocity_nodes
 from arago.poisson import (
     DimensionlessParams,
     PoissonSetup,
@@ -176,7 +177,7 @@ def test_central_flux_integrable():
 def test_source_averaging_regularizes_center():
     setup, phase, rmap = _fig3("sphere")
     grid = np.linspace(0.025, 3.0, 60)
-    prof = classical_source_averaged(grid, setup, rmap)
+    prof = classical_source_averaged(grid, setup, [(1.0, rmap)])
     assert np.all(np.isfinite(prof.w))
     assert prof.w[0] > 0
 
@@ -185,10 +186,11 @@ def test_source_averaged_beta_zero_identity():
     obs = Obstacle("sphere", 500e-9)
     p = ParticleSpecies("au100", 19700.0, 5e-28, 2.0)
     setup = PoissonSetup(0.0, 500e-9, 0.125, 0.125, obs, p)
-    rmap = ray_map(setup.dimensionless(), EikonalPhase(obs, p, p.v_long))
+    phase = EikonalPhase(obs, p, p.v_long)
+    rmap = ray_map(setup.dimensionless(), phase)
     grid = np.linspace(0.1, 3.0, 30)
     a = classical_point_pattern(grid, rmap)
-    b = classical_source_averaged(grid, setup, rmap)
+    b = classical.averaged_pattern(grid, setup, phase, source=True)
     assert np.array_equal(a.w, b.w)
 
 
@@ -221,7 +223,7 @@ def test_polar_operator_matches_direct_average(kind, R0):
                                    atol=0)
     # the profile is the operator of its geometry applied to the physical g
     np.testing.assert_array_equal(
-        classical_source_averaged(u, setup, rmap).w,
+        classical_source_averaged(u, setup, [(1.0, rmap)]).w,
         np.maximum(op.apply(physical), 0.0))
 
 
@@ -240,15 +242,79 @@ def test_shared_operators_are_keyed_by_their_whole_geometry():
     for u in (np.linspace(0.05, 6.0, 41), np.linspace(0.1, 5.0, 41)):
         for R0, L2 in ((500e-9, 0.125), (250e-9, 0.125), (250e-9, 0.25)):
             setup = PoissonSetup(R0, 500e-9, 0.125, L2, obs, p)
-            rmap = ray_map(setup.dimensionless(), phase)
-            np.testing.assert_array_equal(
-                averaged_pattern(u, setup, phase, source=True,
-                                 operators=shared).w,
-                averaged_pattern(u, setup, phase, source=True).w)
-            np.testing.assert_array_equal(
-                classical_source_averaged(u, setup, rmap, shared).w,
-                classical_source_averaged(u, setup, rmap).w)
+            for engine in (averaged_pattern, classical.averaged_pattern):
+                np.testing.assert_array_equal(
+                    engine(u, setup, phase, source=True,
+                           operators=shared).w,
+                    engine(u, setup, phase, source=True).w)
     assert sorted(key[0] for key in shared) == ["arc"] * 4 + ["polar"] * 6
+
+
+@pytest.mark.parametrize("source", [False, True])
+@pytest.mark.parametrize("kind", ["sphere", "disc"])
+def test_velocity_average_is_the_weighted_node_sum(kind, source):
+    # the classical profile averages over the velocity nodes of the quantum
+    # one, each node with its own phase and ray map; the phase it is given
+    # (here built at 3 m/s) lends only its obstacle and particle. Oracle:
+    # the weighted sum of the single-velocity profiles, written out. It
+    # holds bit for bit for point sources; a source average sums the nodes'
+    # g before its one polar pass, which changes only the rounding (measured
+    # <= 9.4e-16 relative). The spread moves the profile by 5.3e-4 to
+    # 7.6e-3 relative
+    obs = Obstacle(kind, 500e-9, 10e-9 if kind == "disc" else None)
+    p = ParticleSpecies("au100", 19700.0, 5e-28, 2.0, dv_rel=0.1)
+    setup = PoissonSetup(500e-9, 500e-9, 0.125, 0.125, obs, p)
+    u = default_grid(setup.dimensionless(), 61)[1:]
+    got = classical.averaged_pattern(u, setup, EikonalPhase(obs, p, 3.0),
+                                     source=source, velocity=True).w
+    vs, weights = velocity_nodes(p)
+    assert vs.size == 9
+    ref = sum(w_i * classical.averaged_pattern(
+        u, setup, EikonalPhase(obs, p, v_i), source=source).w
+        for v_i, w_i in zip(vs, weights))
+    if source:
+        assert np.max(np.abs(got - ref) / ref) <= 1e-14
+    else:
+        assert np.array_equal(got, ref)
+    single = classical.averaged_pattern(u, setup, EikonalPhase(obs, p, 2.0),
+                                        source=source).w
+    assert np.max(np.abs(got - single) / single) > 1e-4
+
+
+@pytest.mark.parametrize("source", [False, True])
+def test_velocity_average_at_zero_spread_is_the_single_velocity(source):
+    # the fig3 particle has dv_rel = 0: one node, v_long, with weight 1
+    setup, phase, _ = _fig3("disc")
+    u = default_grid(setup.dimensionless(), 61)[1:]
+    np.testing.assert_array_equal(
+        classical.averaged_pattern(u, setup, phase, source=source,
+                                   velocity=True).w,
+        classical.averaged_pattern(u, setup, phase, source=source).w)
+
+
+def test_velocity_average_builds_one_polar_operator(monkeypatch):
+    # nine velocity nodes: nine ray maps and one polar operator
+    obs = Obstacle("disc", 500e-9, 10e-9)
+    p = ParticleSpecies("au100", 19700.0, 5e-28, 2.0, dv_rel=0.1)
+    setup = PoissonSetup(500e-9, 500e-9, 0.125, 0.125, obs, p)
+    calls = {"ray_map": 0, "operator": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(classical, "ray_map",
+                        counted("ray_map", classical.ray_map))
+    monkeypatch.setattr(classical, "polar_average_operator", counted(
+        "operator", classical.polar_average_operator))
+    shared = {}
+    classical.averaged_pattern(default_grid(setup.dimensionless(), 41)[1:],
+                               setup, EikonalPhase(obs, p, 2.0), source=True,
+                               velocity=True, operators=shared)
+    assert calls == {"ray_map": 9, "operator": 1}
+    assert [key[0] for key in shared] == ["polar"]
 
 
 @pytest.mark.parametrize("R0", [500e-9, 100e-9])

@@ -187,18 +187,24 @@ NEAR_FIELD_ARTIFACTS = {
 }
 
 
-@pytest.mark.parametrize("source", ["on", "off"])
-def test_near_field_modes(tmp_path, source):
-    # every near-field mode through run_scenario on the fig3-disc geometry;
-    # a single-engine mode writes the profile compare mode writes for it
+@pytest.mark.parametrize("source,velocity", [("on", "off"), ("off", "off"),
+                                             ("on", "on")],
+                         ids=["on", "off", "velocity"])
+def test_near_field_modes(tmp_path, source, velocity):
+    # every near-field mode through run_scenario on the fig3-disc geometry,
+    # with source averaging on or off, and with both averagings on; a
+    # single-engine mode writes the profile compare mode writes for it
     text = (load_preset("fig3-disc")
             .replace("grid.n_u = 241", "grid.n_u = 40")
-            .replace("averaging.source = on", f"averaging.source = {source}"))
+            .replace("averaging.source = on", f"averaging.source = {source}")
+            + ("averaging.velocity = on\nparticle.dv_rel = 0.1\n"
+               if velocity == "on" else ""))
     for mode, artifacts in NEAR_FIELD_ARTIFACTS.items():
         cfg = parse_config(text.replace("mode = poisson_compare",
                                         f"mode = {mode}"))
-        assert (cfg.mode, cfg.n_u, cfg.source_averaging) == (
-            mode, 40, source == "on")
+        assert (cfg.mode, cfg.n_u, cfg.source_averaging,
+                cfg.velocity_averaging) == (mode, 40, source == "on",
+                                            velocity == "on")
         res = run_scenario(cfg, str(tmp_path / mode))
         assert sorted(os.path.basename(p) for p in res.paths) == artifacts
 
@@ -215,6 +221,29 @@ def test_near_field_modes(tmp_path, source):
     assert np.array_equal(q_only[1:, 0], q_cmp[:, 0])
     np.testing.assert_allclose(q_only[1:, 1], q_cmp[:, 1], rtol=1e-9, atol=0)
 
+
+
+@pytest.mark.parametrize("velocity", ["off", "on"])
+def test_no_wall_interaction_leaves_the_umbra_dark(tmp_path, velocity):
+    # the abstract's simple distinction without particle-wall interactions:
+    # at alpha = 0 the classical rays run straight, so the fig3-disc compare
+    # run writes a classical profile of exact zeros across the umbra
+    # u < ell - beta (39 of its 240 radii) and an infinite spot ratio, with
+    # velocity averaging off and on
+    text = load_preset("fig3-disc") + "particle.alpha = 0\n"
+    if velocity == "on":
+        text += "averaging.velocity = on\nparticle.dv_rel = 0.1\n"
+    cfg = parse_config(text)
+    run_scenario(cfg, str(tmp_path))
+    assert parse_kv((tmp_path / "distinguishability.kv").read_text())[
+        "ratio"] == "inf"
+    u, w = np.loadtxt(tmp_path / "profile_classical.csv", delimiter=",",
+                      skiprows=2).T
+    p = cfg.poisson.dimensionless()
+    umbra = u < p.ell - p.beta
+    assert umbra.sum() == 39
+    assert np.all(w[umbra] == 0.0)
+    assert np.all(w[u > p.ell] > 0.0)
 
 def test_rerun_byte_identical(tmp_path):
     cfg = parse_config(load_preset("fig2a"))

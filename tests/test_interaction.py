@@ -204,6 +204,25 @@ def test_capture_minimum_is_a_root_to_rounding(v, monkeypatch):
     assert abs(r - ref) <= 1e-12 + 4.0 * EPS * ref
 
 
+
+def test_crossing_converts_its_tolerance_to_log_distance(monkeypatch):
+    # crossing solves in x = log(s - 1), where a step dx moves s by at most
+    # (hi - 1) dx, so bisect gets tol / (hi - 1) for a tolerance tol in s.
+    # The Newton stop lands far below either tolerance on the sphere's
+    # phase, so only the tolerance bisect receives shows the conversion
+    phase = EikonalPhase(SPHERE, AU, 2.0)
+    tols = []
+
+    def recorded(f, lo, hi, tol, df=None):
+        tols.append(tol)
+        return bisect(f, lo, hi, tol, df)
+
+    monkeypatch.setattr(arago.interaction, "bisect", recorded)
+    hi = phase.s_negligible
+    s = phase.crossing(np.array([1.0, 1e-2]), 1.1, hi, 1e-6)
+    assert tols == [1e-6 / (hi - 1.0)] and hi - 1.0 > 5.0
+    np.testing.assert_allclose(phase.phi(s), [1.0, 1e-2], rtol=1e-12)
+
 def test_dphi_ds_consistency():
     phase = EikonalPhase(SPHERE, AU, AU.v_long)
     for s in (1.1, 1.5, 3.0, 8.0):
