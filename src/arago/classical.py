@@ -101,15 +101,17 @@ def _branch_sum(targets, rmap):
             f"ray map not strictly increasing: u_final goes from "
             f"{u_f[j]:.6g} to {u_f[j + 1]:.6g} on step {j}, s = {s[j]:.6g} "
             f"to {s[j + 1]:.6g}")
-    w = np.zeros_like(targets)
-    for tsign in (1.0, -1.0):
-        t = tsign * targets
-        idx = np.searchsorted(u_f, t, side="right")
-        inside = (idx > 0) & (idx < len(u_f))
-        j = idx[inside] - 1
-        s_at = s[j] + (t[inside] - u_f[j]) / du[j] * ds[j]
-        w[inside] += ell * ell * s_at / (targets[inside] * (du[j] / ds[j]))
-    return w
+    # both signs in one search, on keys that ascend when the targets do:
+    # -targets reversed, then +targets
+    n = targets.size
+    t = np.concatenate([-targets[::-1], targets])
+    idx = np.searchsorted(u_f, t, side="right")
+    inside = (idx > 0) & (idx < len(u_f))
+    j = idx[inside] - 1
+    s_at = s[j] + (t[inside] - u_f[j]) / du[j] * ds[j]
+    w = np.zeros(2 * n)
+    w[inside] = ell * ell * s_at / (np.abs(t[inside]) * (du[j] / ds[j]))
+    return w[n:] + w[n - 1::-1]
 
 
 def classical_point_pattern(u_grid, rmap):
@@ -122,11 +124,11 @@ def classical_point_pattern(u_grid, rmap):
     if np.any(u <= 0):
         raise ValueError("classical pattern diverges at u = 0; "
                          "use a grid of strictly positive radii")
-    ell = rmap.ell
-    pin = _branch_sum(np.array([3.0 * ell]), rmap)[0]
+    w = _branch_sum(np.append(u, 3.0 * rmap.ell), rmap)
+    pin = w[-1]
     if pin <= 0:
         raise ValueError("ray map does not reach u = 3 ell; enlarge s_max")
-    return RadialProfile(u, _branch_sum(u, rmap) / pin)
+    return RadialProfile(u, w[:-1] / pin)
 
 
 def _polar_rule(n_t, n_theta):

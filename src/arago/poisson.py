@@ -30,11 +30,14 @@ few Chebyshev points of each panel that J0 barely changes across, and
 integrates all screen radii at once. With a phase, the panels start from
 the wall 1+eta and from where phi crosses levels 24 rad apart down from
 phi(1+eta), about the phase one final panel winds at the wall, and quarter
-levels below (_phase_breakpoints). The whole grid is integrated in one
-adaptive pass from those seeds, refined wherever any radius fails the
-componentwise error test, so one radius and a full grid take the same
-path. Near a fast beam's wall, where phi reaches thousands of radians, the
-same refinement resolves the winding phase.
+levels below (_phase_breakpoints). Where phi is small, the free chirp
+pi k ell s^2 and J0 still wind, so every gap of those seeds, and the ideal
+obstacle's [0, 1], is split into parts of at most 24 rad of the free
+phase pi k ell s^2 + 2 pi k u_max s (_free_phase_split). The whole grid is
+integrated in one adaptive pass from those seeds, refined wherever any
+radius fails the componentwise error test, so one radius and a full grid
+take the same path. Near a fast beam's wall, where phi reaches thousands
+of radians, the same refinement resolves the winding phase.
 
 Finite sources average |psi|^2 over the projected source disc (radius
 beta = (L2/L1)(R0/R) in u units). The points of the disc at distance r from
@@ -150,10 +153,11 @@ def default_grid(params, n=600, u_max=None):
     return np.linspace(0.0, top, n)
 
 
-# seed step of the wall phase, in radians: at the default rel_tol the final
-# panels at the fig3-disc wall wind ~25 rad each, and of 16, 20, 24 and
-# 32 rad, 24 forms the fewest J0 entries on the 9-node fig3 disc and on the
-# 21 fig3 spheres of 1.5-4 m/s
+# seed step, in radians, of the wall phase and of the free phase: at the
+# default rel_tol the final panels at the fig3-disc wall wind ~25 rad each,
+# and of 16, 20, 24 and 32 rad, 24 forms the fewest J0 entries on the
+# 9-node fig3 disc (174,458) and on the 21 fig3 spheres of 1.5-4 m/s
+# (2,000,670), with both the ladder and the free-phase split taking it
 _PHASE_STEP = 24.0
 
 
@@ -171,7 +175,8 @@ def _phase_breakpoints(phase, a, spec):
     the equal steps take at most half of it, and the ladder stops at n
     seeds in any case. The disc phase P (s-1)^-4 crosses a level in closed
     form; the sphere's crossings are found by EikonalPhase.crossing, all
-    levels in one elementwise call, to 1e-10 in s.
+    levels in one elementwise call, to 1e-10 in s. The ladder sees phi
+    only; _free_phase_split then splits its gaps by the free phase.
     """
     lo = max(a, 1.0 + 1e-9)
     levels = [phase.phi(lo)]
@@ -184,6 +189,34 @@ def _phase_breakpoints(phase, a, spec):
         return [1.0 + (phase.prefactor / lvl) ** 0.25 for lvl in levels[1:]]
     return phase.crossing(np.array(levels[1:]), lo, phase.s_negligible,
                           1e-10).tolist()
+
+
+def _free_phase_split(edges, chirp, omega, spec):
+    """The ascending partition edges of [0, b] with each gap split into
+    m = ceil(dPsi / step) parts of equal Psi(s) = chirp s^2 + omega s.
+
+    Psi is the phase of the free chirp (chirp = pi k ell) plus the fastest
+    J0 phase (omega = 2 pi k u_max), which the interaction-phase seeds do
+    not see: where phi is small, a gap between them winds tens of radians
+    of Psi and would be evaluated whole, J0 at all 31 Kronrod nodes, before
+    the refinement halves it. The step is _PHASE_STEP, widened to
+    2 Psi(b) / n for the seed allowance n = spec.max_subdivisions // 2, so
+    the split adds at most n / 2 seeds. A new seed is the root
+    2 T / (omega + sqrt(omega^2 + 4 chirp T)) of Psi(s) = T, a form that
+    does not cancel. Returns the edges and the new seeds, unsorted.
+    """
+    psi = (chirp * edges + omega) * edges
+    gain = np.diff(psi)
+    step = max(_PHASE_STEP,
+               2.0 * psi[-1] / max(spec.max_subdivisions // 2, 1))
+    if gain.max() <= step:
+        return edges
+    extra = np.ceil(gain / step).astype(int) - 1
+    gap = np.repeat(np.arange(gain.size), extra)
+    j = np.arange(1, gap.size + 1) - (np.cumsum(extra) - extra)[gap]
+    target = psi[gap] + j * (gain / (extra + 1))[gap]
+    return np.concatenate([edges, 2.0 * target / (
+        omega + np.sqrt(omega * omega + 4.0 * chirp * target))])
 
 
 def _amplitude_grid(u_grid, k, ell, phase=None, quad=None):
@@ -209,13 +242,15 @@ def _amplitude_grid(u_grid, k, ell, phase=None, quad=None):
 
     free = 1j * np.exp(-1j * math.pi * k * u * u / ell)
     if phase is None:
-        b, points = a, ()
+        b, seeds = a, [0.0, a]
     elif phase.s_negligible <= a:
         raise ValueError("capture radius swallows the interaction zone; "
                          "nothing left to integrate")
     else:
         b = phase.s_negligible
-        points = [a] + _phase_breakpoints(phase, a, spec)
+        seeds = [0.0, a] + _phase_breakpoints(phase, a, spec) + [b]
+    points = _free_phase_split(np.array(seeds), math.pi * k * ell,
+                               two_pi_k * u.max(), spec)
     res = integrate_adaptive(obstacle, 0.0, b, two_pi_k * u, spec, points)
     return free + res.require_converged("obstacle integral").value
 

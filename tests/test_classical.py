@@ -89,6 +89,40 @@ def test_branch_sum_by_hand():
     assert _branch_sum(targets, rmap) == pytest.approx(expected, rel=1e-14)
 
 
+def _branch_sum_by_sign(targets, rmap):
+    # the sum one search per sign, + branch then - branch, as the reference
+    # for the single search over both signs
+    s, u_f, ell = rmap.s_grid, rmap.u_final, rmap.ell
+    du, ds = np.diff(u_f), np.diff(s)
+    w = np.zeros_like(targets)
+    for tsign in (1.0, -1.0):
+        t = tsign * targets
+        idx = np.searchsorted(u_f, t, side="right")
+        inside = (idx > 0) & (idx < len(u_f))
+        j = idx[inside] - 1
+        s_at = s[j] + (t[inside] - u_f[j]) / du[j] * ds[j]
+        w[inside] += ell * ell * s_at / (targets[inside] * (du[j] / ds[j]))
+    return w
+
+
+@pytest.mark.parametrize("kind", ["sphere", "disc"])
+def test_branch_sum_matches_one_search_per_sign(kind):
+    # on the fig3 ray maps, over the work grid with the 3 ell pin appended
+    # (as classical_point_pattern asks for it), over radii past the map and
+    # in shuffled order, the one search gives the same bits as one per sign
+    setup, _, rmap = _fig3(kind)
+    par = setup.dimensionless()
+    work = _work_grid(3.0 * par.ell + par.beta, par.ell)
+    for targets in (np.append(work, 3.0 * par.ell),
+                    np.random.default_rng(7).permutation(np.append(
+                        work, [1e-12, 20.0, 1e3]))):
+        assert np.array_equal(_branch_sum(targets, rmap),
+                              _branch_sum_by_sign(targets, rmap))
+    pin = _branch_sum_by_sign(np.array([3.0 * par.ell]), rmap)[0]
+    assert np.array_equal(classical_point_pattern(work, rmap).w,
+                          _branch_sum_by_sign(work, rmap) / pin)
+
+
 @pytest.mark.parametrize("u_final,step", [([-1.0, 1.0, 3.0, 2.0], 2),
                                           ([-1.0, 1.0, 1.0, 3.0], 1)])
 def test_branch_sum_refuses_a_map_that_turns(u_final, step):

@@ -790,6 +790,145 @@ def test_velocity_averaged_disc_seeds_the_wall_panels(monkeypatch):
     assert len(calls) <= 24
 
 
+def _fig2b():
+    # fig2b: the ideal sphere at k = 2, ell = 2, with a point source
+    setup = _setup(v=10.0 * V_10PM)
+    return setup, None
+
+
+def _seeded_partitions(monkeypatch, run):
+    """Run run() and return (a, b, scales, points) of each obstacle
+    integral it makes."""
+    direct = arago.poisson.integrate_adaptive
+    seen = []
+
+    def recording(g, a, b, scales, spec=None, points=()):
+        seen.append((a, b, np.asarray(scales), np.asarray(points)))
+        return direct(g, a, b, scales, spec, points)
+
+    monkeypatch.setattr(arago.poisson, "integrate_adaptive", recording)
+    run()
+    return seen
+
+
+def _free_phase(par, omega, s):
+    return math.pi * par.k * par.ell * s * s + omega * s
+
+
+@pytest.mark.parametrize("case,v,source", [
+    ("fig2b", None, False), ("sphere", 2.5, True), ("sphere", 20.0, False),
+    ("disc", 50.0, False)])
+def test_seeded_gaps_advance_the_free_phase_by_at_most_the_step(
+        case, v, source, monkeypatch):
+    # every gap of the partition that integrate_adaptive is seeded with
+    # winds at most _PHASE_STEP of the free chirp plus the fastest J0
+    # phase; the interaction-phase seeds alone leave gaps of up to 4e2 rad
+    # (fig3 sphere at 20 m/s)
+    setup, phase = _fig2b() if case == "fig2b" else _fig3_source(case, v)
+    par = setup.dimensionless()
+    u = default_grid(par, 600 if case == "fig2b" else 241)
+    seen = _seeded_partitions(monkeypatch, lambda: averaged_pattern(
+        u, setup, phase, source=source))
+    assert seen
+    for a, b, scales, points in seen:
+        edges = np.unique(np.concatenate([[a, b], points[
+            (points > a) & (points < b)]]))
+        gain = np.diff(_free_phase(par, scales.max(), edges))
+        assert gain.max() <= arago.poisson._PHASE_STEP * (1.0 + 1e-12)
+
+
+def test_free_phase_split_widens_its_step_to_the_seed_allowance():
+    # the fig3 sphere source average at 20 m/s winds 9.6e2 rad of free
+    # phase over its [0, s_negligible], 40 parts of _PHASE_STEP. Under a
+    # budget of max_subdivisions the step widens to 2 Psi(b) / n, n =
+    # max_subdivisions // 2, so the split adds at most n / 2 seeds (7 at a
+    # budget of 40, where a fixed step would add 34) and every gap winds at
+    # most the wider step; at a budget of 4 or less it adds none
+    setup, phase = _fig3_source("sphere", 20.0)
+    par = setup.dimensionless()
+    a = 1.0 + capture_eta(phase.obstacle, phase.particle, 20.0)
+    omega = 2.0 * math.pi * par.k * (3.0 * par.ell + par.beta)
+    b = phase.s_negligible
+    psi_b = _free_phase(par, omega, b)
+    assert psi_b > 39 * arago.poisson._PHASE_STEP
+    for budget in (2000, 40, 4, 1):
+        spec = QuadratureSpec(max_subdivisions=budget)
+        edges = np.array([0.0, a] + arago.poisson._phase_breakpoints(
+            phase, a, spec) + [b])
+        split = arago.poisson._free_phase_split(
+            edges, math.pi * par.k * par.ell, omega, spec)
+        added = split.size - edges.size
+        n = max(budget // 2, 1)
+        assert added <= n / 2 and (added > 0) == (budget >= 40)
+        step = max(arago.poisson._PHASE_STEP, 2.0 * psi_b / n)
+        gain = np.diff(_free_phase(par, omega, np.sort(split)))
+        assert gain.max() <= step * (1.0 + 1e-12)
+
+
+def test_fig3_sphere_source_average_splits_few_seeded_panels(monkeypatch):
+    # with the gaps split by the free phase, the seeds start the panels at
+    # about the width the refinement keeps. Of the panels evaluated for a
+    # fig3 sphere source average at 1.5, 2.5 and 4 m/s, the refinement
+    # splits 1-2 (a fraction of 0.022, 0.036 and 0.016); with the
+    # interaction-phase seeds alone it split 7, 11 and 12 (0.13-0.17)
+    panels, evaluated, final = arago.numerics._panels, [0], [0]
+    direct = arago.poisson.integrate_adaptive
+
+    def counted_panels(g, lo, hi, scales):
+        evaluated[0] += lo.size
+        return panels(g, lo, hi, scales)
+
+    def counted(*args):
+        res = direct(*args)
+        final[0] += res.subdivisions
+        return res
+
+    monkeypatch.setattr(arago.numerics, "_panels", counted_panels)
+    monkeypatch.setattr(arago.poisson, "integrate_adaptive", counted)
+    for v in (1.5, 2.5, 4.0):
+        setup, phase = _fig3_source("sphere", v)
+        evaluated[0] = final[0] = 0
+        averaged_pattern(default_grid(setup.dimensionless(), 241), setup,
+                         phase, source=True)
+        # each split panel is evaluated as two halves and leaves the final
+        # partition one panel larger
+        split = evaluated[0] - final[0]
+        assert 0 <= split <= 0.06 * evaluated[0]
+
+
+@pytest.mark.parametrize("case,v", [("fig2b", None), ("sphere", 2.5),
+                                    ("sphere", 20.0)])
+def test_free_phase_seeds_meet_the_default_rel_tol(case, v):
+    # fig2b's point pattern and the fig3 sphere's source average, at the
+    # default rel_tol 1e-8, against the same code at rel_tol 1e-12, abs_tol
+    # 1e-13 and 40000 subdivisions. Measured: 3.8e-14, 3.2e-15 and 2.6e-14
+    # relative
+    setup, phase = _fig2b() if case == "fig2b" else _fig3_source(case, v)
+    source = case != "fig2b"
+    u = default_grid(setup.dimensionless(), 241 if source else 600)
+    w = averaged_pattern(u, setup, phase, source=source).w
+    ref = averaged_pattern(u, setup, phase, QuadratureSpec(
+        rel_tol=1e-12, abs_tol=1e-13, max_subdivisions=40000),
+        source=source).w
+    assert np.max(np.abs(w - ref) / ref) <= QuadratureSpec().rel_tol
+
+
+def test_fig3_disc_gets_no_free_phase_seed(monkeypatch):
+    # the fig3 disc's wall-phase seeds at 2 m/s already step the free phase
+    # by less than _PHASE_STEP, so its obstacle integral is seeded with the
+    # wall and the interaction-phase ladder alone
+    setup, phase = _fig3_source("disc", 2.0)
+    u = default_grid(setup.dimensionless(), 241)
+    seen = _seeded_partitions(monkeypatch, lambda: averaged_pattern(
+        u, setup, phase, source=True))
+    a = 1.0 + capture_eta(phase.obstacle, phase.particle, 2.0)
+    ladder = [a] + arago.poisson._phase_breakpoints(phase, a,
+                                                    QuadratureSpec())
+    assert len(seen) == 1
+    _, b, _, points = seen[0]
+    assert sorted(p for p in points.tolist() if 0.0 < p < b) == ladder
+
+
 @pytest.mark.parametrize("kind", ["disc", "sphere"])
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
 def test_fig3_source_average_meets_rel_tol(kind, rel_tol):
