@@ -14,14 +14,21 @@ panel.
 
 The panels are short where g winds, and J0 barely changes across them, so
 J0 is product-integrated (Filon 1928; Iserles and Norsett, Proc. R. Soc. A
-461, 2005): it is read at p first-kind Chebyshev points of a panel and
-carried to the Kronrod nodes by a fixed 31 x p Lagrange matrix. No
-derivative of J0(c s) exceeds |c|^p, so with omega = max |c_j| and D =
-omega times the panel's width, p is the smallest rung of the ladder 4, 6,
-8, 10, 12, 16, 20 whose a-priori interpolation bound 2 (D/4)^p / p! is at
-most machine epsilon; that bound times the panel's sum of |weight * g|
-(real and imaginary parts taken apart) is added to its error estimate. A
-panel that meets no rung reads J0 at its 31 Kronrod nodes.
+461, 2005): it is read at p first-kind Chebyshev points of an interval and
+carried to the Kronrod nodes by interpolation. No derivative of J0(c s)
+exceeds |c|^p, so with omega = max |c_j| and D = omega times the
+interval's width, p is the smallest rung of the ladder 4, 6, ..., 48 whose
+a-priori interpolation bound 2 (D/4)^p / p! is at most machine epsilon;
+that bound times a panel's sum of |weight * g| (real and imaginary parts
+taken apart) is added to the panel's error estimate. Adjacent panels of a
+call form runs that read J0 once, at the points of the run's whole
+interval, and barycentric weights (Berrut and Trefethen, SIAM Rev. 46,
+501, 2004) carry those values to the Kronrod nodes of each panel in it; a
+run may span a kink of g, since J0 has none. A run forms only where it
+cuts the work, its J0 entries and interpolation weights against those of
+its panels alone, so few-scale integrals read J0 per panel: at p <= 20
+points through a fixed 31 x p Lagrange matrix, or, on a panel that meets
+no such rung, at its 31 Kronrod nodes.
 
 The root finder bisect is elementwise, so one call finds the crossings of
 many levels. Without a derivative it bisects, step for step as
@@ -155,21 +162,98 @@ def _lagrange_matrix(t):
 
 # The product rule of _panels. J0(c x) with |c| <= omega has p-th
 # derivative at most omega^p (no derivative of J0 exceeds 1); interpolated
-# at p first-kind Chebyshev points of a panel over which omega x spans D,
-# it is off by at most 2 (D/4)^p / p! anywhere on the panel.
-# A panel takes the smallest rung p of _RUNGS whose bound is at most
-# _KERNEL_TOL, that is whose D is at most _RUNG_SPAN. Rung r reads
-# J0 at _RUNG_POINTS[r] on [-1, 1], and _LAGRANGE[r] maps those values
-# to the Kronrod nodes; the last rung, len(_RUNGS), is a panel that meets
-# none: the 31 Kronrod nodes themselves, with no bound.
-_RUNGS = (4, 6, 8, 10, 12, 16, 20)
+# at p first-kind Chebyshev points of an interval over which omega x spans
+# D, it is off by at most 2 (D/4)^p / p! anywhere on that interval.
+# An interval takes the smallest rung p of _RUNGS whose bound is at most
+# _KERNEL_TOL, that is whose D is at most _RUNG_SPAN, and rung r reads J0
+# at _RUNG_POINTS[r] on [-1, 1]. A run of adjacent panels (_runs) may take
+# any rung, and the barycentric weights _BARY[r] carry its values to the
+# Kronrod nodes of each of its panels. A lone panel takes only the first
+# _LONE rungs, up to 20 points (24 and 28 would save at most 7 of its 31
+# rows, and measured no faster), and _LAGRANGE[r] maps their values to its
+# Kronrod nodes; lone rung _LONE is a panel that meets none: the 31
+# Kronrod nodes themselves, with no bound. _NODES and _LONE_BOUND are the
+# point counts and the bound factors of the lone rungs.
+_RUNGS = (4, 6, 8, 10, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48)
+_LONE = 7
 _KERNEL_TOL = np.finfo(float).eps
-_BOUND = np.array([2.0 / math.factorial(p) for p in _RUNGS] + [0.0])
-_RUNG_SPAN = 4.0 * (_KERNEL_TOL / _BOUND[:-1]) ** (1.0 / np.array(_RUNGS))
-_RUNG_POINTS = [-np.cos(np.pi * (np.arange(p) + 0.5) / p)
-                for p in _RUNGS] + [_X31]
-_NODES = np.array(_RUNGS + (_X31.size,))
-_LAGRANGE = [_lagrange_matrix(t) for t in _RUNG_POINTS[:-1]]
+_BOUND = np.array([2.0 / math.factorial(p) for p in _RUNGS])
+_RUNG_SPAN = 4.0 * (_KERNEL_TOL / _BOUND) ** (1.0 / np.array(_RUNGS))
+_RUNG_POINTS = [-np.cos(np.pi * (np.arange(p) + 0.5) / p) for p in _RUNGS]
+_BARY = [(-1.0) ** np.arange(p) * np.sin(np.pi * (np.arange(p) + 0.5) / p)
+         for p in _RUNGS]
+_NODES = np.array(_RUNGS[:_LONE] + (_X31.size,))
+_LONE_BOUND = np.append(_BOUND[:_LONE], 0.0)
+_LAGRANGE = [_lagrange_matrix(t) for t in _RUNG_POINTS[:_LONE]]
+
+# The work that decides a run, in units of one J0 entry (measured at
+# 14-30 ns, the less for small arguments): a run of k panels on rung p
+# forms m p J0 entries for m scales, and 31 p k barycentric entries at
+# _INTERP_COST each (4-7 ns), and its own products cost _RUN_COST (about
+# 15 us); a lone panel forms m times its node count.
+_INTERP_COST = 0.2
+_RUN_COST = 600.0
+
+
+def _runs(lo, hi, omega, lone, m):
+    """The runs of adjacent panels that read J0 once each: a list of
+    (panels, rung, D), panels the indices of two or more panels that abut
+    in ascending order, and D = omega times the run's width.
+
+    The panels are walked in ascending order of lo. A run takes in the
+    next panel while that panel abuts it, the widened run still meets a
+    rung, and the widened run's variable cost is below that of the run and
+    the panel apart; a lone panel of lone[i] nodes costs m lone[i]. A run
+    that then costs less, _RUN_COST included, than its panels alone is
+    kept. A run of k panels on rung p costs more than _INTERP_COST 31 p k,
+    and p is at least the node count of each of its panels alone, so no
+    run pays for m <= _INTERP_COST 31.
+    """
+    if m <= _INTERP_COST * _X31.size or lo.size < 2:
+        return []
+    order = np.argsort(lo, kind="stable")
+    a, b = lo[order], hi[order]
+    joined = (b[:-1] == a[1:]).tolist()
+    if not any(joined):
+        return []
+    a, b = a.tolist(), b.tolist()
+    alone = (m * lone[order]).tolist()
+    spans, rungs, top = _RUNG_SPAN.tolist(), _RUNGS, len(_RUNGS)
+    per_panel = _INTERP_COST * _X31.size
+    runs, first, rung, cost, apart = [], 0, 0, alone[0], alone[0]
+    for j in range(1, len(a) + 1):
+        if j < len(a) and joined[j - 1]:
+            # the widened run's rung: its span only grows as it widens
+            d, r = omega * (b[j] - a[first]), rung
+            while r < top and spans[r] < d:
+                r += 1
+            if r < top:
+                wider = (m + per_panel * (j + 1 - first)) * rungs[r]
+                if wider < cost + alone[j]:
+                    rung, cost, apart = r, wider, apart + alone[j]
+                    continue
+        if j - first > 1 and cost + _RUN_COST < apart:
+            runs.append((order[first:j], rung, omega * (b[j - 1] - a[first])))
+        if j < len(a):
+            first, rung, cost, apart = j, 0, alone[j], alone[j]
+    return runs
+
+
+def _barycentric(x, r):
+    """The barycentric interpolation from rung r's points t to the
+    abscissae x on [-1, 1], as q[j, a] = lambda_j / (x_a - t_j) and its
+    column sums s: the interpolant at x_a is sum_j q[j, a] f(t_j) / s[a].
+    An abscissa on a point t_j has q[:, a] = e_j and s[a] = 1, which takes
+    f(t_j) exactly."""
+    t = _RUNG_POINTS[r][:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = _BARY[r][:, None] / (x - t)
+        s = q.sum(axis=0)
+    on = ~np.isfinite(s)
+    if on.any():
+        q[:, on] = x[on] == t
+        s[on] = 1.0
+    return q, s
 
 
 def _panels(g, lo, hi, scales):
@@ -177,20 +261,27 @@ def _panels(g, lo, hi, scales):
     scales, through one call of g and one of bessel_j0.
 
     Returns (K31, |K31 - G15|) per panel and scale, of shape (n, m). The
-    31 n Kronrod abscissae of all panels go to g as one array. Each panel
-    takes the first rung of _RUNGS that its span D = max |c| (hi - lo)
-    meets, and J0 is evaluated once, at the points of every panel, grouped
-    by rung; panels that share one rung keep their order.
+    31 n Kronrod abscissae of all panels go to g as one array. In
+    ascending order of lo, the panels form runs of adjacent panels
+    (_runs) and lone panels. A run of total span D = max |c| (hi - lo)
+    takes the first rung of _RUNGS that D meets, and a lone panel the
+    first rung below 31 points that its own span meets, or its 31 Kronrod
+    nodes. J0 is evaluated once, at the points of every lone panel,
+    grouped by rung, and then at those of each run, spread over the run's
+    whole interval.
 
     With w = half-width * (K31 weights, K31 - G15 weights) * g per panel,
-    split as [Re w; Im w] of shape (n, 4, 31), a rung-p panel sums
-    (w @ L_p) @ K, L_p its 31 x p Lagrange matrix and K its J0 rows, and a
+    split as [Re w; Im w] of shape (n, 4, 31), a panel sums (w @ L) @ K,
+    L the 31 x p matrix that carries its rung's p J0 values to its Kronrod
+    nodes (the fixed Lagrange matrix of a lone panel's rung, or the
+    barycentric matrix from its run's points) and K those J0 rows, and a
     31-node panel sums w @ K, so no complex array of the size of K is
-    formed. Both rules read the same interpolant, so |K31 - G15| keeps its
-    form; the interpolation bound 2 (D/4)^p / p! times the panel's sum of
-    |Re w_K31| + |Im w_K31| (at least its sum of |w_K31|) is added to it.
-    A non-finite value of g raises NumericsError naming the first panel
-    that has it.
+    formed. The panels of a lone rung, and those of a run, share one
+    matrix product. Both rules read the same interpolant, so |K31 - G15|
+    keeps its form; the interpolation bound 2 (D/4)^p / p! of the panel's
+    rung, or of its run, times the panel's sum of |Re w_K31| + |Im w_K31|
+    (at least its sum of |w_K31|) is added to it. A non-finite value of g
+    raises NumericsError naming the first panel that has it.
     """
     n, width = lo.size, _X31.size
     mid = 0.5 * (lo + hi)
@@ -203,38 +294,66 @@ def _panels(g, lo, hi, scales):
         raise NumericsError(
             f"integrand returned non-finite values on "
             f"[{lo[j]:.6g}, {hi[j]:.6g}]")
-    span = np.abs(scales).max() * (hi - lo)
-    rung = np.searchsorted(_RUNG_SPAN, span)
-    # the panels sorted by rung, unmoved when they share one: the sorted
-    # panels a:b share rung r and the J0 rows first:first + (b - a) p
-    count = np.bincount(rung, minlength=_NODES.size).tolist()
-    order = (slice(None) if max(count) == n
-             else np.argsort(rung, kind="stable"))
-    groups, a, rows = [], 0, 0
-    for r, size in enumerate(count):
-        if size:
-            groups.append((r, a, a + size, rows))
-            a, rows = a + size, rows + size * _RUNG_POINTS[r].size
-    at, scale = mid[order, None], half[order, None]
-    j0 = bessel_j0(np.outer(np.concatenate([
-        (at[a:b] + scale[a:b] * _RUNG_POINTS[r]).ravel()
-        for r, a, b, _ in groups]), scales))
     w = half[:, None, None] * _RULES * y.reshape(n, 1, width)
     w = np.concatenate([w.real, w.imag], axis=1)
-    ranked = w[order]
+    omega = np.abs(scales).max()
+    span = omega * (hi - lo)
+    rung = np.searchsorted(_RUNG_SPAN[:_LONE], span)
+    runs = _runs(lo, hi, omega, _NODES[rung], scales.size)
+    # the interpolation bound factor of each panel: its lone rung's, 0 on
+    # 31 Kronrod nodes, or its run's
+    factor = _LONE_BOUND[rung] * (
+        0.25 * np.minimum(span, _RUNG_SPAN[_LONE - 1])) ** _NODES[rung]
+    # the panels in J0 row order: the lone ones by rung, unmoved when they
+    # share one, then each run's; the reordered panels a:b of each group
+    # share one matrix product
+    if runs:
+        alone = np.ones(n, dtype=bool)
+        for panels, r, d in runs:
+            alone[panels] = False
+            factor[panels] = _BOUND[r] * (0.25 * d) ** _RUNGS[r]
+        lone = np.flatnonzero(alone)
+        lone = lone[np.argsort(rung[lone], kind="stable")]
+        order = np.concatenate([lone] + [panels for panels, _, _ in runs])
+    elif rung.min() == rung.max():
+        lone = order = slice(None)
+    else:
+        lone = order = np.argsort(rung, kind="stable")
+    count = np.bincount(rung[lone], minlength=_LONE + 1).tolist()
+    groups, a = [], 0
+    for r, size in enumerate(count):
+        if size:
+            groups.append((a, a + size, r, None))
+            a += size
+    for panels, r, _ in runs:
+        # the run's interval, as centre and half-width
+        start, end = lo[panels[0]], hi[panels[-1]]
+        groups.append((a, a + panels.size, r,
+                       (0.5 * (start + end), 0.5 * (end - start))))
+        a += panels.size
+    bound = factor * np.abs(w[:, ::2]).sum(axis=(1, 2))
+    mid, half, w = mid[order, None], half[order, None], w[order]
+    j0 = bessel_j0(np.outer(np.concatenate([
+        (mid[a:b] + half[a:b] * (_RUNG_POINTS[r] if r < _LONE else _X31)
+         ).ravel() if run is None else run[0] + run[1] * _RUNG_POINTS[r]
+        for a, b, r, run in groups]), scales))
     p = np.empty((n, 4, scales.size))
-    for r, a, b, first in groups:
-        k = j0[first:first + (b - a) * _NODES[r]].reshape(b - a, -1,
-                                                          scales.size)
-        p[a:b] = (ranked[a:b] @ _LAGRANGE[r] if r < len(_RUNGS)
-                  else ranked[a:b]) @ k
+    first = 0
+    for a, b, r, run in groups:
+        if run is None:
+            rows = (b - a) * _NODES[r]
+            k = j0[first:first + rows].reshape(b - a, -1, scales.size)
+            p[a:b] = (w[a:b] @ _LAGRANGE[r] if r < _LONE else w[a:b]) @ k
+        else:
+            rows = _RUNGS[r]
+            x = ((mid[a:b] - run[0]) + half[a:b] * _X31) / run[1]
+            q, s = _barycentric(x.ravel(), r)
+            q = q.reshape(rows, b - a, width).transpose(1, 2, 0)
+            p[a:b] = (((w[a:b] / s.reshape(b - a, 1, width)) @ q).reshape(
+                -1, rows) @ j0[first:first + rows]).reshape(b - a, 4, -1)
+        first += rows
     if not isinstance(order, slice):
         p[order] = p.copy()
-    # the interpolation bound times sum |Re w_K31| + |Im w_K31|, which is
-    # at least sum |w_K31|; 31-node panels add 0
-    span = np.minimum(span, _RUNG_SPAN[-1])
-    bound = (_BOUND[rung] * (0.25 * span) ** _NODES[rung]
-             * np.abs(w[:, ::2]).sum(axis=(1, 2)))
     return (p[:, 0] + 1j * p[:, 2],
             np.abs(p[:, 1] + 1j * p[:, 3]) + bound[:, None])
 
@@ -256,9 +375,10 @@ def integrate_adaptive(g, a, b, scales, spec=None, points=()):
     g maps an ndarray of abscissae to the complex factor there, an array of
     the same shape; scales is a 1-D array of the m values c. g is read at
     the 31 Kronrod nodes of each panel, and J0, which changes slowly across
-    a short panel, at 4 to 20 Chebyshev points of the panel where that
-    certifies it to machine epsilon (see _panels), and at the Kronrod nodes
-    where it does not. Scales [0] give the plain integral of g.
+    short panels, at 4 to 48 Chebyshev points of a run of adjacent panels,
+    or at 4 to 20 of a lone panel, where that certifies it to machine
+    epsilon (see _panels), and at the Kronrod nodes where it does not.
+    Scales [0] give the plain integral of g.
     `points` seeds the initial subdivision with known breakpoints (phase
     levels, kinks); they are clipped to the open interval. Seeds that
     already form a converged partition are evaluated once and not split.

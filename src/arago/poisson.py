@@ -26,18 +26,20 @@ obstacle (no phase) has eta = 0 and s_neg = 1: the blocked disc alone.
 
 integrate_adaptive takes the obstacle integral as a complex radial factor
 g(s) and the J0 scales 2 pi k u, one per screen radius; it reads J0 at a
-few Chebyshev points of each panel that J0 barely changes across, and
-integrates all screen radii at once. With a phase, the panels start from
-the wall 1+eta and from where phi crosses levels 24 rad apart down from
-phi(1+eta), about the phase one final panel winds at the wall, and quarter
-levels below (_phase_breakpoints). Where phi is small, the free chirp
-pi k ell s^2 and J0 still wind, so every gap of those seeds, and the ideal
-obstacle's [0, 1], is split into parts of at most 24 rad of the free
-phase pi k ell s^2 + 2 pi k u_max s (_free_phase_split). The whole grid is
-integrated in one adaptive pass from those seeds, refined wherever any
-radius fails the componentwise error test, so one radius and a full grid
-take the same path. Near a fast beam's wall, where phi reaches thousands
-of radians, the same refinement resolves the winding phase.
+few Chebyshev points of each run of adjacent panels that J0 barely changes
+across (on the fig3 sphere, a third of the samples that a read per panel
+takes), and integrates all screen radii at once. With a phase, the panels
+start from the wall 1+eta and from where phi crosses levels 24 rad apart
+down from phi(1+eta), about the phase one final panel winds at the wall,
+and quarter levels below (_phase_breakpoints). Where phi is small, the
+free chirp pi k ell s^2 and J0 still wind, so every gap of those seeds,
+and the ideal obstacle's [0, 1], is split into parts of at most 24 rad of
+the free phase pi k ell s^2 + 2 pi k u_max s (_free_phase_split). The
+whole grid is integrated in one adaptive pass from those seeds, refined
+wherever any radius fails the componentwise error test, so one radius
+and a full grid take the same path. Near a fast beam's wall, where phi
+reaches thousands of radians, the same refinement resolves the winding
+phase.
 
 Finite sources average |psi|^2 over the projected source disc (radius
 beta = (L2/L1)(R0/R) in u units). The points of the disc at distance r from
