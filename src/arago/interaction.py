@@ -15,8 +15,8 @@ The capture radius follows from the same potential: for a sphere from the
 minimum of the effective potential barrier (capture_eta), for a disc from
 the transit-time cutoff. capture_eta_shooting integrates trajectories
 instead and serves only as the reference the tests compare against; it is
-the one user of scipy.integrate, which is imported on its first call, so
-importing the package loads numpy and scipy.special only.
+the package's one user of scipy, whose scipy.integrate it imports on its
+first call, so the package itself needs numpy alone.
 """
 
 import math

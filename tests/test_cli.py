@@ -26,25 +26,58 @@ from arago.config import ConfigError, parse_kv, serialize_kv
 from references import serialize_config
 
 
-def test_cli_import_loads_only_numpy_and_scipy_special():
-    # the package needs numpy and scipy.special only: a fresh interpreter
-    # importing the command line must load none of the heavier scipy
-    # packages. scipy.integrate, and with it scipy.optimize, scipy.sparse
-    # and scipy.linalg, is imported on first use by the test-only shooting
-    # reference.
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(arago.__file__)))
+def _package_env():
+    return dict(os.environ,
+                PYTHONPATH=os.path.dirname(os.path.dirname(arago.__file__)))
+
+
+def test_cli_import_loads_no_scipy():
+    # the package needs numpy alone: a fresh interpreter importing the
+    # command line must load no scipy module. scipy.integrate is imported
+    # on first use by the test-only shooting reference.
     out = subprocess.run(
         [sys.executable, "-c", "import json, sys, arago.cli; "
          "print(json.dumps(sorted(sys.modules)))"],
-        env=env, capture_output=True, text=True, check=True)
+        env=_package_env(), capture_output=True, text=True, check=True)
     loaded = json.loads(out.stdout)
-    assert "scipy.interpolate" not in loaded
-    assert "scipy.special" in loaded
-    for pkg in ("scipy.integrate", "scipy.optimize", "scipy.interpolate",
-                "scipy.sparse", "scipy.linalg"):
-        assert not [m for m in loaded
-                    if m == pkg or m.startswith(pkg + ".")], pkg
+    assert "numpy" in loaded
+    assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+
+
+# runs `simulate` with every scipy import refused
+_WITHOUT_SCIPY = """\
+import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from arago.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("preset", ["fig3-disc", "fig2b", "farfield-30k"])
+def test_presets_run_without_scipy(tmp_path, preset):
+    # a preset run imports no scipy module, and writes the same bytes as a
+    # run that could
+    blocked, free = tmp_path / "blocked", tmp_path / "free"
+    run = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, "--preset", preset,
+         "--out", str(blocked)],
+        env=_package_env(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert main(["--preset", preset, "--out", str(free)]) == 0
+    names = sorted(p.name for p in free.iterdir())
+    assert names and sorted(p.name for p in blocked.iterdir()) == names
+    for name in names:
+        assert (blocked / name).read_bytes() == (free / name).read_bytes(), \
+            name
 
 
 def test_parse_fig2a():

@@ -11,6 +11,7 @@ from arago.interaction import EikonalPhase, Obstacle
 from arago.numerics import (
     _BOUND,
     _CALL_SIZE,
+    _J0_CUT,
     _LAGRANGE,
     _LONE,
     _NODES,
@@ -386,6 +387,55 @@ def test_bessel_j0_vectorized():
     y = bessel_j0(x)
     assert y.shape == x.shape
     assert abs(y[0] - 1.0) < 1e-15
+
+
+# the first five zeros of J0 (Abramowitz and Stegun, table 9.5)
+_J0_ZEROS = (2.404825557695773, 5.520078110286311, 8.653727912911013,
+             11.791534439014281, 14.930917708487787)
+
+
+def _with_neighbours(x, count=4):
+    # x and the `count` floats on either side of it
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -math.inf))
+        above.append(np.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def test_bessel_j0_matches_scipy_densely():
+    # oracle: scipy.special.j0 on 3e5 points of [0, 1e4], evenly and
+    # geometrically spaced, plus the regime cut at 8 (whose neighbouring
+    # floats fall in both regimes) and the first five zeros, each with its
+    # neighbouring floats; the docstring's bound is 1e-12 up to 1e4, and
+    # the polynomials keep 1e-14 up to 200
+    x = np.concatenate([
+        np.linspace(0.0, 1e4, 200001), np.geomspace(1e-8, 1e4, 100001),
+        *[_with_neighbours(z) for z in (_J0_CUT,) + _J0_ZEROS]])
+    err = np.abs(bessel_j0(x) - scipy.special.j0(x))
+    assert err[x <= 200.0].max() <= 1e-14
+    assert err.max() <= 1e-12
+
+
+def test_bessel_j0_is_even_and_keeps_the_shape():
+    x = np.linspace(0.0, 50.0, 24).reshape(2, 3, 4)
+    y = bessel_j0(x)
+    assert y.shape == x.shape and y.dtype == np.float64
+    assert np.array_equal(bessel_j0(-x), y)
+    # a scalar, or a 0-d array, gives a float, and the same bits as the
+    # same argument inside an array
+    for scalar in (x[1, 2, 3], np.asarray(-x[1, 2, 3])):
+        value = bessel_j0(scalar)
+        assert type(value) is float and value == y[1, 2, 3]
+    assert bessel_j0(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_bessel_j0_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError, match="finite"):
+        bessel_j0(np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        bessel_j0(bad)
 
 
 def test_bisect_basic():
