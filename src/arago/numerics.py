@@ -26,15 +26,13 @@ exceeds |c|^p, so with omega = max |c_j| and D = omega times the
 interval's width, p is the smallest rung of the ladder 4, 6, ..., 48 whose
 a-priori interpolation bound 2 (D/4)^p / p! is at most machine epsilon;
 that bound times a panel's sum of |weight * g| (real and imaginary parts
-taken apart) is added to the panel's error estimate. Adjacent panels of a
-call form runs that read J0 once, at the points of the run's whole
-interval, and barycentric weights (Berrut and Trefethen, SIAM Rev. 46,
-501, 2004) carry those values to the Kronrod nodes of each panel in it; a
-run may span a kink of g, since J0 has none. A run forms only where it
-cuts the work, its J0 entries and interpolation weights against those of
-its panels alone, so few-scale integrals read J0 per panel: at p <= 20
-points through a fixed 31 x p Lagrange matrix, or, on a panel that meets
-no such rung, at its 31 Kronrod nodes.
+taken apart) is added to the panel's error estimate. The panels of a call
+form runs of adjacent panels, as wide as the last rung allows, that read
+J0 once, at the points of the run's whole interval, and barycentric
+weights (Berrut and Trefethen, SIAM Rev. 46, 501, 2004) carry those
+values to the Kronrod nodes of each panel in it; a run may span a kink of
+g, since J0 has none. A lone panel that no rung below 31 points meets
+reads J0 at its 31 Kronrod nodes.
 
 The root finder bisect is elementwise, so one call finds the crossings of
 many levels. Without a derivative it bisects, step for step as
@@ -232,90 +230,49 @@ _RULES = np.stack([_W31, _W31 - _W15])
 _CALL_SIZE = 2 ** 16
 
 
-def _lagrange_matrix(t):
-    """L[a, i], the Lagrange basis polynomial of the nodes t that is 1 at
-    t_i, evaluated at the Kronrod node _X31[a]: shape (31, t.size)."""
-    off = ~np.eye(t.size, dtype=bool)
-    num = np.where(off, _X31[:, None, None] - t, 1.0).prod(axis=2)
-    return num / np.where(off, t[:, None] - t, 1.0).prod(axis=1)
-
-
 # The product rule of _panels. J0(c x) with |c| <= omega has p-th
 # derivative at most omega^p (no derivative of J0 exceeds 1); interpolated
 # at p first-kind Chebyshev points of an interval over which omega x spans
 # D, it is off by at most 2 (D/4)^p / p! anywhere on that interval.
 # An interval takes the smallest rung p of _RUNGS whose bound is at most
 # _KERNEL_TOL, that is whose D is at most _RUNG_SPAN, and rung r reads J0
-# at _RUNG_POINTS[r] on [-1, 1]. A run of adjacent panels (_runs) may take
-# any rung, and the barycentric weights _BARY[r] carry its values to the
-# Kronrod nodes of each of its panels. A lone panel takes only the first
-# _LONE rungs, up to 20 points (24 and 28 would save at most 7 of its 31
-# rows, and measured no faster), and _LAGRANGE[r] maps their values to its
-# Kronrod nodes; lone rung _LONE is a panel that meets none: the 31
-# Kronrod nodes themselves, with no bound. _NODES and _LONE_BOUND are the
-# point counts and the bound factors of the lone rungs.
+# at _RUNG_POINTS[r] on [-1, 1]; the barycentric weights _BARY[r] carry
+# those values to the Kronrod nodes of each panel of the interval.
 _RUNGS = (4, 6, 8, 10, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48)
-_LONE = 7
 _KERNEL_TOL = np.finfo(float).eps
 _BOUND = np.array([2.0 / math.factorial(p) for p in _RUNGS])
 _RUNG_SPAN = 4.0 * (_KERNEL_TOL / _BOUND) ** (1.0 / np.array(_RUNGS))
 _RUNG_POINTS = [-np.cos(np.pi * (np.arange(p) + 0.5) / p) for p in _RUNGS]
 _BARY = [(-1.0) ** np.arange(p) * np.sin(np.pi * (np.arange(p) + 0.5) / p)
          for p in _RUNGS]
-_NODES = np.array(_RUNGS[:_LONE] + (_X31.size,))
-_LONE_BOUND = np.append(_BOUND[:_LONE], 0.0)
-_LAGRANGE = [_lagrange_matrix(t) for t in _RUNG_POINTS[:_LONE]]
-
-# The work that decides a run, in units of one J0 entry (measured at
-# 14-30 ns, the less for small arguments): a run of k panels on rung p
-# forms m p J0 entries for m scales, and 31 p k barycentric entries at
-# _INTERP_COST each (4-7 ns), and its own products cost _RUN_COST (about
-# 15 us); a lone panel forms m times its node count.
-_INTERP_COST = 0.2
-_RUN_COST = 600.0
 
 
-def _runs(lo, hi, omega, lone, m):
-    """The runs of adjacent panels that read J0 once each: a list of
-    (panels, rung, D), panels the indices of two or more panels that abut
-    in ascending order, and D = omega times the run's width.
+def _runs(lo, hi, omega):
+    """The runs of panels that read J0 together: a list of (panels, rung,
+    D), panels the indices of one panel, or of several that abut, in
+    ascending order, D = omega times the run's width, and rung the index
+    of the first rung whose span D meets.
 
     The panels are walked in ascending order of lo. A run takes in the
-    next panel while that panel abuts it, the widened run still meets a
-    rung, and the widened run's variable cost is below that of the run and
-    the panel apart; a lone panel of lone[i] nodes costs m lone[i]. A run
-    that then costs less, _RUN_COST included, than its panels alone is
-    kept. A run of k panels on rung p costs more than _INTERP_COST 31 p k,
-    and p is at least the node count of each of its panels alone, so no
-    run pays for m <= _INTERP_COST 31.
+    next panel while that panel abuts it and the widened run still meets
+    the last rung. A run of one panel whose rung has 31 points or more, or
+    that meets no rung, has rung None: it reads J0 at its own 31 Kronrod
+    nodes, no more than such a rung would read.
     """
-    if m <= _INTERP_COST * _X31.size or lo.size < 2:
-        return []
     order = np.argsort(lo, kind="stable")
-    a, b = lo[order], hi[order]
-    joined = (b[:-1] == a[1:]).tolist()
-    if not any(joined):
-        return []
-    a, b = a.tolist(), b.tolist()
-    alone = (m * lone[order]).tolist()
-    spans, rungs, top = _RUNG_SPAN.tolist(), _RUNGS, len(_RUNGS)
-    per_panel = _INTERP_COST * _X31.size
-    runs, first, rung, cost, apart = [], 0, 0, alone[0], alone[0]
+    a, b = lo[order].tolist(), hi[order].tolist()
+    top = _RUNG_SPAN[-1]
+    runs, first = [], 0
     for j in range(1, len(a) + 1):
-        if j < len(a) and joined[j - 1]:
-            # the widened run's rung: its span only grows as it widens
-            d, r = omega * (b[j] - a[first]), rung
-            while r < top and spans[r] < d:
-                r += 1
-            if r < top:
-                wider = (m + per_panel * (j + 1 - first)) * rungs[r]
-                if wider < cost + alone[j]:
-                    rung, cost, apart = r, wider, apart + alone[j]
-                    continue
-        if j - first > 1 and cost + _RUN_COST < apart:
-            runs.append((order[first:j], rung, omega * (b[j - 1] - a[first])))
-        if j < len(a):
-            first, rung, cost, apart = j, 0, alone[j], alone[j]
+        if j < len(a) and b[j - 1] == a[j] and (
+                omega * (b[j] - a[first]) <= top):
+            continue
+        d = omega * (b[j - 1] - a[first])
+        r = int(np.searchsorted(_RUNG_SPAN, d))
+        if j - first == 1 and (r == len(_RUNGS) or _RUNGS[r] >= _X31.size):
+            r = None
+        runs.append((order[first:j], r, d))
+        first = j
     return runs
 
 
@@ -341,27 +298,22 @@ def _panels(g, lo, hi, scales):
     scales, through one call of g and one of bessel_j0.
 
     Returns (K31, |K31 - G15|) per panel and scale, of shape (n, m). The
-    31 n Kronrod abscissae of all panels go to g as one array. In
-    ascending order of lo, the panels form runs of adjacent panels
-    (_runs) and lone panels. A run of total span D = max |c| (hi - lo)
-    takes the first rung of _RUNGS that D meets, and a lone panel the
-    first rung below 31 points that its own span meets, or its 31 Kronrod
-    nodes. J0 is evaluated once, at the points of every lone panel,
-    grouped by rung, and then at those of each run, spread over the run's
-    whole interval.
+    31 n Kronrod abscissae of all panels go to g as one array. The panels
+    form runs (_runs), and J0 is evaluated once, in ascending order, at
+    the points of every run: the first rung of _RUNGS that its span D =
+    max |c| (hi - lo) meets, spread over its whole interval, or the 31
+    Kronrod nodes of a lone panel that meets none below 31 points.
 
     With w = half-width * (K31 weights, K31 - G15 weights) * g per panel,
-    split as [Re w; Im w] of shape (n, 4, 31), a panel sums (w @ L) @ K,
-    L the 31 x p matrix that carries its rung's p J0 values to its Kronrod
-    nodes (the fixed Lagrange matrix of a lone panel's rung, or the
-    barycentric matrix from its run's points) and K those J0 rows, and a
-    31-node panel sums w @ K, so no complex array of the size of K is
-    formed. The panels of a lone rung, and those of a run, share one
-    matrix product. Both rules read the same interpolant, so |K31 - G15|
-    keeps its form; the interpolation bound 2 (D/4)^p / p! of the panel's
-    rung, or of its run, times the panel's sum of |Re w_K31| + |Im w_K31|
-    (at least its sum of |w_K31|) is added to it. A non-finite value of g
-    raises NumericsError naming the first panel that has it.
+    split as [Re w; Im w] of shape (n, 4, 31), the panels of a run sum
+    (w @ L) @ K in one matrix product, L the 31 x p barycentric matrix
+    from the run's p points to each panel's Kronrod nodes and K those J0
+    rows, and a panel on its own Kronrod nodes sums w @ K, so no complex
+    array of the size of K is formed. Both rules read the same
+    interpolant, so |K31 - G15| keeps its form; the interpolation bound
+    2 (D/4)^p / p! of the run, times the panel's sum of |Re w_K31| +
+    |Im w_K31| (at least its sum of |w_K31|), is added to it. A non-finite
+    value of g raises NumericsError naming the first panel that has it.
     """
     n, width = lo.size, _X31.size
     mid = 0.5 * (lo + hi)
@@ -376,64 +328,33 @@ def _panels(g, lo, hi, scales):
             f"[{lo[j]:.6g}, {hi[j]:.6g}]")
     w = half[:, None, None] * _RULES * y.reshape(n, 1, width)
     w = np.concatenate([w.real, w.imag], axis=1)
-    omega = np.abs(scales).max()
-    span = omega * (hi - lo)
-    rung = np.searchsorted(_RUNG_SPAN[:_LONE], span)
-    runs = _runs(lo, hi, omega, _NODES[rung], scales.size)
-    # the interpolation bound factor of each panel: its lone rung's, 0 on
-    # 31 Kronrod nodes, or its run's
-    factor = _LONE_BOUND[rung] * (
-        0.25 * np.minimum(span, _RUNG_SPAN[_LONE - 1])) ** _NODES[rung]
-    # the panels in J0 row order: the lone ones by rung, unmoved when they
-    # share one, then each run's; the reordered panels a:b of each group
-    # share one matrix product
-    if runs:
-        alone = np.ones(n, dtype=bool)
-        for panels, r, d in runs:
-            alone[panels] = False
-            factor[panels] = _BOUND[r] * (0.25 * d) ** _RUNGS[r]
-        lone = np.flatnonzero(alone)
-        lone = lone[np.argsort(rung[lone], kind="stable")]
-        order = np.concatenate([lone] + [panels for panels, _, _ in runs])
-    elif rung.min() == rung.max():
-        lone = order = slice(None)
-    else:
-        lone = order = np.argsort(rung, kind="stable")
-    count = np.bincount(rung[lone], minlength=_LONE + 1).tolist()
-    groups, a = [], 0
-    for r, size in enumerate(count):
-        if size:
-            groups.append((a, a + size, r, None))
-            a += size
-    for panels, r, _ in runs:
-        # the run's interval, as centre and half-width
+    runs = _runs(lo, hi, np.abs(scales).max())
+    # each run's interval, as centre and half-width, and each panel's
+    # interpolation bound factor, 0 on its own Kronrod nodes
+    at, factor = [], np.zeros(n)
+    for panels, r, d in runs:
         start, end = lo[panels[0]], hi[panels[-1]]
-        groups.append((a, a + panels.size, r,
-                       (0.5 * (start + end), 0.5 * (end - start))))
-        a += panels.size
+        at.append((0.5 * (start + end), 0.5 * (end - start)))
+        if r is not None:
+            factor[panels] = _BOUND[r] * (0.25 * d) ** _RUNGS[r]
     bound = factor * np.abs(w[:, ::2]).sum(axis=(1, 2))
-    mid, half, w = mid[order, None], half[order, None], w[order]
     j0 = bessel_j0(np.outer(np.concatenate([
-        (mid[a:b] + half[a:b] * (_RUNG_POINTS[r] if r < _LONE else _X31)
-         ).ravel() if run is None else run[0] + run[1] * _RUNG_POINTS[r]
-        for a, b, r, run in groups]), scales))
+        centre + radius * (_X31 if r is None else _RUNG_POINTS[r])
+        for (_, r, _), (centre, radius) in zip(runs, at)]), scales))
     p = np.empty((n, 4, scales.size))
     first = 0
-    for a, b, r, run in groups:
-        if run is None:
-            rows = (b - a) * _NODES[r]
-            k = j0[first:first + rows].reshape(b - a, -1, scales.size)
-            p[a:b] = (w[a:b] @ _LAGRANGE[r] if r < _LONE else w[a:b]) @ k
-        else:
-            rows = _RUNGS[r]
-            x = ((mid[a:b] - run[0]) + half[a:b] * _X31) / run[1]
-            q, s = _barycentric(x.ravel(), r)
-            q = q.reshape(rows, b - a, width).transpose(1, 2, 0)
-            p[a:b] = (((w[a:b] / s.reshape(b - a, 1, width)) @ q).reshape(
-                -1, rows) @ j0[first:first + rows]).reshape(b - a, 4, -1)
+    for (panels, r, _), (centre, radius) in zip(runs, at):
+        if r is None:
+            p[panels] = w[panels] @ j0[first:first + width]
+            first += width
+            continue
+        rows, k = _RUNGS[r], panels.size
+        x = (mid[panels, None] - centre) + half[panels, None] * _X31
+        q, s = _barycentric(x.ravel() / radius, r)
+        q = q.reshape(rows, k, width).transpose(1, 2, 0)
+        p[panels] = (((w[panels] / s.reshape(k, 1, width)) @ q).reshape(
+            -1, rows) @ j0[first:first + rows]).reshape(k, 4, -1)
         first += rows
-    if not isinstance(order, slice):
-        p[order] = p.copy()
     return (p[:, 0] + 1j * p[:, 2],
             np.abs(p[:, 1] + 1j * p[:, 3]) + bound[:, None])
 
@@ -456,8 +377,8 @@ def integrate_adaptive(g, a, b, scales, spec=None, points=()):
     the same shape; scales is a 1-D array of the m values c. g is read at
     the 31 Kronrod nodes of each panel, and J0, which changes slowly across
     short panels, at 4 to 48 Chebyshev points of a run of adjacent panels,
-    or at 4 to 20 of a lone panel, where that certifies it to machine
-    epsilon (see _panels), and at the Kronrod nodes where it does not.
+    where that certifies it to machine epsilon (see _panels), and at the
+    Kronrod nodes of a lone panel where it does not.
     Scales [0] give the plain integral of g.
     `points` seeds the initial subdivision with known breakpoints (phase
     levels, kinks); they are clipped to the open interval. Seeds that
