@@ -17,9 +17,9 @@ preimage; a map that turns is refused. The on-axis focal ray makes w_cl diverge
 like 1/u at the origin; the divergence is integrable against the area
 element u du and is never evaluated at u = 0.
 
-The classical and quantum engines consume the same EikonalPhase object and
-read the particle, velocity and capture radius from it, and average over
-the same velocity nodes (poisson.velocity_terms). The finite-source
+The classical and quantum engines read the one node list of
+poisson.velocity_terms that a scenario builds, and take the particle,
+velocity and capture radius eta from each node's phase. The finite-source
 averages differ: the quantum engine uses the arc-length kernel of
 poisson._arc_rule (as the matrix poisson.arc_average_operator), this engine
 a polar rule whose discretization error near the focal divergence is frozen
@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interaction import capture_eta, classical_kick
+from .interaction import classical_kick
 from .numerics import NumericsError
-from .poisson import RadialProfile, velocity_terms
+from .poisson import RadialProfile
 
 
 @dataclass
@@ -53,13 +53,12 @@ class RayMap:
 def ray_map(params, phase, s_max=8.0):
     """Build the kick-and-project ray map on [1+eta, s_max].
 
-    The particle, its velocity v_z and eta = capture_eta(...) come from the
+    The particle, its velocity v_z and its capture radius eta come from the
     phase; phase=None means eta = 0 and the pure shadow projection u = ell s.
     The 4000-point grid is geometric in the wall distance s - (1+eta)
     because the kick spans many decades near the surface.
     """
-    a = 1.0 if phase is None else 1.0 + capture_eta(
-        phase.obstacle, phase.particle, phase.v_z)
+    a = 1.0 if phase is None else 1.0 + phase.eta
     if s_max <= a + 1e-6:
         raise ValueError("s_max must exceed 1 + eta")
     offs = np.geomspace(1e-9, s_max - a, 3999)
@@ -267,15 +266,14 @@ def classical_source_averaged(u_grid, setup, terms, operators=None):
     return RadialProfile(u, np.maximum(op.apply(g), 0.0))
 
 
-def averaged_pattern(u_grid, setup, phase=None, source=False,
-                     velocity=False, operators=None):
+def averaged_pattern(u_grid, setup, nodes, source=False, operators=None):
     """Classical pattern on the origin-free u_grid, averaged as
-    poisson.averaged_pattern averages the quantum one: over the nodes of
-    poisson.velocity_terms, each with a ray map to s_max =
-    max(8, u_max / ell + 2), and over the source disc if source."""
+    poisson.averaged_pattern averages the quantum one: over its nodes,
+    each with a ray map to s_max = max(8, u_max / ell + 2), and over the
+    source disc if source."""
     u = np.asarray(u_grid, dtype=float)
     terms = [(w_i, ray_map(p_i, phase_i, max(8.0, u[-1] / p_i.ell + 2.0)))
-             for w_i, p_i, phase_i in velocity_terms(setup, phase, velocity)]
+             for w_i, p_i, phase_i in nodes]
     if source and setup.dimensionless().beta > 0.0:
         return classical_source_averaged(u, setup, terms, operators)
     return RadialProfile(u, sum(w_i * classical_point_pattern(u, rmap).w
@@ -292,18 +290,20 @@ class DistinguishabilityReport:
 
 
 def distinguishability(u_grid, setup, quantum, classical):
-    """Central-height ratio and shadow-region L1 distance of two profiles."""
+    """Central-height ratio, at the first positive radius, which must lie
+    in the shadow u < ell, and shadow-region L1 distance of two profiles."""
     u = np.asarray(u_grid, dtype=float)
     if not (np.array_equal(u, quantum.u) and np.array_equal(u, classical.u)):
         raise ValueError("profiles must share the query grid")
-    pos = np.flatnonzero(u > 0)
+    ell = setup.dimensionless().ell
+    shadow = u < ell
+    pos = np.flatnonzero(shadow & (u > 0))
     if pos.size == 0:
-        raise ValueError("need at least one positive radius")
+        raise ValueError(f"no positive radius in the shadow u < ell = "
+                         f"{ell:.6g} to take the central ratio at")
     i0 = pos[0]
     wq, wc = quantum.w[i0], classical.w[i0]
     ratio = math.inf if wc == 0 else wq / wc
-    ell = setup.dimensionless().ell
-    shadow = u < ell
     l1 = float(np.trapezoid(np.abs(quantum.w[shadow] - classical.w[shadow]),
                             u[shadow]))
     return DistinguishabilityReport(ratio, l1, float(u[i0]))

@@ -7,10 +7,11 @@ loads a packaged scenario by name instead. Far-field scenarios write a
 constraint report (plain text and machine-readable key-value). Near-field
 scenarios run one pipeline: a visibility report, the radial-profile CSVs
 that _NEAR_FIELD_PROFILES lists for the mode, each from its engine's
-averaged_pattern with the same source and velocity averaging, and a
-distinguishability report when compare mode has both. Exit codes: 0
-success, 2 configuration error (nothing is written), 3 numerical failure
-(partial outputs, a whole sweep's included, are removed).
+averaged_pattern over the one node list of poisson.velocity_terms and with
+the same source averaging, and a distinguishability report when compare
+mode has both. Exit codes: 0 success, 2 configuration error (nothing is
+written), 3 numerical failure (partial outputs, a whole sweep's included,
+are removed).
 
 Output files are deterministic for a fixed config: rerunning a scenario
 produces byte-identical artifacts.
@@ -29,7 +30,7 @@ from .config import ConfigError, as_float, as_int, parse_kv, serialize_kv
 from .farfield import FarFieldSetup, feasibility_report
 # capture_eta is unused here: perfbench/test_perfbench.py::
 # test_install_patches_every_binding_and_uninstall_restores_all asserts it
-from .interaction import EikonalPhase, Obstacle, capture_eta  # noqa: F401
+from .interaction import Obstacle, capture_eta  # noqa: F401
 from .numerics import NumericsError, QuadratureSpec
 from .particles import ParticleSpecies, species_preset
 
@@ -273,9 +274,10 @@ def run_scenario(cfg, out_dir, operators=None):
 
     Returns a ScenarioResult with the paths and summary metrics. On a
     numerical failure every partially written artifact is removed and the
-    exception propagates. Both engines' averaged_pattern get the same
-    source, velocity and operators, so a compare run's profiles share their
-    velocity nodes. operators is the dict of source-average operators that
+    exception propagates. The velocity nodes, each with its params and
+    EikonalPhase (and so eta), are built once by poisson.velocity_terms,
+    and both engines read them with the same source averaging and
+    operators. operators is the dict of source-average operators that
     the scenarios of one sweep share, quantum and classical; each engine
     keys it by what its operator depends on (see poisson.averaged_pattern
     and classical.classical_source_averaged). A single run passes none, and
@@ -303,18 +305,16 @@ def run_scenario(cfg, out_dir, operators=None):
                          psn.visibility_checks(cfg.poisson))
 
         # alpha = 0 leaves the ideal obstacle and straight rays
-        phase = None
-        if names != ("ideal",) and cfg.particle.alpha > 0:
-            phase = EikonalPhase(cfg.poisson.obstacle, cfg.particle,
-                                 cfg.particle.v_long)
-        averaging = dict(source=cfg.source_averaging,
-                         velocity=cfg.velocity_averaging, operators=operators)
+        nodes = psn.velocity_terms(
+            cfg.poisson, cfg.velocity_averaging,
+            names != ("ideal",) and cfg.particle.alpha > 0)
+        averaging = dict(source=cfg.source_averaging, operators=operators)
         profiles = []
         for name in names:
             profiles.append(
-                cls.averaged_pattern(u, cfg.poisson, phase, **averaging)
+                cls.averaged_pattern(u, cfg.poisson, nodes, **averaging)
                 if name == "classical" else psn.averaged_pattern(
-                    u, cfg.poisson, phase, cfg.quad, **averaging))
+                    u, cfg.poisson, nodes, cfg.quad, **averaging))
             _write_profile_csv(target(f"profile_{name}.csv"), profiles[-1])
 
         dist = math.nan

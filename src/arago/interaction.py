@@ -76,16 +76,17 @@ _SHAPES = {
 
 class EikonalPhase:
     """Interaction phase phi(s) = prefactor * shape(s) for one
-    obstacle/particle/velocity, in closed form.
+    obstacle/particle/velocity, in closed form, and its capture radius.
 
     The prefactor is C4 b / (hbar v_z R^4) for a disc and C4 / (hbar v_z R^3)
     for a sphere, so phi scales exactly as 1/v_z. Exposes phi(s) and
     dphi_ds(s) for s > 1, and crossing(level, ...), where phi equals a level.
-    s_negligible is where phi falls to phase_floor, in closed form for the
-    disc and by crossing for the sphere; integrals against (e^{i phi} - 1)
-    truncate there. The floor bounds the dropped integrand's phase factor
-    |e^{i phi} - 1|, not the dropped integral: the point pattern's
-    truncation error at the spot measures 1-3x the floor.
+    eta = capture_eta(obstacle, particle, v_z), which both engines read, is
+    computed once here. s_negligible is where phi falls to phase_floor, in
+    closed form for the disc and by crossing for the sphere; integrals
+    against (e^{i phi} - 1) truncate there. The floor bounds the dropped
+    integrand's phase factor |e^{i phi} - 1|, not the dropped integral: the
+    point pattern's truncation error at the spot measures 1-3x the floor.
     """
 
     phase_floor = 1e-4
@@ -115,6 +116,7 @@ class EikonalPhase:
                 hi *= 2.0
             self.s_negligible = float(self.crossing(
                 phase_floor, max(s_far, 1.0 + 1e-9), hi, 1e-6))
+        self.eta = capture_eta(obstacle, particle, v_z)
 
     def crossing(self, level, lo, hi, tol):
         """s in [lo, hi] where phi(s) = level, elementwise over level, to

@@ -17,8 +17,8 @@ and its interaction zone:
 
 with m = -1 on [0, 1+eta), where the obstacle blocks the free wave, and
 m = e^{i phi} - 1 on (1+eta, s_neg]. The capture parameter eta removes
-adsorbed particles, with eta = capture_eta of the phase's own obstacle,
-particle and velocity; the integral truncates where phi falls below the
+adsorbed particles; it is the phase's own eta, computed once when the
+phase is built. The integral truncates where phi falls below the
 phase floor. The floor bounds the dropped integrand's phase factor
 |e^{i phi} - 1|, not the dropped integral: the point pattern's truncation
 error at the spot measures 1-3x the floor (ROADMAP item 3). The ideal
@@ -58,10 +58,10 @@ three-term recurrence at the kernel's nodes, and a profile costs one
 mat-vec. The matrix depends on the screen grid and beta only, not on the
 velocity, so the scenarios of a velocity sweep share one, grown to the
 longest series among them (averaged_pattern keys it by both). Velocity
-spreads average over deterministic velocity nodes with the interaction
-phase, and with it eta, rebuilt per node; the nodes' weighted intensities
-are summed into one series on the shared [0, u_max + beta], which takes
-one mat-vec.
+spreads average over the nodes of velocity_terms, each with its own params
+and phase (and so eta), built once per scenario for both engines; the
+nodes' weighted intensities are summed into one series on the shared
+[0, u_max + beta], which takes one mat-vec.
 """
 
 import math
@@ -71,7 +71,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConstraintReport
-from .interaction import EikonalPhase, capture_eta as _capture_eta
+from .interaction import EikonalPhase
+# _capture_eta is unused here: perfbench/test_perfbench.py::
+# test_install_patches_every_binding_and_uninstall_restores_all asserts it
+from .interaction import capture_eta as _capture_eta  # noqa: F401
 from .numerics import DEFAULT_SPEC, NumericsError, integrate_adaptive
 from .particles import velocity_nodes
 
@@ -227,8 +230,7 @@ def _amplitude_grid(u_grid, k, ell, phase=None, quad=None):
     u = np.atleast_1d(np.asarray(u_grid, dtype=float))
     if np.any(u < 0):
         raise ValueError("screen radii must be non-negative")
-    a = 1.0 if phase is None else 1.0 + _capture_eta(
-        phase.obstacle, phase.particle, phase.v_z)
+    a = 1.0 if phase is None else 1.0 + phase.eta
     two_pi_k = 2.0 * math.pi * k
 
     # the complex radial factor of the obstacle integral, negated where the
@@ -476,35 +478,32 @@ def _source_average(operator, terms, rel_tol):
     return operator.apply(coef)
 
 
-def velocity_terms(setup, phase, velocity):
-    """The (w_i, params_i, phase_i) nodes that either engine averages over:
-    without velocity, weight 1 at phase.v_z (v_long for phase None) with
-    the phase as given; with velocity, the velocity_nodes v_i, each with
-    its own params and EikonalPhase (one node at dv_rel = 0)."""
-    if not velocity:
-        return [(1.0, setup.dimensionless(
-            None if phase is None else phase.v_z), phase)]
-    vs, weights = velocity_nodes(setup.particle)
-    return [(w_i, setup.dimensionless(v_i), None if phase is None else
-             EikonalPhase(phase.obstacle, phase.particle, v_i))
+def velocity_terms(setup, velocity, interacting):
+    """The (w_i, params_i, phase_i) nodes that both engines average over:
+    the velocity_nodes v_i if velocity, else weight 1 at v_long, each with
+    the params of setup at v_i and, if interacting, the EikonalPhase (and
+    with it eta) of setup.obstacle and setup.particle at v_i, else None."""
+    vs, weights = (velocity_nodes(setup.particle) if velocity
+                   else ([setup.particle.v_long], [1.0]))
+    return [(w_i, setup.dimensionless(v_i), EikonalPhase(
+        setup.obstacle, setup.particle, v_i) if interacting else None)
             for v_i, w_i in zip(vs, weights)]
 
 
-def averaged_pattern(u_grid, setup, phase=None, quad=None, source=False,
-                     velocity=False, operators=None):
-    """Pattern on u_grid, averaged over the source disc (radius R0) if
-    source and over the particle's velocity distribution if velocity, at
-    the nodes of velocity_terms. A source average (beta > 0) sums the
-    nodes' weighted intensities, each from the certified Chebyshev series
-    of its amplitude on [0, u_max + beta], into one series and averages it
-    by one mat-vec of the arc-length kernel matrix (_source_average);
-    otherwise the nodes' point-source patterns are summed. The matrix
+def averaged_pattern(u_grid, setup, nodes, quad=None, source=False,
+                     operators=None):
+    """Pattern on u_grid, summed over the nodes of velocity_terms and
+    averaged over the source disc (radius R0) if source. A source average
+    (beta > 0) sums the nodes' weighted intensities, each from the certified
+    Chebyshev series of its amplitude on [0, u_max + beta], into one series
+    and averages it by one mat-vec of the arc-length kernel matrix
+    (_source_average); otherwise the nodes' point-source patterns are
+    summed. The matrix
     depends on the grid and beta only: operators is a dict that the
     profiles of a sweep share, in which it is built on first use under
     ("arc", grid bytes, beta).
     """
     u = np.asarray(u_grid, dtype=float)
-    nodes = velocity_terms(setup, phase, velocity)
     beta = setup.dimensionless().beta
     if source and beta > 0.0:
         operators = {} if operators is None else operators

@@ -34,6 +34,7 @@ from arago.poisson import (
     PoissonSetup,
     averaged_pattern,
     point_source_pattern,
+    velocity_terms,
 )
 from references import amplitude, spot_radius, thermal_velocity
 
@@ -273,8 +274,9 @@ def test_c12_source_averaging_shape(acceptance):
         w0s = []
         for R0 in np.linspace(0.0, 500e-9, 8):
             setup = PoissonSetup(R0, 500e-9, 0.125, 0.125, obs, p)
-            w0s.append(averaged_pattern(np.array([0.0]), setup,
-                                        source=True).w[0])
+            w0s.append(averaged_pattern(
+                np.array([0.0]), setup, velocity_terms(setup, False, False),
+                source=True).w[0])
         curves[k] = np.array(w0s)
     dt = time.perf_counter() - t0
     mono = all(np.all(np.diff(curves[k]) <= 1e-9) for k in curves)

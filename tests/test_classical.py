@@ -25,6 +25,7 @@ from arago.poisson import (
     RadialProfile,
     averaged_pattern,
     default_grid,
+    velocity_terms,
 )
 
 from references import polar_average
@@ -37,6 +38,11 @@ def _fig3(kind, R0=500e-9):
     setup = PoissonSetup(R0, 500e-9, 0.125, 0.125, obs, p)
     phase = EikonalPhase(obs, p, p.v_long)
     return setup, phase, ray_map(setup.dimensionless(), phase)
+
+
+def _nodes(setup, velocity=False):
+    """The node list that a scenario of setup builds, with its phases."""
+    return velocity_terms(setup, velocity, True)
 
 
 def test_free_map_is_pure_projection():
@@ -62,12 +68,15 @@ def test_ray_map_validation():
 
 def test_ray_map_starts_at_capture_radius():
     # the map reads its capture radius from the phase: it starts at
-    # 1 + capture_eta of the phase's obstacle, particle and velocity (here
-    # 3 m/s, not the particle's v_long), and at 1 without a phase
+    # 1 + phase.eta, capture_eta of the phase's obstacle, particle and
+    # velocity (here 3 m/s, not the particle's v_long), and at 1 without a
+    # phase
     par = DimensionlessParams(k=0.2, ell=2.0, beta=0.0)
     p = ParticleSpecies("au100", 19700.0, 5e-28, 2.0)
     for obs in (Obstacle("sphere", 500e-9), Obstacle("disc", 500e-9, 10e-9)):
-        rmap = ray_map(par, EikonalPhase(obs, p, 3.0))
+        phase = EikonalPhase(obs, p, 3.0)
+        rmap = ray_map(par, phase)
+        assert rmap.s_grid[0] == 1.0 + phase.eta
         assert rmap.s_grid[0] == 1.0 + capture_eta(obs, p, 3.0)
         assert rmap.s_grid[0] != 1.0 + capture_eta(obs, p, p.v_long)
     assert ray_map(par, None).s_grid[0] == 1.0
@@ -224,7 +233,7 @@ def test_source_averaged_beta_zero_identity():
     rmap = ray_map(setup.dimensionless(), phase)
     grid = np.linspace(0.1, 3.0, 30)
     a = classical_point_pattern(grid, rmap)
-    b = classical.averaged_pattern(grid, setup, phase, source=True)
+    b = classical.averaged_pattern(grid, setup, _nodes(setup), source=True)
     assert np.array_equal(a.w, b.w)
 
 
@@ -271,16 +280,16 @@ def test_shared_operators_are_keyed_by_their_whole_geometry():
     # classical operators
     obs = Obstacle("disc", 500e-9, 10e-9)
     p = ParticleSpecies("au100", 19700.0, 5e-28, 2.0)
-    phase = EikonalPhase(obs, p, p.v_long)
     shared = {}
     for u in (np.linspace(0.05, 6.0, 41), np.linspace(0.1, 5.0, 41)):
         for R0, L2 in ((500e-9, 0.125), (250e-9, 0.125), (250e-9, 0.25)):
             setup = PoissonSetup(R0, 500e-9, 0.125, L2, obs, p)
+            nodes = _nodes(setup)
             for engine in (averaged_pattern, classical.averaged_pattern):
                 np.testing.assert_array_equal(
-                    engine(u, setup, phase, source=True,
+                    engine(u, setup, nodes, source=True,
                            operators=shared).w,
-                    engine(u, setup, phase, source=True).w)
+                    engine(u, setup, nodes, source=True).w)
     assert sorted(key[0] for key in shared) == ["arc"] * 4 + ["polar"] * 6
 
 
@@ -288,29 +297,32 @@ def test_shared_operators_are_keyed_by_their_whole_geometry():
 @pytest.mark.parametrize("kind", ["sphere", "disc"])
 def test_velocity_average_is_the_weighted_node_sum(kind, source):
     # the classical profile averages over the velocity nodes of the quantum
-    # one, each node with its own phase and ray map; the phase it is given
-    # (here built at 3 m/s) lends only its obstacle and particle. Oracle:
-    # the weighted sum of the single-velocity profiles, written out. It
-    # holds bit for bit for point sources; a source average sums the nodes'
-    # g before its one polar pass, which changes only the rounding (measured
-    # <= 9.4e-16 relative). The spread moves the profile by 5.3e-4 to
-    # 7.6e-3 relative
+    # one, each node with its own phase and ray map. Oracle: the weighted
+    # sum of the single-velocity profiles of setups whose v_long is each
+    # node's velocity, written out. It holds bit for bit for point sources;
+    # a source average sums the nodes' g before its one polar pass, which
+    # changes only the rounding (measured <= 9.4e-16 relative). The spread
+    # moves the profile by 5.3e-4 to 7.6e-3 relative
     obs = Obstacle(kind, 500e-9, 10e-9 if kind == "disc" else None)
-    p = ParticleSpecies("au100", 19700.0, 5e-28, 2.0, dv_rel=0.1)
-    setup = PoissonSetup(500e-9, 500e-9, 0.125, 0.125, obs, p)
+
+    def fig3(v, dv_rel=0.0):
+        p = ParticleSpecies("au100", 19700.0, 5e-28, v, dv_rel=dv_rel)
+        return PoissonSetup(500e-9, 500e-9, 0.125, 0.125, obs, p)
+
+    setup = fig3(2.0, dv_rel=0.1)
     u = default_grid(setup.dimensionless(), 61)[1:]
-    got = classical.averaged_pattern(u, setup, EikonalPhase(obs, p, 3.0),
-                                     source=source, velocity=True).w
-    vs, weights = velocity_nodes(p)
+    got = classical.averaged_pattern(u, setup, _nodes(setup, velocity=True),
+                                     source=source).w
+    vs, weights = velocity_nodes(setup.particle)
     assert vs.size == 9
     ref = sum(w_i * classical.averaged_pattern(
-        u, setup, EikonalPhase(obs, p, v_i), source=source).w
+        u, fig3(v_i), _nodes(fig3(v_i)), source=source).w
         for v_i, w_i in zip(vs, weights))
     if source:
         assert np.max(np.abs(got - ref) / ref) <= 1e-14
     else:
         assert np.array_equal(got, ref)
-    single = classical.averaged_pattern(u, setup, EikonalPhase(obs, p, 2.0),
+    single = classical.averaged_pattern(u, setup, _nodes(setup),
                                         source=source).w
     assert np.max(np.abs(got - single) / single) > 1e-4
 
@@ -318,12 +330,13 @@ def test_velocity_average_is_the_weighted_node_sum(kind, source):
 @pytest.mark.parametrize("source", [False, True])
 def test_velocity_average_at_zero_spread_is_the_single_velocity(source):
     # the fig3 particle has dv_rel = 0: one node, v_long, with weight 1
-    setup, phase, _ = _fig3("disc")
+    setup, _, _ = _fig3("disc")
     u = default_grid(setup.dimensionless(), 61)[1:]
     np.testing.assert_array_equal(
-        classical.averaged_pattern(u, setup, phase, source=source,
-                                   velocity=True).w,
-        classical.averaged_pattern(u, setup, phase, source=source).w)
+        classical.averaged_pattern(u, setup, _nodes(setup, velocity=True),
+                                   source=source).w,
+        classical.averaged_pattern(u, setup, _nodes(setup),
+                                   source=source).w)
 
 
 def test_velocity_average_builds_one_polar_operator(monkeypatch):
@@ -345,8 +358,8 @@ def test_velocity_average_builds_one_polar_operator(monkeypatch):
         "operator", classical.polar_average_operator))
     shared = {}
     classical.averaged_pattern(default_grid(setup.dimensionless(), 41)[1:],
-                               setup, EikonalPhase(obs, p, 2.0), source=True,
-                               velocity=True, operators=shared)
+                               setup, _nodes(setup, velocity=True),
+                               source=True, operators=shared)
     assert calls == {"ray_map": 9, "operator": 1}
     assert [key[0] for key in shared] == ["polar"]
 
@@ -386,6 +399,13 @@ def test_distinguishability_identical_profiles():
     assert rep.ratio == 1.0
     assert rep.l1_shadow == 0.0
     assert rep.u_probe == pytest.approx(0.025)
+    # no central ratio without a positive radius in the shadow u < ell = 2,
+    # not even for identical profiles: a grid that reaches it only at the
+    # origin, at its edge or past it is refused
+    for u in (np.array([0.0, 2.0, 3.0]), np.linspace(6.9, 200.0, 29)):
+        prof = RadialProfile(u, np.ones_like(u))
+        with pytest.raises(ValueError, match="shadow"):
+            distinguishability(u, setup, prof, prof)
 
 
 def test_distinguishability_zero_classical():

@@ -12,6 +12,7 @@ import pytest
 
 import arago
 import arago.classical
+import arago.interaction
 import arago.poisson
 from arago.cli import (
     PRESET_NAMES,
@@ -62,7 +63,8 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("preset", ["fig3-disc", "fig2b", "farfield-30k"])
+@pytest.mark.parametrize("preset", ["fig3-disc", "fig3-sphere", "fig2b",
+                                    "farfield-30k"])
 def test_presets_run_without_scipy(tmp_path, preset):
     # a preset run imports no scipy module, and writes the same bytes as a
     # run that could
@@ -277,6 +279,49 @@ def test_no_wall_interaction_leaves_the_umbra_dark(tmp_path, velocity):
     assert umbra.sum() == 39
     assert np.all(w[umbra] == 0.0)
     assert np.all(w[u > p.ell] > 0.0)
+
+
+@pytest.fixture
+def interaction_builds(monkeypatch):
+    """Counts the EikonalPhase builds and the capture_eta calls, the latter
+    under every name an arago module binds capture_eta to."""
+    builds = {"phase": 0, "eta": 0}
+    eta = arago.interaction.capture_eta
+    init = arago.interaction.EikonalPhase.__init__
+
+    def counted_eta(*args):
+        builds["eta"] += 1
+        return eta(*args)
+
+    def counted_init(self, *args):
+        builds["phase"] += 1
+        init(self, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "arago" or name.startswith("arago."):
+            for attr, value in list(vars(module).items()):
+                if value is eta:
+                    monkeypatch.setattr(module, attr, counted_eta)
+    monkeypatch.setattr(arago.interaction.EikonalPhase, "__init__",
+                        counted_init)
+    return builds
+
+
+@pytest.mark.parametrize("preset,velocity,nodes", [
+    ("fig3-disc", "on", 9), ("fig3-sphere", "on", 9),
+    ("fig3-sphere", "off", 1)])
+def test_compare_run_builds_each_node_once(tmp_path, interaction_builds,
+                                           preset, velocity, nodes):
+    # both engines of a compare run read the node list that run_scenario
+    # builds: one phase and one capture radius per velocity node. Each
+    # engine once built its own, 19 phases and 18 capture radii for nine
+    # nodes, and 1 and 2 for one
+    text = load_preset(preset).replace("grid.n_u = 241", "grid.n_u = 40")
+    if velocity == "on":
+        text += "averaging.velocity = on\nparticle.dv_rel = 0.1\n"
+    run_scenario(parse_config(text), str(tmp_path))
+    assert interaction_builds == {"phase": nodes, "eta": nodes}
+
 
 def test_rerun_byte_identical(tmp_path):
     cfg = parse_config(load_preset("fig2a"))
@@ -505,6 +550,24 @@ def test_main_numerical_failure(tmp_path, capsys):
     assert main([str(hard), "--out", str(out)]) == 3
     assert capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+def test_main_refuses_a_grid_with_no_radius_in_the_shadow(tmp_path, capsys):
+    # fig3-sphere compare with a point source on 30 radii up to u = 200:
+    # the first positive radius, 6.90, lies outside the shadow u < ell = 2,
+    # so there is no central ratio to report. The run once exited 0 with a
+    # ratio of 1.065 taken there and l1_shadow = 0 over an empty shadow; it
+    # must exit 3 and leave no artifact
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(load_preset("fig3-sphere")
+                        .replace("averaging.source = on",
+                                 "averaging.source = off")
+                        .replace("grid.n_u = 241", "grid.n_u = 30")
+                        + "grid.u_max = 200\n")
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--out", str(out)]) == 3
+    assert "shadow" in capsys.readouterr().err
+    assert not list(out.iterdir())
 
 
 def test_main_sweep(tmp_path, capsys):

@@ -250,6 +250,10 @@ def test_capture_eta_sphere():
     # trajectory shooting, Au100 at 2 m/s on a 500 nm sphere: etaR ~ 39 nm
     eta = capture_eta(SPHERE, AU, AU.v_long)
     assert eta == pytest.approx(0.078445686340332, rel=1e-4)
+    # the phase holds the capture radius of its own obstacle, particle and
+    # velocity, at any velocity
+    assert EikonalPhase(SPHERE, AU, AU.v_long).eta == eta
+    assert EikonalPhase(SPHERE, AU, 3.0).eta == capture_eta(SPHERE, AU, 3.0)
     assert eta * 500e-9 == pytest.approx(39.2e-9, rel=0.02)
     # brute-force oracle, independent of the r* root-find: (1 + eta)^2 is the
     # minimum of B(r) = r^2 (1 + (A/2)/(r-1)^4) over r in [1 + delta, 3],
@@ -271,6 +275,8 @@ def test_capture_eta_sphere():
 def test_capture_eta_disc():
     eta = capture_eta(DISC, AU, AU.v_long)
     assert eta == pytest.approx(0.034414191517024, rel=1e-6)
+    assert EikonalPhase(DISC, AU, AU.v_long).eta == eta
+    assert EikonalPhase(DISC, AU, 3.0).eta == capture_eta(DISC, AU, 3.0)
     assert eta * 500e-9 == pytest.approx(17.2e-9, rel=0.02)
 
 

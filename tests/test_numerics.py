@@ -7,7 +7,7 @@ import scipy.optimize
 import scipy.special
 
 import arago.numerics
-from arago.interaction import EikonalPhase, Obstacle
+from arago.interaction import Obstacle
 from arago.numerics import (
     _BOUND,
     _CALL_SIZE,
@@ -26,7 +26,7 @@ from arago.numerics import (
     integrate_adaptive,
 )
 from arago.particles import ParticleSpecies
-from arago.poisson import PoissonSetup, averaged_pattern
+from arago.poisson import PoissonSetup, averaged_pattern, velocity_terms
 
 
 # scales [0] give the plain integral of g, since J0(0) = 1
@@ -620,7 +620,8 @@ def _fig3_j0_fraction(monkeypatch, kind, v):
     formed = _count_j0(monkeypatch)
     monkeypatch.setattr(arago.numerics, "_panels", counted_panels)
     u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 241)
-    averaged_pattern(u, setup, EikonalPhase(obs, particle, v), source=True)
+    averaged_pattern(u, setup, velocity_terms(setup, False, True),
+                     source=True)
     return sum(x.size for x in formed), sum(kronrod)
 
 
@@ -707,7 +708,8 @@ def test_fig3_sphere_runs_match_kronrod_nodes(monkeypatch, v, subdivisions,
     seen = _spy_runs(monkeypatch)
     monkeypatch.setattr(arago.poisson, "integrate_adaptive", recorded)
     u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 241)
-    averaged_pattern(u, setup, EikonalPhase(obs, particle, v), source=True)
+    averaged_pattern(u, setup, velocity_terms(setup, False, True),
+                     source=True)
     assert len(calls) == 1
     assert any(panels.size > 1 and r == len(_RUNGS) - 1
                for *_, runs in seen for panels, r, _ in runs)

@@ -18,6 +18,7 @@ from arago.poisson import (
     averaged_pattern,
     default_grid,
     point_source_pattern,
+    velocity_terms,
     visibility_checks,
 )
 from references import amplitude, annular_average, polar_average, spot_radius
@@ -35,6 +36,12 @@ def _setup(R0=0.0, v=V_10PM, obstacle=None, dv_rel=0.0, alpha=0.0):
     obs = obstacle or Obstacle("sphere", 500e-9)
     p = ParticleSpecies("au100", 19700.0, alpha, v, dv_rel)
     return PoissonSetup(R0, 500e-9, 0.125, 0.125, obs, p)
+
+
+def _nodes(setup, velocity=False):
+    """The node list that a scenario of setup builds: with an interaction
+    phase at every node wherever the particle is polarizable."""
+    return velocity_terms(setup, velocity, setup.particle.alpha > 0)
 
 
 def test_dimensionless_mapping():
@@ -182,15 +189,17 @@ def test_annular_average_matches_polar_rule():
 def test_source_averaging_beta_zero_identity():
     grid = np.linspace(0.0, 4.0, 41)
     point = point_source_pattern(grid, _params(0.2, 2.0))
-    avg = averaged_pattern(grid, _setup(R0=0.0), source=True)
+    setup = _setup(R0=0.0)
+    avg = averaged_pattern(grid, setup, _nodes(setup), source=True)
     assert np.array_equal(point.w, avg.w)
 
 
 def test_source_averaging_lowers_spot():
     grid = np.array([0.0])
     w_point = point_source_pattern(grid, _params(0.2, 2.0)).w[0]
-    w_half = averaged_pattern(grid, _setup(R0=250e-9), source=True).w[0]
-    w_full = averaged_pattern(grid, _setup(R0=500e-9), source=True).w[0]
+    half, full = _setup(R0=250e-9), _setup(R0=500e-9)
+    w_half = averaged_pattern(grid, half, _nodes(half), source=True).w[0]
+    w_full = averaged_pattern(grid, full, _nodes(full), source=True).w[0]
     assert w_point > w_half > w_full
     # frozen: beta = 1 spot height for k = 0.2
     assert w_full == pytest.approx(0.677814, abs=2e-4)
@@ -242,7 +251,7 @@ def test_source_average_matches_direct_amplitude(kind, v, monkeypatch):
         return direct(*args)
 
     monkeypatch.setattr(arago.poisson, "_amplitude_grid", counted)
-    w = averaged_pattern(u, setup, phase, source=True).w
+    w = averaged_pattern(u, setup, _nodes(setup), source=True).w
     assert np.max(np.abs(w - ref) / ref) <= 1e-12
     if v < 5.0:
         assert len(calls) == 1
@@ -253,12 +262,12 @@ def test_arc_operator_matches_annular_average(kind, v, monkeypatch):
     # oracle: annular_average fed with the same intensity series, evaluated
     # by Clenshaw at every node of the rule. The matrix sums the same
     # products in another order. Measured: <= 2.1e-15 relative.
-    setup, phase = _fig3_source(kind, v)
+    setup, _ = _fig3_source(kind, v)
     par = setup.dimensionless()
     u = np.linspace(0.0, 3.0 * par.ell, 241)
     top = u.max() + par.beta
     applied = _recorded_series(monkeypatch)
-    w = averaged_pattern(u, setup, phase, source=True).w
+    w = averaged_pattern(u, setup, _nodes(setup), source=True).w
     (coef,) = applied
     ref = annular_average(u, par.beta, lambda r: np.polynomial.chebyshev
                           .chebval(2.0 * r / top - 1.0, coef))
@@ -283,11 +292,11 @@ def test_arc_operator_grows_bit_for_bit():
 def test_source_average_refuses_past_degree_cap(monkeypatch):
     # the fast disc needs 322 Chebyshev nodes: the first degree (161) fails
     # the coefficient-tail test, and past a cap of 200 the doubling raises
-    setup, phase = _fig3_source("disc", 20.0)
+    setup, _ = _fig3_source("disc", 20.0)
     u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 11)
     monkeypatch.setattr(arago.poisson, "_CHEB_MAX_NODES", 200)
     with pytest.raises(NumericsError, match="Chebyshev"):
-        averaged_pattern(u, setup, phase, source=True)
+        averaged_pattern(u, setup, _nodes(setup), source=True)
 
 
 def test_source_average_refuses_a_start_past_the_cap(monkeypatch):
@@ -297,14 +306,14 @@ def test_source_average_refuses_a_start_past_the_cap(monkeypatch):
     # chirp alone needs a degree of about pi k top^2 / ell = 15200, and 8192
     # and 8792 samples leave coefficient tails of 0.33 and 0.56 of the
     # largest
-    setup, phase = _fig3_source("disc", 2000.0)
+    setup, _ = _fig3_source("disc", 2000.0)
     calls = []
 
     monkeypatch.setattr(arago.poisson, "_amplitude_grid",
                         lambda *args: calls.append(args))
     with pytest.raises(NumericsError, match="asks for 8792 to start with"):
         averaged_pattern(default_grid(setup.dimensionless(), 241),
-                         setup, phase, source=True)
+                         setup, _nodes(setup), source=True)
     assert calls == []
 
 
@@ -331,7 +340,7 @@ def test_source_average_stops_on_rounding_plateau(kind, monkeypatch):
         return direct(*args)
 
     monkeypatch.setattr(arago.poisson, "_amplitude_grid", counted)
-    w = averaged_pattern(u, setup, phase, quad, source=True).w
+    w = averaged_pattern(u, setup, _nodes(setup), quad, source=True).w
     assert len(calls) <= 2
     assert np.max(np.abs(w - ref) / ref) <= 1e-12
 
@@ -340,7 +349,7 @@ def test_source_average_refuses_a_plateau_above_rel_tol(monkeypatch):
     # amplitude samples with 1e-6 relative noise put the coefficient
     # plateau near 1e-7, above the default rel_tol = 1e-8: once a doubling
     # does not lower it, the source average raises instead of doubling on
-    setup, phase = _fig3_source("disc", 2.0)
+    setup, _ = _fig3_source("disc", 2.0)
     u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 11)
     direct = arago.poisson._amplitude_grid
     rng = np.random.default_rng(0)
@@ -353,72 +362,75 @@ def test_source_average_refuses_a_plateau_above_rel_tol(monkeypatch):
 
     monkeypatch.setattr(arago.poisson, "_amplitude_grid", noisy)
     with pytest.raises(NumericsError, match="stall"):
-        averaged_pattern(u, setup, phase, source=True)
+        averaged_pattern(u, setup, _nodes(setup), source=True)
     assert len(calls) == 2
 
 
-def test_source_average_takes_velocity_from_phase():
-    # with a phase, the wavelength is taken at the phase's velocity, not at
-    # the particle's v_long: a 3 m/s phase on a 2 m/s setup gives the
-    # pattern of a 3 m/s setup (a 2 m/s phase with a 3 m/s wavelength gave
-    # w(0) = 0.5808 against 0.5681 for a consistent 3 m/s pair)
-    setup_2, phase_2 = _fig3_source("disc", 2.0)
-    setup_3, phase_3 = _fig3_source("disc", 3.0)
-    u = np.linspace(0.0, 3.0, 7)
-    w = averaged_pattern(u, setup_2, phase_3, source=True).w
-    assert np.array_equal(
-        w, averaged_pattern(u, setup_3, phase_3, source=True).w)
-    assert not np.array_equal(
-        w, averaged_pattern(u, setup_2, phase_2, source=True).w)
+@pytest.mark.parametrize("velocity", [False, True])
+@pytest.mark.parametrize("kind", ["sphere", "disc"])
+def test_velocity_nodes_take_params_at_their_phase_velocity(kind, velocity):
+    # each node's params and phase are built at the node's own velocity, so
+    # no node pairs a wavelength with a phase of another velocity (a 2 m/s
+    # phase with a 3 m/s wavelength gave w(0) = 0.5808 against 0.5681 for a
+    # consistent 3 m/s pair). Without velocity averaging the one node sits
+    # at v_long with weight 1; without interaction no node has a phase
+    obs = Obstacle(kind, 500e-9, 10e-9 if kind == "disc" else None)
+    setup = _setup(R0=500e-9, v=2.0, obstacle=obs, dv_rel=0.1, alpha=5e-28)
+    nodes = velocity_terms(setup, velocity, True)
+    vs, weights = velocity_nodes(setup.particle) if velocity else ([2.0],
+                                                                   [1.0])
+    assert len(nodes) == len(vs) == (9 if velocity else 1)
+    for (w_i, p_i, phase_i), v_i, weight in zip(nodes, vs, weights):
+        assert (w_i, phase_i.v_z) == (weight, v_i)
+        assert p_i.k == setup.dimensionless(phase_i.v_z).k
+        assert (phase_i.obstacle, phase_i.particle) == (obs, setup.particle)
+    assert len({p_i.k for _, p_i, _ in nodes}) == len(nodes)
+    assert all(phase_i is None
+               for *_, phase_i in velocity_terms(setup, velocity, False))
 
 
 def test_velocity_averaging_identity_at_zero_spread():
     grid = np.linspace(0.0, 2.0, 11)
-    a = averaged_pattern(grid, _setup(R0=500e-9), source=True)
-    b = averaged_pattern(grid, _setup(R0=500e-9, dv_rel=0.0), source=True,
-                         velocity=True)
+    setup = _setup(R0=500e-9)
+    a = averaged_pattern(grid, setup, _nodes(setup), source=True)
+    b = averaged_pattern(grid, setup, _nodes(setup, velocity=True),
+                         source=True)
     assert np.array_equal(a.w, b.w)
 
 
 @pytest.mark.parametrize("source_averaging", [True, False])
 @pytest.mark.parametrize("kind", ["sphere", "disc"])
 def test_interacting_velocity_average_rebuilds_phase(kind, source_averaging):
-    # the velocity average rebuilds the phase, and with it the capture
-    # radius, at every velocity node; the phase it is given (here built at
-    # 3 m/s) lends only its obstacle and particle. Oracle: the weighted sum
-    # of the single-velocity engine, written out. It holds bit for bit for
-    # point sources and at dv_rel = 0, where it is the single-velocity
-    # source average itself. Nine source-averaged nodes sum their
-    # intensities before the one kernel pass, which changes only the
-    # rounding (measured <= 6.7e-16 relative); reusing the given phase
-    # moves the result by up to 6.7e-2 (sphere) and 2.4e-2 (disc).
+    # the velocity average builds the phase, and with it the capture
+    # radius, at every velocity node. Oracle: the weighted sum of the
+    # single-velocity engine on setups whose v_long is each node's
+    # velocity, written out. It holds bit for bit for point sources and at
+    # dv_rel = 0, where it is the single-velocity source average itself.
+    # Nine source-averaged nodes sum their intensities before the one
+    # kernel pass, which changes only the rounding (measured <= 6.7e-16
+    # relative); one phase at 3 m/s for every node moved the result by up
+    # to 6.7e-2 (sphere) and 2.4e-2 (disc).
     obs = Obstacle(kind, 500e-9, 10e-9 if kind == "disc" else None)
     u = np.linspace(0.0, 6.0, 13)
     for dv_rel in (0.1, 0.0):
         setup = _setup(R0=500e-9, v=2.0, obstacle=obs, dv_rel=dv_rel,
                        alpha=5e-28)
-        phase = EikonalPhase(obs, setup.particle, 3.0)
-        got = averaged_pattern(u, setup, phase, source=source_averaging,
-                               velocity=True)
+        got = averaged_pattern(u, setup, _nodes(setup, velocity=True),
+                               source=source_averaging)
         vs, weights = velocity_nodes(setup.particle)
         assert vs.size == (9 if dv_rel else 1)
         ref = np.zeros_like(u)
         for v_i, w_i in zip(vs, weights):
-            phase_i = EikonalPhase(obs, setup.particle, v_i)
-            if source_averaging:
-                prof = averaged_pattern(u, setup, phase_i, source=True)
-            else:
-                prof = point_source_pattern(u, setup.dimensionless(v_i),
-                                            phase_i)
-            ref += w_i * prof.w
+            setup_i = _setup(R0=500e-9, v=v_i, obstacle=obs, alpha=5e-28)
+            ref += w_i * averaged_pattern(u, setup_i, _nodes(setup_i),
+                                          source=source_averaging).w
         if source_averaging and dv_rel:
             assert np.max(np.abs(got.w - ref) / ref) <= 1e-12
         else:
             assert np.array_equal(got.w, ref)
-    if source_averaging:
-        single = averaged_pattern(
-            u, setup, EikonalPhase(obs, setup.particle, 2.0), source=True)
-        assert np.array_equal(got.w, single.w)
+    single = averaged_pattern(u, setup, _nodes(setup),
+                              source=source_averaging)
+    assert np.array_equal(got.w, single.w)
 
 
 # the 9-node fig3 disc; the fast disc, whose 322 Chebyshev nodes are the
@@ -449,8 +461,7 @@ def test_intensity_series_matches_node_amplitudes(kind, v, dv_rel,
     monkeypatch.setattr(arago.poisson, "_chebyshev_amplitude",
                         recorded_amplitude)
     applied = _recorded_series(monkeypatch)
-    averaged_pattern(u, setup, EikonalPhase(obs, setup.particle, v),
-                     source=True, velocity=True)
+    averaged_pattern(u, setup, _nodes(setup, velocity=True), source=True)
     _, weights = velocity_nodes(setup.particle)
     assert len(terms) == weights.size == (9 if dv_rel else 1)
     top = u.max() + par.beta
@@ -468,7 +479,7 @@ def test_intensity_series_is_cut_at_its_tail(monkeypatch):
     # 99 above its 1e-6 rel_tol tail
     # (test_intensity_series_matches_node_amplitudes holds the cut series to
     # 1e-13)
-    setup, phase = _fig3_source("sphere", 1.5)
+    setup, _ = _fig3_source("sphere", 1.5)
     amplitudes = []
     chebyshev = arago.poisson._chebyshev_amplitude
 
@@ -481,7 +492,7 @@ def test_intensity_series_is_cut_at_its_tail(monkeypatch):
                         recorded_amplitude)
     u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 241)
     applied = _recorded_series(monkeypatch)
-    averaged_pattern(u, setup, phase, source=True)
+    averaged_pattern(u, setup, _nodes(setup), source=True)
     (n,), (kept,) = amplitudes, [c.size for c in applied]
     assert n == 86 and kept < 0.6 * 2 * n
 
@@ -503,8 +514,7 @@ def test_velocity_average_takes_one_kernel_pass(kind, monkeypatch):
     monkeypatch.setattr(arago.poisson, "_amplitude_grid", counted_amplitude)
     applied = _recorded_series(monkeypatch)
     averaged_pattern(np.linspace(0.0, 6.0, 61), setup,
-                     EikonalPhase(obs, setup.particle, 2.0), source=True,
-                     velocity=True)
+                     _nodes(setup, velocity=True), source=True)
     calls["kernel"] = len(applied)
     assert calls == {"amplitude": 9, "kernel": 1}
 
@@ -520,8 +530,7 @@ def test_velocity_averaged_profile_is_non_negative(kind, v):
     setup = _setup(R0=20e-9, v=v, obstacle=obs, dv_rel=0.1, alpha=5e-28)
     assert setup.dimensionless().beta == pytest.approx(0.04, rel=1e-12)
     prof = averaged_pattern(np.linspace(0.0, 6.0, 601), setup,
-                            EikonalPhase(obs, setup.particle, v),
-                            source=True, velocity=True)
+                            _nodes(setup, velocity=True), source=True)
     assert np.all(prof.w >= 0.0)
 
 
@@ -530,11 +539,10 @@ def test_velocity_averaging_softens_spot():
     # velocity spread, quadratically in dv (frozen dev measurements:
     # 1.3e-5 at 5%, 5.2e-5 at 10%)
     grid = np.array([0.0])
-    w_mono = averaged_pattern(grid, _setup(R0=500e-9), source=True).w[0]
-    w_5 = averaged_pattern(
-        grid, _setup(R0=500e-9, dv_rel=0.05), source=True, velocity=True).w[0]
-    w_10 = averaged_pattern(
-        grid, _setup(R0=500e-9, dv_rel=0.10), source=True, velocity=True).w[0]
+    w_mono, w_5, w_10 = (averaged_pattern(
+        grid, setup, _nodes(setup, velocity=True), source=True).w[0]
+        for setup in (_setup(R0=500e-9, dv_rel=dv_rel)
+                      for dv_rel in (0.0, 0.05, 0.10)))
     drop5 = w_mono - w_5
     drop10 = w_mono - w_10
     assert 2e-6 < drop5 < 5e-5
@@ -777,7 +785,6 @@ def test_velocity_averaged_disc_seeds_the_wall_panels(monkeypatch):
     # halving a ~765 rad first panel round by round at the wall took 87
     setup = _setup(R0=500e-9, v=2.0, obstacle=Obstacle("disc", 500e-9, 10e-9),
                    dv_rel=0.1, alpha=5e-28)
-    phase = EikonalPhase(setup.obstacle, setup.particle, 2.0)
     panels, calls = arago.numerics._panels, []
 
     def counted_panels(*args):
@@ -786,7 +793,7 @@ def test_velocity_averaged_disc_seeds_the_wall_panels(monkeypatch):
 
     monkeypatch.setattr(arago.numerics, "_panels", counted_panels)
     averaged_pattern(default_grid(setup.dimensionless(), 241),
-                     setup, phase, source=True, velocity=True)
+                     setup, _nodes(setup, velocity=True), source=True)
     assert len(calls) <= 24
 
 
@@ -824,11 +831,11 @@ def test_seeded_gaps_advance_the_free_phase_by_at_most_the_step(
     # winds at most _PHASE_STEP of the free chirp plus the fastest J0
     # phase; the interaction-phase seeds alone leave gaps of up to 4e2 rad
     # (fig3 sphere at 20 m/s)
-    setup, phase = _fig2b() if case == "fig2b" else _fig3_source(case, v)
+    setup, _ = _fig2b() if case == "fig2b" else _fig3_source(case, v)
     par = setup.dimensionless()
     u = default_grid(par, 600 if case == "fig2b" else 241)
     seen = _seeded_partitions(monkeypatch, lambda: averaged_pattern(
-        u, setup, phase, source=source))
+        u, setup, _nodes(setup), source=source))
     assert seen
     for a, b, scales, points in seen:
         edges = np.unique(np.concatenate([[a, b], points[
@@ -886,10 +893,10 @@ def test_fig3_sphere_source_average_splits_few_seeded_panels(monkeypatch):
     monkeypatch.setattr(arago.numerics, "_panels", counted_panels)
     monkeypatch.setattr(arago.poisson, "integrate_adaptive", counted)
     for v in (1.5, 2.5, 4.0):
-        setup, phase = _fig3_source("sphere", v)
+        setup, _ = _fig3_source("sphere", v)
         evaluated[0] = final[0] = 0
         averaged_pattern(default_grid(setup.dimensionless(), 241), setup,
-                         phase, source=True)
+                         _nodes(setup), source=True)
         # each split panel is evaluated as two halves and leaves the final
         # partition one panel larger
         split = evaluated[0] - final[0]
@@ -903,11 +910,11 @@ def test_free_phase_seeds_meet_the_default_rel_tol(case, v):
     # default rel_tol 1e-8, against the same code at rel_tol 1e-12, abs_tol
     # 1e-13 and 40000 subdivisions. Measured: 3.8e-14, 3.2e-15 and 2.6e-14
     # relative
-    setup, phase = _fig2b() if case == "fig2b" else _fig3_source(case, v)
+    setup, _ = _fig2b() if case == "fig2b" else _fig3_source(case, v)
     source = case != "fig2b"
     u = default_grid(setup.dimensionless(), 241 if source else 600)
-    w = averaged_pattern(u, setup, phase, source=source).w
-    ref = averaged_pattern(u, setup, phase, QuadratureSpec(
+    w = averaged_pattern(u, setup, _nodes(setup), source=source).w
+    ref = averaged_pattern(u, setup, _nodes(setup), QuadratureSpec(
         rel_tol=1e-12, abs_tol=1e-13, max_subdivisions=40000),
         source=source).w
     assert np.max(np.abs(w - ref) / ref) <= QuadratureSpec().rel_tol
@@ -920,7 +927,7 @@ def test_fig3_disc_gets_no_free_phase_seed(monkeypatch):
     setup, phase = _fig3_source("disc", 2.0)
     u = default_grid(setup.dimensionless(), 241)
     seen = _seeded_partitions(monkeypatch, lambda: averaged_pattern(
-        u, setup, phase, source=True))
+        u, setup, _nodes(setup), source=True))
     a = 1.0 + capture_eta(phase.obstacle, phase.particle, 2.0)
     ladder = [a] + arago.poisson._phase_breakpoints(phase, a,
                                                     QuadratureSpec())
@@ -935,11 +942,12 @@ def test_fig3_source_average_meets_rel_tol(kind, rel_tol):
     # the fig3 source-averaged profiles at 2 m/s against the same code at
     # rel_tol 1e-12, abs_tol 1e-13 and 40000 subdivisions. Measured:
     # <= 8.9e-15 (disc) and 2.0e-14 (sphere) relative
-    setup, phase = _fig3_source(kind, 2.0)
+    setup, _ = _fig3_source(kind, 2.0)
     u = default_grid(setup.dimensionless(), 241)
-    w = averaged_pattern(u, setup, phase, QuadratureSpec(rel_tol=rel_tol),
+    nodes = _nodes(setup)
+    w = averaged_pattern(u, setup, nodes, QuadratureSpec(rel_tol=rel_tol),
                          source=True).w
-    ref = averaged_pattern(u, setup, phase, QuadratureSpec(
+    ref = averaged_pattern(u, setup, nodes, QuadratureSpec(
         rel_tol=1e-12, abs_tol=1e-13, max_subdivisions=40000), source=True).w
     assert np.max(np.abs(w - ref) / ref) <= rel_tol
 
