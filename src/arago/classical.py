@@ -2,10 +2,11 @@
 
 Instead of a diffracted wave, each particle follows a straight ray from the
 point source, receives the instantaneous radial momentum kick
-q(r) = hbar dphi/dr in the obstacle plane, and continues ballistically to
-the screen. The screen intensity follows from flux conservation in the
-radial measure: a source annulus s ds maps to a screen annulus u du through
-u_final(s), so
+q = hbar dphi/dr in the obstacle plane, and continues ballistically to the
+screen. In units of R that deflects it by L2 q/(m v R) = phi'(s)/(2 pi k),
+as L2 = R^2/(k lambda) and lambda = h/(m v), so that
+u_final(s) = ell s + phi'(s)/(2 pi k). Flux conservation in the radial
+measure maps a source annulus s ds to a screen annulus u du through it, so
 
     w_cl(u) = sum_branches  ell^2 s / (u |du_final/ds|)
 
@@ -18,9 +19,10 @@ like 1/u at the origin; the divergence is integrable against the area
 element u du and is never evaluated at u = 0.
 
 The classical and quantum engines read the one node list of
-poisson.velocity_terms that a scenario builds, and take the particle,
-velocity and capture radius eta from each node's phase. The finite-source
-averages differ: the quantum engine uses the arc-length kernel of
+poisson.velocity_terms that a scenario builds, and nothing else: k, ell and
+beta from each node's params, phi and the capture radius eta from its
+phase; beta > 0 asks for the source average. The finite-source averages
+differ: the quantum engine uses the arc-length kernel of
 poisson._arc_rule (as the matrix poisson.arc_average_operator), this engine
 a polar rule whose discretization error near the focal divergence is frozen
 in the recorded classical reference profile; it keeps that rule until the
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interaction import classical_kick
 from .numerics import NumericsError
 from .poisson import RadialProfile
 
@@ -51,12 +52,11 @@ class RayMap:
 
 
 def ray_map(params, phase, s_max=8.0):
-    """Build the kick-and-project ray map on [1+eta, s_max].
-
-    The particle, its velocity v_z and its capture radius eta come from the
-    phase; phase=None means eta = 0 and the pure shadow projection u = ell s.
-    The 4000-point grid is geometric in the wall distance s - (1+eta)
-    because the kick spans many decades near the surface.
+    """Build the kick-and-project ray map u_final = ell s + phi'(s)/(2 pi k)
+    on [1+eta, s_max], from params.k, params.ell and the phase's dphi_ds
+    and eta; phase=None means eta = 0 and the pure shadow projection
+    u = ell s. The 4000-point grid is geometric in the wall distance
+    s - (1+eta) because the kick spans many decades near the surface.
     """
     a = 1.0 if phase is None else 1.0 + phase.eta
     if s_max <= a + 1e-6:
@@ -67,11 +67,8 @@ def ray_map(params, phase, s_max=8.0):
     if phase is None:
         u_fin = params.ell * s
     else:
-        q = classical_kick(phase, s)  # kg m/s, negative toward the axis
-        particle, v_z = phase.particle, phase.v_z
-        R = phase.obstacle.R
-        L2 = R * R / (params.k * particle.wavelength(v_z))
-        u_fin = params.ell * s + L2 * q / (particle.mass_kg * v_z * R)
+        # phi' < 0: the kick pulls toward the axis
+        u_fin = params.ell * s + phase.dphi_ds(s) / (2.0 * math.pi * params.k)
         tail = abs(u_fin[-1] / (params.ell * s[-1]) - 1.0)
         if tail > 1e-3:
             raise ValueError(
@@ -85,9 +82,9 @@ def _branch_sum(targets, rmap):
     """Sum ell^2 s/(u |du/ds|) over the ray-map branches hitting each target.
 
     targets are positive screen radii; both map signs contribute (a ray at
-    u_final = -u lands at radius u). u_final = ell s + c q(s) with the kick
-    q < 0 and |q| falling in s is strictly increasing, so each sign has at
-    most one preimage; a map that is not raises NumericsError.
+    u_final = -u lands at radius u). u_final = ell s + phi'(s)/(2 pi k),
+    with phi' < 0 and |phi'| falling in s, is strictly increasing, so each
+    sign has at most one preimage; a map that is not raises NumericsError.
     """
     ell = rmap.ell
     s, u_f = rmap.s_grid, rmap.u_final
@@ -246,36 +243,36 @@ def polar_average_operator(u_grid, beta, ell):
     return PolarAverage(u, beta, work, tuple(blocks))
 
 
-def classical_source_averaged(u_grid, setup, terms, operators=None):
+def classical_source_averaged(u_grid, params, terms, operators=None):
     """The polar rule's source average (see polar_average_operator and the
     module notes) of sum_i w_i classical_point_pattern(RayMap_i) over the
-    (w_i, RayMap_i) terms, for beta > 0. The rule is linear in the
-    interpolated g = u w(u), finite down to the axis, so the terms' weighted
-    g are summed on the work grid and averaged once. The operator depends on
-    the grid, beta and ell only, so the profiles of a sweep share it through
-    the dict operators, under ("polar", grid bytes, beta, ell)."""
-    p = setup.dimensionless()
+    (w_i, RayMap_i) terms, over the disc of radius params.beta > 0 in the
+    geometry params.ell. The rule is linear in the interpolated g = u w(u),
+    finite down to the axis, so the terms' weighted g are summed on the work
+    grid and averaged once. The operator depends on the grid, beta and ell
+    only, so the profiles of a sweep share it through the dict operators,
+    under ("polar", grid bytes, beta, ell)."""
     u = np.asarray(u_grid, dtype=float)
     operators = {} if operators is None else operators
-    key = "polar", u.tobytes(), p.beta, p.ell
+    key = "polar", u.tobytes(), params.beta, params.ell
     if key not in operators:
-        operators[key] = polar_average_operator(u, p.beta, p.ell)
+        operators[key] = polar_average_operator(u, params.beta, params.ell)
     op = operators[key]
     g = op.work * sum(w_i * classical_point_pattern(op.work, rmap).w
                       for w_i, rmap in terms)
     return RadialProfile(u, np.maximum(op.apply(g), 0.0))
 
 
-def averaged_pattern(u_grid, setup, nodes, source=False, operators=None):
+def averaged_pattern(u_grid, nodes, operators=None):
     """Classical pattern on the origin-free u_grid, averaged as
     poisson.averaged_pattern averages the quantum one: over its nodes,
     each with a ray map to s_max = max(8, u_max / ell + 2), and over the
-    source disc if source."""
+    source disc of radius beta if the nodes' beta > 0."""
     u = np.asarray(u_grid, dtype=float)
     terms = [(w_i, ray_map(p_i, phase_i, max(8.0, u[-1] / p_i.ell + 2.0)))
              for w_i, p_i, phase_i in nodes]
-    if source and setup.dimensionless().beta > 0.0:
-        return classical_source_averaged(u, setup, terms, operators)
+    if nodes[0][1].beta > 0.0:
+        return classical_source_averaged(u, nodes[0][1], terms, operators)
     return RadialProfile(u, sum(w_i * classical_point_pattern(u, rmap).w
                                 for w_i, rmap in terms))
 
@@ -289,13 +286,12 @@ class DistinguishabilityReport:
     u_probe: float      # where the ratio was taken
 
 
-def distinguishability(u_grid, setup, quantum, classical):
+def distinguishability(quantum, classical, ell):
     """Central-height ratio, at the first positive radius, which must lie
     in the shadow u < ell, and shadow-region L1 distance of two profiles."""
-    u = np.asarray(u_grid, dtype=float)
-    if not (np.array_equal(u, quantum.u) and np.array_equal(u, classical.u)):
+    u = quantum.u
+    if not np.array_equal(u, classical.u):
         raise ValueError("profiles must share the query grid")
-    ell = setup.dimensionless().ell
     shadow = u < ell
     pos = np.flatnonzero(shadow & (u > 0))
     if pos.size == 0:

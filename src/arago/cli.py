@@ -7,11 +7,12 @@ loads a packaged scenario by name instead. Far-field scenarios write a
 constraint report (plain text and machine-readable key-value). Near-field
 scenarios run one pipeline: a visibility report, the radial-profile CSVs
 that _NEAR_FIELD_PROFILES lists for the mode, each from its engine's
-averaged_pattern over the one node list of poisson.velocity_terms and with
-the same source averaging, and a distinguishability report when compare
-mode has both. Exit codes: 0 success, 2 configuration error (nothing is
-written), 3 numerical failure (partial outputs, a whole sweep's included,
-are removed).
+averaged_pattern over the one node list of poisson.velocity_terms, which is
+all that either engine reads, and a distinguishability report when compare
+mode has both. Exit codes: 0 success, 2 configuration error, an --out that
+cannot be created or written included, 3 numerical failure. A run that
+fails leaves nothing behind: its partial outputs, a whole sweep's included,
+and every directory it created are removed.
 
 Output files are deterministic for a fixed config: rerunning a scenario
 produces byte-identical artifacts.
@@ -261,6 +262,19 @@ def _discard(paths, remove=os.unlink):
             pass
 
 
+def _make_dirs(path, made):
+    """Create the directory path and its missing parents, as os.makedirs
+    does, appending each directory created to made, outermost first."""
+    missing = []
+    head = os.path.normpath(path)
+    while head and not os.path.exists(head):
+        missing.append(head)
+        head = os.path.dirname(head)
+    for d in reversed(missing):
+        os.mkdir(d)
+        made.append(d)
+
+
 def _screen_grid(cfg):
     """The screen radii a near-field scenario computes on: the default grid,
     without its origin in the modes with a classical profile, which
@@ -273,18 +287,18 @@ def run_scenario(cfg, out_dir, operators=None):
     """Execute one scenario, writing its artifacts into out_dir.
 
     Returns a ScenarioResult with the paths and summary metrics. On a
-    numerical failure every partially written artifact is removed and the
-    exception propagates. The velocity nodes, each with its params and
-    EikonalPhase (and so eta), are built once by poisson.velocity_terms,
-    and both engines read them with the same source averaging and
-    operators. operators is the dict of source-average operators that
-    the scenarios of one sweep share, quantum and classical; each engine
-    keys it by what its operator depends on (see poisson.averaged_pattern
-    and classical.classical_source_averaged). A single run passes none, and
+    failure every partially written artifact and every directory the run
+    created (deepest first, and only if empty) are removed, and the
+    exception propagates. The velocity nodes, each with its params (beta
+    zeroed without source averaging) and EikonalPhase (and so eta), are
+    built once by poisson.velocity_terms; they are all that either engine
+    reads. operators is the dict of source-average operators that the
+    scenarios of one sweep share, quantum and classical; each engine keys
+    it by what its operator depends on (see poisson.averaged_pattern and
+    classical.classical_source_averaged). A single run passes none, and
     each profile builds its own operator and drops it.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
+    written, made = [], []
 
     def target(name):
         path = os.path.join(out_dir, name)
@@ -292,6 +306,7 @@ def run_scenario(cfg, out_dir, operators=None):
         return path
 
     try:
+        _make_dirs(out_dir, made)
         if cfg.mode == "farfield":
             rows = feasibility_report(cfg.farfield, cfg.particle)
             _write_report_txt(target("farfield_report.txt"), rows,
@@ -307,19 +322,19 @@ def run_scenario(cfg, out_dir, operators=None):
         # alpha = 0 leaves the ideal obstacle and straight rays
         nodes = psn.velocity_terms(
             cfg.poisson, cfg.velocity_averaging,
-            names != ("ideal",) and cfg.particle.alpha > 0)
-        averaging = dict(source=cfg.source_averaging, operators=operators)
+            names != ("ideal",) and cfg.particle.alpha > 0,
+            cfg.source_averaging)
         profiles = []
         for name in names:
             profiles.append(
-                cls.averaged_pattern(u, cfg.poisson, nodes, **averaging)
+                cls.averaged_pattern(u, nodes, operators)
                 if name == "classical" else psn.averaged_pattern(
-                    u, cfg.poisson, nodes, cfg.quad, **averaging))
+                    u, nodes, cfg.quad, operators))
             _write_profile_csv(target(f"profile_{name}.csv"), profiles[-1])
 
         dist = math.nan
         if len(profiles) == 2:
-            rep = cls.distinguishability(u, cfg.poisson, *profiles)
+            rep = cls.distinguishability(*profiles, nodes[0][1].ell)
             with open(target("distinguishability.kv"), "w", newline="\n",
                       encoding="utf-8") as fh:
                 fh.write(f"ratio = {_fmt(rep.ratio)}\n")
@@ -330,6 +345,7 @@ def run_scenario(cfg, out_dir, operators=None):
                               _first_minimum(profiles[0]), dist)
     except Exception:
         _discard(written)
+        _discard(made[::-1], os.rmdir)
         raise
 
 
@@ -353,9 +369,10 @@ def sweep(cfg, key, values, out_dir):
 
     The key must address a known scalar config field; every value is
     validated into a full ScenarioConfig before any computation starts. If
-    a scenario fails, the files of the earlier ones and the scenario
-    directories the sweep created are removed (a directory only if empty),
-    and the exception propagates.
+    a scenario or the summary fails, the files of the earlier scenarios and
+    every directory the sweep created, out_dir and its parents included,
+    are removed (deepest first, and a directory only if empty), and the
+    exception propagates.
 
     Scenarios that share a source-average geometry, as a velocity sweep's
     do, share its operators through one dict, which each engine keys by
@@ -374,26 +391,28 @@ def sweep(cfg, key, values, out_dir):
     slug = key.replace(".", "_")
     dirs = [os.path.join(out_dir, f"{slug}_{i:02d}")
             for i in range(len(configs))]
-    made = [d for d in dirs if not os.path.isdir(d)]
-    results = []
+    summary = os.path.join(out_dir, "summary.csv")
+    made, written, results = [], [], []
     try:
+        _make_dirs(out_dir, made)
+        made += [d for d in dirs if not os.path.isdir(d)]
         for d, (_, c) in zip(dirs, configs):
             results.append(run_scenario(c, d, operators))
+            written += results[-1].paths
+        written.append(summary)
+        with open(summary, "w", newline="\n", encoding="utf-8") as fh:
+            fh.write(f"# sweep over {key}; w0 = profile value at the first "
+                     "grid node, spot_radius = first local minimum (units "
+                     "of R)\n")
+            fh.write("value,w0,spot_radius,distinguishability\n")
+            for (val, _), res in zip(configs, results):
+                fh.write(f"{val},{_fmt(res.w0)},{_fmt(res.spot_radius)},"
+                         f"{_fmt(res.distinguishability)}\n")
     except Exception:
-        # the failed scenario has removed its own files already
-        _discard([path for res in results for path in res.paths])
-        _discard(made, os.rmdir)
+        # a failed scenario has removed its own files already
+        _discard(written)
+        _discard(made[::-1], os.rmdir)
         raise
-
-    os.makedirs(out_dir, exist_ok=True)
-    summary = os.path.join(out_dir, "summary.csv")
-    with open(summary, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(f"# sweep over {key}; w0 = profile value at the first grid "
-                 "node, spot_radius = first local minimum (units of R)\n")
-        fh.write("value,w0,spot_radius,distinguishability\n")
-        for (val, _), res in zip(configs, results):
-            fh.write(f"{val},{_fmt(res.w0)},{_fmt(res.spot_radius)},"
-                     f"{_fmt(res.distinguishability)}\n")
     return summary
 
 
@@ -441,6 +460,12 @@ def main(argv=None):
                 print(path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # --out, or a file in it, could not be made; the failed run has
+        # removed what it made
+        print(f"config error: cannot write the outputs: {exc}",
+              file=sys.stderr)
         return 2
     except (NumericsError, ValueError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

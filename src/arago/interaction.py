@@ -8,8 +8,8 @@ time b/v_z, so the shape is (s-1)^-4; for a sphere the potential of the
 tangential plane, -C4/(sqrt(x^2+y^2+z^2)-R)^4 around the sphere center,
 integrates along the whole line to an elementary function of s. The same
 phi(s) feeds the quantum pattern (phase factor e^{i phi}) and the classical
-counter-model (momentum kick hbar dphi/dr), which is the point of sharing it
-as one object.
+counter-model (kick hbar dphi/dr, a screen deflection phi'(s)/(2 pi k)),
+which is the point of sharing it as one object.
 
 The capture radius follows from the same potential: for a sphere from the
 minimum of the effective potential barrier (capture_eta), for a disc from
@@ -159,12 +159,6 @@ class EikonalPhase:
             raise ValueError("dphi_ds(s) requires s > 1")
         out = self.prefactor * self._shape_ds(s)
         return float(out) if out.ndim == 0 else out
-
-
-def classical_kick(phase, s):
-    """Radial momentum kick q = hbar dphi/dr (kg m/s, negative = inward),
-    from the closed-form phase derivative: dphi/dr = dphi_ds / R."""
-    return CONST.hbar / phase.obstacle.R * phase.dphi_ds(s)
 
 
 def cutoff_distance(C4, b, mass, v):

@@ -61,12 +61,13 @@ longest series among them (averaged_pattern keys it by both). Velocity
 spreads average over the nodes of velocity_terms, each with its own params
 and phase (and so eta), built once per scenario for both engines; the
 nodes' weighted intensities are summed into one series on the shared
-[0, u_max + beta], which takes one mat-vec.
+[0, u_max + beta], which takes one mat-vec. The nodes are all that either
+engine reads; the beta of their params is 0 for a point source.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -478,34 +479,34 @@ def _source_average(operator, terms, rel_tol):
     return operator.apply(coef)
 
 
-def velocity_terms(setup, velocity, interacting):
-    """The (w_i, params_i, phase_i) nodes that both engines average over:
+def velocity_terms(setup, velocity, interacting, source):
+    """The (w_i, params_i, phase_i) nodes, all that either engine reads:
     the velocity_nodes v_i if velocity, else weight 1 at v_long, each with
-    the params of setup at v_i and, if interacting, the EikonalPhase (and
-    with it eta) of setup.obstacle and setup.particle at v_i, else None."""
+    the params of setup at v_i, beta zeroed unless source, and, if
+    interacting, the EikonalPhase (and with it eta) of setup.obstacle and
+    setup.particle at v_i, else None."""
     vs, weights = (velocity_nodes(setup.particle) if velocity
                    else ([setup.particle.v_long], [1.0]))
-    return [(w_i, setup.dimensionless(v_i), EikonalPhase(
+    point = {} if source else {"beta": 0.0}
+    return [(w_i, replace(setup.dimensionless(v_i), **point), EikonalPhase(
         setup.obstacle, setup.particle, v_i) if interacting else None)
             for v_i, w_i in zip(vs, weights)]
 
 
-def averaged_pattern(u_grid, setup, nodes, quad=None, source=False,
-                     operators=None):
+def averaged_pattern(u_grid, nodes, quad=None, operators=None):
     """Pattern on u_grid, summed over the nodes of velocity_terms and
-    averaged over the source disc (radius R0) if source. A source average
-    (beta > 0) sums the nodes' weighted intensities, each from the certified
-    Chebyshev series of its amplitude on [0, u_max + beta], into one series
-    and averages it by one mat-vec of the arc-length kernel matrix
-    (_source_average); otherwise the nodes' point-source patterns are
-    summed. The matrix
-    depends on the grid and beta only: operators is a dict that the
-    profiles of a sweep share, in which it is built on first use under
-    ("arc", grid bytes, beta).
+    averaged over the source disc of radius beta, which the nodes share. A
+    source average (beta > 0) sums the nodes' weighted intensities, each
+    from the certified Chebyshev series of its amplitude on
+    [0, u_max + beta], into one series and averages it by one mat-vec of
+    the arc-length kernel matrix (_source_average); with beta = 0 the
+    nodes' point-source patterns are summed. The matrix depends on the grid
+    and beta only: operators is a dict that the profiles of a sweep share,
+    in which it is built on first use under ("arc", grid bytes, beta).
     """
     u = np.asarray(u_grid, dtype=float)
-    beta = setup.dimensionless().beta
-    if source and beta > 0.0:
+    beta = nodes[0][1].beta
+    if beta > 0.0:
         operators = {} if operators is None else operators
         key = "arc", u.tobytes(), beta
         if key not in operators:

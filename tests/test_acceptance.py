@@ -274,9 +274,8 @@ def test_c12_source_averaging_shape(acceptance):
         w0s = []
         for R0 in np.linspace(0.0, 500e-9, 8):
             setup = PoissonSetup(R0, 500e-9, 0.125, 0.125, obs, p)
-            w0s.append(averaged_pattern(
-                np.array([0.0]), setup, velocity_terms(setup, False, False),
-                source=True).w[0])
+            nodes = velocity_terms(setup, False, False, True)
+            w0s.append(averaged_pattern(np.array([0.0]), nodes).w[0])
         curves[k] = np.array(w0s)
     dt = time.perf_counter() - t0
     mono = all(np.all(np.diff(curves[k]) <= 1e-9) for k in curves)

@@ -16,6 +16,7 @@ from arago.classical import (
     polar_average_operator,
     ray_map,
 )
+from arago.constants_units import CONST, amu_to_kg
 from arago.interaction import EikonalPhase, Obstacle, capture_eta
 from arago.numerics import NumericsError
 from arago.particles import ParticleSpecies, velocity_nodes
@@ -40,9 +41,9 @@ def _fig3(kind, R0=500e-9):
     return setup, phase, ray_map(setup.dimensionless(), phase)
 
 
-def _nodes(setup, velocity=False):
+def _nodes(setup, velocity=False, source=False):
     """The node list that a scenario of setup builds, with its phases."""
-    return velocity_terms(setup, velocity, True)
+    return velocity_terms(setup, velocity, True, source)
 
 
 def test_free_map_is_pure_projection():
@@ -162,9 +163,38 @@ def test_ray_map_ballistic_guard():
         ray_map(setup.dimensionless(), phase, s_max=1.5)
 
 
-def test_attraction_pulls_rays_inward():
-    setup, phase, rmap = _fig3("sphere")
+@pytest.mark.parametrize("kind", ["sphere", "disc"])
+def test_attraction_pulls_rays_inward(kind):
+    # phi' < 0 on both obstacles: every ray lands inside its straight line
+    setup, phase, rmap = _fig3(kind)
     assert np.all(rmap.u_final < setup.dimensionless().ell * rmap.s_grid)
+
+
+@pytest.mark.parametrize("v", [2.0, 20.0])
+@pytest.mark.parametrize("kind", ["disc", "sphere"])
+def test_ray_map_deflects_by_the_si_kick(kind, v):
+    # at the node nearest s = 1.2 the map's deflection u_final - ell s is
+    # the radial kick q carried over L2 at speed v, in units of R:
+    # L2 q / (m v R), all in SI units. For the disc
+    # q = -4 C4 b / (v R^5 (s-1)^5), written out here; for the sphere
+    # q = hbar phi'(s) / R. The map itself takes phi'(s)/(2 pi k); the two
+    # agree to 2.2e-16 (measured)
+    R, L2, b = 500e-9, 0.125, 10e-9
+    obs = Obstacle(kind, R, b if kind == "disc" else None)
+    p = ParticleSpecies("au100", 19700.0, 5e-28, v)
+    phase = EikonalPhase(obs, p, v)
+    params = PoissonSetup(500e-9, R, 0.125, L2, obs, p).dimensionless(v)
+    rmap = ray_map(params, phase)
+    i = np.argmin(np.abs(rmap.s_grid - 1.2))
+    s = rmap.s_grid[i]
+    assert abs(s - 1.2) < 1e-3
+    if kind == "disc":
+        q = -4.0 * p.C4 * b / (v * R ** 5 * (s - 1.0) ** 5)
+    else:
+        q = CONST.hbar * phase.dphi_ds(s) / R
+    expected = L2 * q / (amu_to_kg(19700.0) * v * R)
+    assert rmap.u_final[i] - params.ell * s == pytest.approx(expected,
+                                                             rel=1e-10)
 
 
 def test_focal_ray_exists():
@@ -220,7 +250,8 @@ def test_central_flux_integrable():
 def test_source_averaging_regularizes_center():
     setup, phase, rmap = _fig3("sphere")
     grid = np.linspace(0.025, 3.0, 60)
-    prof = classical_source_averaged(grid, setup, [(1.0, rmap)])
+    prof = classical_source_averaged(grid, setup.dimensionless(),
+                                     [(1.0, rmap)])
     assert np.all(np.isfinite(prof.w))
     assert prof.w[0] > 0
 
@@ -233,7 +264,7 @@ def test_source_averaged_beta_zero_identity():
     rmap = ray_map(setup.dimensionless(), phase)
     grid = np.linspace(0.1, 3.0, 30)
     a = classical_point_pattern(grid, rmap)
-    b = classical.averaged_pattern(grid, setup, _nodes(setup), source=True)
+    b = classical.averaged_pattern(grid, _nodes(setup, source=True))
     assert np.array_equal(a.w, b.w)
 
 
@@ -266,7 +297,7 @@ def test_polar_operator_matches_direct_average(kind, R0):
                                    atol=0)
     # the profile is the operator of its geometry applied to the physical g
     np.testing.assert_array_equal(
-        classical_source_averaged(u, setup, [(1.0, rmap)]).w,
+        classical_source_averaged(u, p, [(1.0, rmap)]).w,
         np.maximum(op.apply(physical), 0.0))
 
 
@@ -284,12 +315,10 @@ def test_shared_operators_are_keyed_by_their_whole_geometry():
     for u in (np.linspace(0.05, 6.0, 41), np.linspace(0.1, 5.0, 41)):
         for R0, L2 in ((500e-9, 0.125), (250e-9, 0.125), (250e-9, 0.25)):
             setup = PoissonSetup(R0, 500e-9, 0.125, L2, obs, p)
-            nodes = _nodes(setup)
+            nodes = _nodes(setup, source=True)
             for engine in (averaged_pattern, classical.averaged_pattern):
                 np.testing.assert_array_equal(
-                    engine(u, setup, nodes, source=True,
-                           operators=shared).w,
-                    engine(u, setup, nodes, source=True).w)
+                    engine(u, nodes, operators=shared).w, engine(u, nodes).w)
     assert sorted(key[0] for key in shared) == ["arc"] * 4 + ["polar"] * 6
 
 
@@ -311,19 +340,18 @@ def test_velocity_average_is_the_weighted_node_sum(kind, source):
 
     setup = fig3(2.0, dv_rel=0.1)
     u = default_grid(setup.dimensionless(), 61)[1:]
-    got = classical.averaged_pattern(u, setup, _nodes(setup, velocity=True),
-                                     source=source).w
+    got = classical.averaged_pattern(
+        u, _nodes(setup, velocity=True, source=source)).w
     vs, weights = velocity_nodes(setup.particle)
     assert vs.size == 9
     ref = sum(w_i * classical.averaged_pattern(
-        u, fig3(v_i), _nodes(fig3(v_i)), source=source).w
+        u, _nodes(fig3(v_i), source=source)).w
         for v_i, w_i in zip(vs, weights))
     if source:
         assert np.max(np.abs(got - ref) / ref) <= 1e-14
     else:
         assert np.array_equal(got, ref)
-    single = classical.averaged_pattern(u, setup, _nodes(setup),
-                                        source=source).w
+    single = classical.averaged_pattern(u, _nodes(setup, source=source)).w
     assert np.max(np.abs(got - single) / single) > 1e-4
 
 
@@ -333,10 +361,9 @@ def test_velocity_average_at_zero_spread_is_the_single_velocity(source):
     setup, _, _ = _fig3("disc")
     u = default_grid(setup.dimensionless(), 61)[1:]
     np.testing.assert_array_equal(
-        classical.averaged_pattern(u, setup, _nodes(setup, velocity=True),
-                                   source=source).w,
-        classical.averaged_pattern(u, setup, _nodes(setup),
-                                   source=source).w)
+        classical.averaged_pattern(
+            u, _nodes(setup, velocity=True, source=source)).w,
+        classical.averaged_pattern(u, _nodes(setup, source=source)).w)
 
 
 def test_velocity_average_builds_one_polar_operator(monkeypatch):
@@ -358,8 +385,8 @@ def test_velocity_average_builds_one_polar_operator(monkeypatch):
         "operator", classical.polar_average_operator))
     shared = {}
     classical.averaged_pattern(default_grid(setup.dimensionless(), 41)[1:],
-                               setup, _nodes(setup, velocity=True),
-                               source=True, operators=shared)
+                               _nodes(setup, velocity=True, source=True),
+                               operators=shared)
     assert calls == {"ray_map": 9, "operator": 1}
     assert [key[0] for key in shared] == ["polar"]
 
@@ -392,10 +419,9 @@ def test_pattern_rejects_origin():
 
 
 def test_distinguishability_identical_profiles():
-    setup, _, _ = _fig3("sphere")
     u = np.linspace(0.025, 6.0, 40)
     prof = RadialProfile(u, np.ones_like(u))
-    rep = distinguishability(u, setup, prof, prof)
+    rep = distinguishability(prof, prof, 2.0)
     assert rep.ratio == 1.0
     assert rep.l1_shadow == 0.0
     assert rep.u_probe == pytest.approx(0.025)
@@ -405,21 +431,19 @@ def test_distinguishability_identical_profiles():
     for u in (np.array([0.0, 2.0, 3.0]), np.linspace(6.9, 200.0, 29)):
         prof = RadialProfile(u, np.ones_like(u))
         with pytest.raises(ValueError, match="shadow"):
-            distinguishability(u, setup, prof, prof)
+            distinguishability(prof, prof, 2.0)
 
 
 def test_distinguishability_zero_classical():
-    setup, _, _ = _fig3("sphere")
     u = np.linspace(0.025, 6.0, 40)
     q = RadialProfile(u, np.ones_like(u))
     c = RadialProfile(u, np.zeros_like(u))
-    assert distinguishability(u, setup, q, c).ratio == math.inf
+    assert distinguishability(q, c, 2.0).ratio == math.inf
 
 
 def test_distinguishability_grid_mismatch():
-    setup, _, _ = _fig3("sphere")
     u = np.linspace(0.025, 6.0, 40)
     q = RadialProfile(u, np.ones_like(u))
     c = RadialProfile(u[:-1], np.ones(39))
     with pytest.raises(ValueError, match="grid"):
-        distinguishability(u, setup, q, c)
+        distinguishability(q, c, 2.0)

@@ -549,7 +549,7 @@ def test_main_numerical_failure(tmp_path, capsys):
     out = tmp_path / "out"
     assert main([str(hard), "--out", str(out)]) == 3
     assert capsys.readouterr().err
-    assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 def test_main_refuses_a_grid_with_no_radius_in_the_shadow(tmp_path, capsys):
@@ -567,7 +567,7 @@ def test_main_refuses_a_grid_with_no_radius_in_the_shadow(tmp_path, capsys):
     out = tmp_path / "out"
     assert main([str(cfg_path), "--out", str(out)]) == 3
     assert "shadow" in capsys.readouterr().err
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 def test_main_sweep(tmp_path, capsys):
@@ -613,3 +613,46 @@ def test_main_failed_sweep_removes_its_outputs(tmp_path, capsys):
     assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
         "numerics_max_subdivisions_00",
         "numerics_max_subdivisions_00/notes.txt"]
+
+
+@pytest.mark.parametrize("swept", [False, True])
+def test_failed_run_removes_every_directory_it_made(tmp_path, capsys,
+                                                    swept):
+    # fig2b with the quadrature starved to 2 subdivisions, as a single run
+    # and as the second scenario of a sweep, into kept/t/a/b where only
+    # kept exists: exit 3, and t, a and b, which the run made, go, deepest
+    # first; kept, which was there before, stays
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    out = kept / "t" / "a" / "b"
+    if swept:
+        args = ["--preset", "fig2b", "--sweep",
+                "numerics.max_subdivisions=2000,2"]
+    else:
+        hard = tmp_path / "hard.cfg"
+        hard.write_text(load_preset("fig2b").rstrip("\n") + "\n"
+                        "numerics.max_subdivisions = 2\n")
+        args = [str(hard)]
+    assert main(args + ["--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert kept.is_dir() and not list(kept.iterdir())
+
+
+@pytest.mark.parametrize("swept", [False, True])
+@pytest.mark.parametrize("below", ["", "x/y"])
+def test_main_refuses_an_out_on_or_under_a_file(tmp_path, capsys, below,
+                                                swept):
+    # an --out that is a regular file, or lies beneath one, cannot hold the
+    # outputs: a configuration error, one line on stderr and no traceback,
+    # with the file as it was and nothing else made
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    args = ["--preset", "fig2a", "--out", str(blocker / below)]
+    if swept:
+        args += ["--sweep", "particle.v_long=2,3"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write the outputs")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "not a directory\n"
+    assert list(tmp_path.iterdir()) == [blocker]

@@ -15,7 +15,6 @@ from arago.interaction import (
     Obstacle,
     capture_eta,
     capture_eta_shooting,
-    classical_kick,
 )
 from arago.numerics import bisect
 from arago.particles import ParticleSpecies, species_preset
@@ -229,21 +228,6 @@ def test_dphi_ds_consistency():
         h = 1e-5 * (s - 1.0)
         fd = (float(phase.phi(s + h)) - float(phase.phi(s - h))) / (2 * h)
         assert float(phase.dphi_ds(s)) == pytest.approx(fd, rel=1e-5)
-
-
-def test_classical_kick_disc_closed_form():
-    # q = hbar phi'(s) / R = -4 C4 b / (v R^5 (s-1)^5)
-    phase = EikonalPhase(DISC, AU, AU.v_long)
-    s = 1.2
-    expected = -4.0 * AU.C4 * 10e-9 / (2.0 * (500e-9) ** 5 * 0.2 ** 5)
-    assert classical_kick(phase, s) == pytest.approx(expected, rel=1e-10)
-
-
-def test_classical_kick_attractive():
-    for obstacle in (SPHERE, DISC):
-        phase = EikonalPhase(obstacle, AU, AU.v_long)
-        for s in (1.05, 1.5, 4.0):
-            assert classical_kick(phase, s) < 0
 
 
 def test_capture_eta_sphere():

@@ -620,8 +620,7 @@ def _fig3_j0_fraction(monkeypatch, kind, v):
     formed = _count_j0(monkeypatch)
     monkeypatch.setattr(arago.numerics, "_panels", counted_panels)
     u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 241)
-    averaged_pattern(u, setup, velocity_terms(setup, False, True),
-                     source=True)
+    averaged_pattern(u, velocity_terms(setup, False, True, True))
     return sum(x.size for x in formed), sum(kronrod)
 
 
@@ -708,8 +707,7 @@ def test_fig3_sphere_runs_match_kronrod_nodes(monkeypatch, v, subdivisions,
     seen = _spy_runs(monkeypatch)
     monkeypatch.setattr(arago.poisson, "integrate_adaptive", recorded)
     u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 241)
-    averaged_pattern(u, setup, velocity_terms(setup, False, True),
-                     source=True)
+    averaged_pattern(u, velocity_terms(setup, False, True, True))
     assert len(calls) == 1
     assert any(panels.size > 1 and r == len(_RUNGS) - 1
                for *_, runs in seen for panels, r, _ in runs)

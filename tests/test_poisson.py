@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,10 +39,10 @@ def _setup(R0=0.0, v=V_10PM, obstacle=None, dv_rel=0.0, alpha=0.0):
     return PoissonSetup(R0, 500e-9, 0.125, 0.125, obs, p)
 
 
-def _nodes(setup, velocity=False):
+def _nodes(setup, velocity=False, source=False):
     """The node list that a scenario of setup builds: with an interaction
     phase at every node wherever the particle is polarizable."""
-    return velocity_terms(setup, velocity, setup.particle.alpha > 0)
+    return velocity_terms(setup, velocity, setup.particle.alpha > 0, source)
 
 
 def test_dimensionless_mapping():
@@ -190,7 +191,7 @@ def test_source_averaging_beta_zero_identity():
     grid = np.linspace(0.0, 4.0, 41)
     point = point_source_pattern(grid, _params(0.2, 2.0))
     setup = _setup(R0=0.0)
-    avg = averaged_pattern(grid, setup, _nodes(setup), source=True)
+    avg = averaged_pattern(grid, _nodes(setup, source=True))
     assert np.array_equal(point.w, avg.w)
 
 
@@ -198,8 +199,8 @@ def test_source_averaging_lowers_spot():
     grid = np.array([0.0])
     w_point = point_source_pattern(grid, _params(0.2, 2.0)).w[0]
     half, full = _setup(R0=250e-9), _setup(R0=500e-9)
-    w_half = averaged_pattern(grid, half, _nodes(half), source=True).w[0]
-    w_full = averaged_pattern(grid, full, _nodes(full), source=True).w[0]
+    w_half = averaged_pattern(grid, _nodes(half, source=True)).w[0]
+    w_full = averaged_pattern(grid, _nodes(full, source=True)).w[0]
     assert w_point > w_half > w_full
     # frozen: beta = 1 spot height for k = 0.2
     assert w_full == pytest.approx(0.677814, abs=2e-4)
@@ -251,7 +252,7 @@ def test_source_average_matches_direct_amplitude(kind, v, monkeypatch):
         return direct(*args)
 
     monkeypatch.setattr(arago.poisson, "_amplitude_grid", counted)
-    w = averaged_pattern(u, setup, _nodes(setup), source=True).w
+    w = averaged_pattern(u, _nodes(setup, source=True)).w
     assert np.max(np.abs(w - ref) / ref) <= 1e-12
     if v < 5.0:
         assert len(calls) == 1
@@ -267,7 +268,7 @@ def test_arc_operator_matches_annular_average(kind, v, monkeypatch):
     u = np.linspace(0.0, 3.0 * par.ell, 241)
     top = u.max() + par.beta
     applied = _recorded_series(monkeypatch)
-    w = averaged_pattern(u, setup, _nodes(setup), source=True).w
+    w = averaged_pattern(u, _nodes(setup, source=True)).w
     (coef,) = applied
     ref = annular_average(u, par.beta, lambda r: np.polynomial.chebyshev
                           .chebval(2.0 * r / top - 1.0, coef))
@@ -296,7 +297,7 @@ def test_source_average_refuses_past_degree_cap(monkeypatch):
     u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 11)
     monkeypatch.setattr(arago.poisson, "_CHEB_MAX_NODES", 200)
     with pytest.raises(NumericsError, match="Chebyshev"):
-        averaged_pattern(u, setup, _nodes(setup), source=True)
+        averaged_pattern(u, _nodes(setup, source=True))
 
 
 def test_source_average_refuses_a_start_past_the_cap(monkeypatch):
@@ -313,7 +314,7 @@ def test_source_average_refuses_a_start_past_the_cap(monkeypatch):
                         lambda *args: calls.append(args))
     with pytest.raises(NumericsError, match="asks for 8792 to start with"):
         averaged_pattern(default_grid(setup.dimensionless(), 241),
-                         setup, _nodes(setup), source=True)
+                         _nodes(setup, source=True))
     assert calls == []
 
 
@@ -340,7 +341,7 @@ def test_source_average_stops_on_rounding_plateau(kind, monkeypatch):
         return direct(*args)
 
     monkeypatch.setattr(arago.poisson, "_amplitude_grid", counted)
-    w = averaged_pattern(u, setup, _nodes(setup), quad, source=True).w
+    w = averaged_pattern(u, _nodes(setup, source=True), quad).w
     assert len(calls) <= 2
     assert np.max(np.abs(w - ref) / ref) <= 1e-12
 
@@ -362,7 +363,7 @@ def test_source_average_refuses_a_plateau_above_rel_tol(monkeypatch):
 
     monkeypatch.setattr(arago.poisson, "_amplitude_grid", noisy)
     with pytest.raises(NumericsError, match="stall"):
-        averaged_pattern(u, setup, _nodes(setup), source=True)
+        averaged_pattern(u, _nodes(setup, source=True))
     assert len(calls) == 2
 
 
@@ -373,28 +374,34 @@ def test_velocity_nodes_take_params_at_their_phase_velocity(kind, velocity):
     # no node pairs a wavelength with a phase of another velocity (a 2 m/s
     # phase with a 3 m/s wavelength gave w(0) = 0.5808 against 0.5681 for a
     # consistent 3 m/s pair). Without velocity averaging the one node sits
-    # at v_long with weight 1; without interaction no node has a phase
+    # at v_long with weight 1; without interaction no node has a phase.
+    # Every node carries the setup's beta = 1 if the source is averaged,
+    # and beta = 0 if not, which is how the engines tell the two apart
     obs = Obstacle(kind, 500e-9, 10e-9 if kind == "disc" else None)
     setup = _setup(R0=500e-9, v=2.0, obstacle=obs, dv_rel=0.1, alpha=5e-28)
-    nodes = velocity_terms(setup, velocity, True)
+    nodes = velocity_terms(setup, velocity, True, True)
     vs, weights = velocity_nodes(setup.particle) if velocity else ([2.0],
                                                                    [1.0])
     assert len(nodes) == len(vs) == (9 if velocity else 1)
     for (w_i, p_i, phase_i), v_i, weight in zip(nodes, vs, weights):
         assert (w_i, phase_i.v_z) == (weight, v_i)
-        assert p_i.k == setup.dimensionless(phase_i.v_z).k
+        assert p_i == setup.dimensionless(phase_i.v_z)
+        assert p_i.beta == 1.0
         assert (phase_i.obstacle, phase_i.particle) == (obs, setup.particle)
     assert len({p_i.k for _, p_i, _ in nodes}) == len(nodes)
     assert all(phase_i is None
-               for *_, phase_i in velocity_terms(setup, velocity, False))
+               for *_, phase_i in velocity_terms(setup, velocity, False,
+                                                 True))
+    for (_, p_i, _), v_i in zip(
+            velocity_terms(setup, velocity, False, False), vs):
+        assert p_i == replace(setup.dimensionless(v_i), beta=0.0)
 
 
 def test_velocity_averaging_identity_at_zero_spread():
     grid = np.linspace(0.0, 2.0, 11)
     setup = _setup(R0=500e-9)
-    a = averaged_pattern(grid, setup, _nodes(setup), source=True)
-    b = averaged_pattern(grid, setup, _nodes(setup, velocity=True),
-                         source=True)
+    a = averaged_pattern(grid, _nodes(setup, source=True))
+    b = averaged_pattern(grid, _nodes(setup, velocity=True, source=True))
     assert np.array_equal(a.w, b.w)
 
 
@@ -415,21 +422,20 @@ def test_interacting_velocity_average_rebuilds_phase(kind, source_averaging):
     for dv_rel in (0.1, 0.0):
         setup = _setup(R0=500e-9, v=2.0, obstacle=obs, dv_rel=dv_rel,
                        alpha=5e-28)
-        got = averaged_pattern(u, setup, _nodes(setup, velocity=True),
-                               source=source_averaging)
+        got = averaged_pattern(u, _nodes(setup, velocity=True,
+                                         source=source_averaging))
         vs, weights = velocity_nodes(setup.particle)
         assert vs.size == (9 if dv_rel else 1)
         ref = np.zeros_like(u)
         for v_i, w_i in zip(vs, weights):
             setup_i = _setup(R0=500e-9, v=v_i, obstacle=obs, alpha=5e-28)
-            ref += w_i * averaged_pattern(u, setup_i, _nodes(setup_i),
-                                          source=source_averaging).w
+            ref += w_i * averaged_pattern(
+                u, _nodes(setup_i, source=source_averaging)).w
         if source_averaging and dv_rel:
             assert np.max(np.abs(got.w - ref) / ref) <= 1e-12
         else:
             assert np.array_equal(got.w, ref)
-    single = averaged_pattern(u, setup, _nodes(setup),
-                              source=source_averaging)
+    single = averaged_pattern(u, _nodes(setup, source=source_averaging))
     assert np.array_equal(got.w, single.w)
 
 
@@ -461,7 +467,7 @@ def test_intensity_series_matches_node_amplitudes(kind, v, dv_rel,
     monkeypatch.setattr(arago.poisson, "_chebyshev_amplitude",
                         recorded_amplitude)
     applied = _recorded_series(monkeypatch)
-    averaged_pattern(u, setup, _nodes(setup, velocity=True), source=True)
+    averaged_pattern(u, _nodes(setup, velocity=True, source=True))
     _, weights = velocity_nodes(setup.particle)
     assert len(terms) == weights.size == (9 if dv_rel else 1)
     top = u.max() + par.beta
@@ -492,7 +498,7 @@ def test_intensity_series_is_cut_at_its_tail(monkeypatch):
                         recorded_amplitude)
     u = np.linspace(0.0, 3.0 * setup.dimensionless().ell, 241)
     applied = _recorded_series(monkeypatch)
-    averaged_pattern(u, setup, _nodes(setup), source=True)
+    averaged_pattern(u, _nodes(setup, source=True))
     (n,), (kept,) = amplitudes, [c.size for c in applied]
     assert n == 86 and kept < 0.6 * 2 * n
 
@@ -513,8 +519,8 @@ def test_velocity_average_takes_one_kernel_pass(kind, monkeypatch):
 
     monkeypatch.setattr(arago.poisson, "_amplitude_grid", counted_amplitude)
     applied = _recorded_series(monkeypatch)
-    averaged_pattern(np.linspace(0.0, 6.0, 61), setup,
-                     _nodes(setup, velocity=True), source=True)
+    averaged_pattern(np.linspace(0.0, 6.0, 61),
+                     _nodes(setup, velocity=True, source=True))
     calls["kernel"] = len(applied)
     assert calls == {"amplitude": 9, "kernel": 1}
 
@@ -529,8 +535,8 @@ def test_velocity_averaged_profile_is_non_negative(kind, v):
     obs = Obstacle(kind, 500e-9, 10e-9 if kind == "disc" else None)
     setup = _setup(R0=20e-9, v=v, obstacle=obs, dv_rel=0.1, alpha=5e-28)
     assert setup.dimensionless().beta == pytest.approx(0.04, rel=1e-12)
-    prof = averaged_pattern(np.linspace(0.0, 6.0, 601), setup,
-                            _nodes(setup, velocity=True), source=True)
+    prof = averaged_pattern(np.linspace(0.0, 6.0, 601),
+                            _nodes(setup, velocity=True, source=True))
     assert np.all(prof.w >= 0.0)
 
 
@@ -540,7 +546,7 @@ def test_velocity_averaging_softens_spot():
     # 1.3e-5 at 5%, 5.2e-5 at 10%)
     grid = np.array([0.0])
     w_mono, w_5, w_10 = (averaged_pattern(
-        grid, setup, _nodes(setup, velocity=True), source=True).w[0]
+        grid, _nodes(setup, velocity=True, source=True)).w[0]
         for setup in (_setup(R0=500e-9, dv_rel=dv_rel)
                       for dv_rel in (0.0, 0.05, 0.10)))
     drop5 = w_mono - w_5
@@ -793,7 +799,7 @@ def test_velocity_averaged_disc_seeds_the_wall_panels(monkeypatch):
 
     monkeypatch.setattr(arago.numerics, "_panels", counted_panels)
     averaged_pattern(default_grid(setup.dimensionless(), 241),
-                     setup, _nodes(setup, velocity=True), source=True)
+                     _nodes(setup, velocity=True, source=True))
     assert len(calls) <= 24
 
 
@@ -835,7 +841,7 @@ def test_seeded_gaps_advance_the_free_phase_by_at_most_the_step(
     par = setup.dimensionless()
     u = default_grid(par, 600 if case == "fig2b" else 241)
     seen = _seeded_partitions(monkeypatch, lambda: averaged_pattern(
-        u, setup, _nodes(setup), source=source))
+        u, _nodes(setup, source=source)))
     assert seen
     for a, b, scales, points in seen:
         edges = np.unique(np.concatenate([[a, b], points[
@@ -895,8 +901,8 @@ def test_fig3_sphere_source_average_splits_few_seeded_panels(monkeypatch):
     for v in (1.5, 2.5, 4.0):
         setup, _ = _fig3_source("sphere", v)
         evaluated[0] = final[0] = 0
-        averaged_pattern(default_grid(setup.dimensionless(), 241), setup,
-                         _nodes(setup), source=True)
+        averaged_pattern(default_grid(setup.dimensionless(), 241),
+                         _nodes(setup, source=True))
         # each split panel is evaluated as two halves and leaves the final
         # partition one panel larger
         split = evaluated[0] - final[0]
@@ -913,10 +919,9 @@ def test_free_phase_seeds_meet_the_default_rel_tol(case, v):
     setup, _ = _fig2b() if case == "fig2b" else _fig3_source(case, v)
     source = case != "fig2b"
     u = default_grid(setup.dimensionless(), 241 if source else 600)
-    w = averaged_pattern(u, setup, _nodes(setup), source=source).w
-    ref = averaged_pattern(u, setup, _nodes(setup), QuadratureSpec(
-        rel_tol=1e-12, abs_tol=1e-13, max_subdivisions=40000),
-        source=source).w
+    w = averaged_pattern(u, _nodes(setup, source=source)).w
+    ref = averaged_pattern(u, _nodes(setup, source=source), QuadratureSpec(
+        rel_tol=1e-12, abs_tol=1e-13, max_subdivisions=40000)).w
     assert np.max(np.abs(w - ref) / ref) <= QuadratureSpec().rel_tol
 
 
@@ -927,7 +932,7 @@ def test_fig3_disc_gets_no_free_phase_seed(monkeypatch):
     setup, phase = _fig3_source("disc", 2.0)
     u = default_grid(setup.dimensionless(), 241)
     seen = _seeded_partitions(monkeypatch, lambda: averaged_pattern(
-        u, setup, _nodes(setup), source=True))
+        u, _nodes(setup, source=True)))
     a = 1.0 + capture_eta(phase.obstacle, phase.particle, 2.0)
     ladder = [a] + arago.poisson._phase_breakpoints(phase, a,
                                                     QuadratureSpec())
@@ -944,11 +949,10 @@ def test_fig3_source_average_meets_rel_tol(kind, rel_tol):
     # <= 8.9e-15 (disc) and 2.0e-14 (sphere) relative
     setup, _ = _fig3_source(kind, 2.0)
     u = default_grid(setup.dimensionless(), 241)
-    nodes = _nodes(setup)
-    w = averaged_pattern(u, setup, nodes, QuadratureSpec(rel_tol=rel_tol),
-                         source=True).w
-    ref = averaged_pattern(u, setup, nodes, QuadratureSpec(
-        rel_tol=1e-12, abs_tol=1e-13, max_subdivisions=40000), source=True).w
+    nodes = _nodes(setup, source=True)
+    w = averaged_pattern(u, nodes, QuadratureSpec(rel_tol=rel_tol)).w
+    ref = averaged_pattern(u, nodes, QuadratureSpec(
+        rel_tol=1e-12, abs_tol=1e-13, max_subdivisions=40000)).w
     assert np.max(np.abs(w - ref) / ref) <= rel_tol
 
 
