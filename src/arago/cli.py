@@ -10,9 +10,15 @@ that _NEAR_FIELD_PROFILES lists for the mode, each from its engine's
 averaged_pattern over the one node list of poisson.velocity_terms, which is
 all that either engine reads, and a distinguishability report when compare
 mode has both. Exit codes: 0 success, 2 configuration error, an --out that
-cannot be created or written included, 3 numerical failure. A run that
-fails leaves nothing behind: its partial outputs, a whole sweep's included,
-and every directory it created are removed.
+cannot be created or written included, 3 numerical failure. A scenario
+computes all its artifacts before it makes any file or directory, so a
+failure while computing touches nothing, and a single run finds an --out
+it cannot write only after it has computed. One writer makes every file
+and directory, recording each path first; on any failure, an interrupt
+included, one undo removes them newest first, a directory only if empty.
+A sweep writes each scenario as it finishes; if a later one fails, the
+sweep removes the earlier scenarios' files, any file they replaced
+included, and every directory it made.
 
 Output files are deterministic for a fixed config: rerunning a scenario
 produces byte-identical artifacts.
@@ -207,34 +213,33 @@ def _fmt(x):
     return f"{x:.8e}"
 
 
-def _write_profile_csv(path, profile):
+def _profile_csv(profile):
     # "%.8e" writes the bytes of format(x, ".8e"), inf and nan included
     rows = "".join(map("%.8e,%.8e\n".__mod__,
                        zip(profile.u.tolist(), profile.w.tolist())))
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("# u = screen radius in units of the obstacle radius R; "
-                 "w = intensity normalized to the obstacle-free beam\n"
-                 "u,w\n" + rows)
+    return ("# u = screen radius in units of the obstacle radius R; "
+            "w = intensity normalized to the obstacle-free beam\n"
+            "u,w\n" + rows)
 
 
-def _write_report_kv(path, rows):
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        for r in rows:
-            note = " ".join(str(r.note).split())
-            fh.write(f"{r.name}.value = {_fmt(r.value)}\n")
-            fh.write(f"{r.name}.bound = {_fmt(r.bound)}\n")
-            fh.write(f"{r.name}.satisfied = {'true' if r.satisfied else 'false'}\n")
-            fh.write(f"{r.name}.note = {note}\n")
+def _report_kv(rows):
+    lines = []
+    for r in rows:
+        note = " ".join(str(r.note).split())
+        lines += [f"{r.name}.value = {_fmt(r.value)}\n",
+                  f"{r.name}.bound = {_fmt(r.bound)}\n",
+                  f"{r.name}.satisfied = {'true' if r.satisfied else 'false'}\n",
+                  f"{r.name}.note = {note}\n"]
+    return "".join(lines)
 
 
-def _write_report_txt(path, rows, title):
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(title + "\n")
-        fh.write("-" * len(title) + "\n")
-        for r in rows:
-            verdict = "ok  " if r.satisfied else "FAIL"
-            fh.write(f"[{verdict}] {r.name}: value {_fmt(r.value)} vs bound "
+def _report_txt(rows, title):
+    lines = [title + "\n", "-" * len(title) + "\n"]
+    for r in rows:
+        verdict = "ok  " if r.satisfied else "FAIL"
+        lines.append(f"[{verdict}] {r.name}: value {_fmt(r.value)} vs bound "
                      f"{_fmt(r.bound)}\n       {r.note}\n")
+    return "".join(lines)
 
 
 def _first_minimum(profile):
@@ -253,26 +258,36 @@ class ScenarioResult:
     distinguishability: float
 
 
-def _discard(paths, remove=os.unlink):
-    """Remove what a failed run wrote; skip what is gone or not empty."""
-    for path in paths:
-        try:
-            remove(path)
-        except OSError:
-            pass
-
-
-def _make_dirs(path, made):
-    """Create the directory path and its missing parents, as os.makedirs
-    does, appending each directory created to made, outermost first."""
+def _write(out_dir, files, made):
+    """Make out_dir and its missing parents, as os.makedirs does, then write
+    each (name, text) of files into it. Every path goes on made, with the
+    call that removes it, before it is created. Returns the file paths."""
     missing = []
-    head = os.path.normpath(path)
+    head = os.path.normpath(out_dir)
     while head and not os.path.exists(head):
         missing.append(head)
         head = os.path.dirname(head)
     for d in reversed(missing):
+        made.append((d, os.rmdir))
         os.mkdir(d)
-        made.append(d)
+    paths = []
+    for name, text in files:
+        path = os.path.join(out_dir, name)
+        made.append((path, os.unlink))
+        with open(path, "w", newline="\n", encoding="utf-8") as fh:
+            fh.write(text)
+        paths.append(path)
+    return paths
+
+
+def _undo(made):
+    """Remove what _write made, newest first: each file, and each directory
+    if it is empty. What is gone, or was never made, is skipped."""
+    for path, remove in reversed(made):
+        try:
+            remove(path)
+        except OSError:
+            pass
 
 
 def _screen_grid(cfg):
@@ -286,38 +301,31 @@ def _screen_grid(cfg):
 def run_scenario(cfg, out_dir, operators=None):
     """Execute one scenario, writing its artifacts into out_dir.
 
-    Returns a ScenarioResult with the paths and summary metrics. On a
-    failure every partially written artifact and every directory the run
-    created (deepest first, and only if empty) are removed, and the
-    exception propagates. The velocity nodes, each with its params (beta
-    zeroed without source averaging) and EikonalPhase (and so eta), are
-    built once by poisson.velocity_terms; they are all that either engine
-    reads. operators is the dict of source-average operators that the
-    scenarios of one sweep share, quantum and classical; each engine keys
-    it by what its operator depends on (see poisson.averaged_pattern and
-    classical.classical_source_averaged). A single run passes none, and
-    each profile builds its own operator and drops it.
+    Returns a ScenarioResult with the paths and summary metrics. Every
+    artifact is computed before anything is made, so a failure while
+    computing touches nothing, and an out_dir that cannot be written is
+    found only after the computing. If writing fails, the files written and
+    the directories made (out_dir and its missing parents) are removed,
+    newest first and a directory only if empty, and the exception
+    propagates. Both engines read only the velocity nodes built by
+    poisson.velocity_terms, each with its params (beta zeroed without
+    source averaging) and EikonalPhase. operators is the dict of
+    source-average operators, quantum and classical, that a sweep's
+    scenarios share, each keyed by what it depends on (see
+    poisson.averaged_pattern and classical.classical_source_averaged); a
+    single run passes none, and each profile builds its own and drops it.
     """
-    written, made = [], []
-
-    def target(name):
-        path = os.path.join(out_dir, name)
-        written.append(path)
-        return path
-
-    try:
-        _make_dirs(out_dir, made)
-        if cfg.mode == "farfield":
-            rows = feasibility_report(cfg.farfield, cfg.particle)
-            _write_report_txt(target("farfield_report.txt"), rows,
-                              f"Far-field feasibility: {cfg.particle.name}")
-            _write_report_kv(target("farfield_report.kv"), rows)
-            return ScenarioResult(list(written), math.nan, math.nan, math.nan)
-
+    if cfg.mode == "farfield":
+        rows = feasibility_report(cfg.farfield, cfg.particle)
+        files = [("farfield_report.txt", _report_txt(
+                     rows, f"Far-field feasibility: {cfg.particle.name}")),
+                 ("farfield_report.kv", _report_kv(rows))]
+        metrics = (math.nan, math.nan, math.nan)
+    else:
         names = _NEAR_FIELD_PROFILES[cfg.mode]
         u = _screen_grid(cfg)
-        _write_report_kv(target("visibility.kv"),
-                         psn.visibility_checks(cfg.poisson))
+        files = [("visibility.kv",
+                  _report_kv(psn.visibility_checks(cfg.poisson)))]
 
         # alpha = 0 leaves the ideal obstacle and straight rays
         nodes = psn.velocity_terms(
@@ -330,23 +338,25 @@ def run_scenario(cfg, out_dir, operators=None):
                 cls.averaged_pattern(u, nodes, operators)
                 if name == "classical" else psn.averaged_pattern(
                     u, nodes, cfg.quad, operators))
-            _write_profile_csv(target(f"profile_{name}.csv"), profiles[-1])
+            files.append((f"profile_{name}.csv", _profile_csv(profiles[-1])))
 
         dist = math.nan
         if len(profiles) == 2:
             rep = cls.distinguishability(*profiles, nodes[0][1].ell)
-            with open(target("distinguishability.kv"), "w", newline="\n",
-                      encoding="utf-8") as fh:
-                fh.write(f"ratio = {_fmt(rep.ratio)}\n")
-                fh.write(f"l1_shadow = {_fmt(rep.l1_shadow)}\n")
-                fh.write(f"u_probe = {_fmt(rep.u_probe)}\n")
+            files.append(("distinguishability.kv",
+                          f"ratio = {_fmt(rep.ratio)}\n"
+                          f"l1_shadow = {_fmt(rep.l1_shadow)}\n"
+                          f"u_probe = {_fmt(rep.u_probe)}\n"))
             dist = rep.ratio
-        return ScenarioResult(list(written), float(profiles[0].w[0]),
-                              _first_minimum(profiles[0]), dist)
-    except Exception:
-        _discard(written)
-        _discard(made[::-1], os.rmdir)
+        metrics = (float(profiles[0].w[0]), _first_minimum(profiles[0]), dist)
+
+    made = []
+    try:
+        paths = _write(out_dir, files, made)
+    except BaseException:
+        _undo(made)
         raise
+    return ScenarioResult(paths, *metrics)
 
 
 def load_preset(name):
@@ -368,11 +378,12 @@ def sweep(cfg, key, values, out_dir):
     """Run the scenario once per value of `key`, plus a summary CSV.
 
     The key must address a known scalar config field; every value is
-    validated into a full ScenarioConfig before any computation starts. If
-    a scenario or the summary fails, the files of the earlier scenarios and
-    every directory the sweep created, out_dir and its parents included,
-    are removed (deepest first, and a directory only if empty), and the
-    exception propagates.
+    validated into a full ScenarioConfig before any computation starts.
+    Each scenario is written as it finishes, into a directory the sweep
+    makes before running it. If a scenario or the summary fails, or the
+    sweep is interrupted, the earlier scenarios' files, any file they
+    replaced included, and every directory the sweep made are removed,
+    newest first and a directory only if empty; the exception propagates.
 
     Scenarios that share a source-average geometry, as a velocity sweep's
     do, share its operators through one dict, which each engine keys by
@@ -389,29 +400,22 @@ def sweep(cfg, key, values, out_dir):
     operators = {}
 
     slug = key.replace(".", "_")
-    dirs = [os.path.join(out_dir, f"{slug}_{i:02d}")
-            for i in range(len(configs))]
-    summary = os.path.join(out_dir, "summary.csv")
-    made, written, results = [], [], []
+    made, rows = [], []
     try:
-        _make_dirs(out_dir, made)
-        made += [d for d in dirs if not os.path.isdir(d)]
-        for d, (_, c) in zip(dirs, configs):
-            results.append(run_scenario(c, d, operators))
-            written += results[-1].paths
-        written.append(summary)
-        with open(summary, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write(f"# sweep over {key}; w0 = profile value at the first "
-                     "grid node, spot_radius = first local minimum (units "
-                     "of R)\n")
-            fh.write("value,w0,spot_radius,distinguishability\n")
-            for (val, _), res in zip(configs, results):
-                fh.write(f"{val},{_fmt(res.w0)},{_fmt(res.spot_radius)},"
-                         f"{_fmt(res.distinguishability)}\n")
-    except Exception:
-        # a failed scenario has removed its own files already
-        _discard(written)
-        _discard(made[::-1], os.rmdir)
+        for i, (val, c) in enumerate(configs):
+            scenario_dir = os.path.join(out_dir, f"{slug}_{i:02d}")
+            _write(scenario_dir, (), made)
+            # a scenario that fails has undone its own files already
+            res = run_scenario(c, scenario_dir, operators)
+            made += [(path, os.unlink) for path in res.paths]
+            rows.append(f"{val},{_fmt(res.w0)},{_fmt(res.spot_radius)},"
+                        f"{_fmt(res.distinguishability)}\n")
+        summary, = _write(out_dir, [("summary.csv", "".join(
+            [f"# sweep over {key}; w0 = profile value at the first grid "
+             "node, spot_radius = first local minimum (units of R)\n",
+             "value,w0,spot_radius,distinguishability\n"] + rows))], made)
+    except BaseException:
+        _undo(made)
         raise
     return summary
 
@@ -463,7 +467,7 @@ def main(argv=None):
         return 2
     except OSError as exc:
         # --out, or a file in it, could not be made; the failed run has
-        # removed what it made
+        # undone what it made
         print(f"config error: cannot write the outputs: {exc}",
               file=sys.stderr)
         return 2

@@ -9,17 +9,19 @@ never aborts on a single failed check; feasibility is a full audit.
 
 Conventions that matter here:
 
-* The velocity-selection criterion against Coriolis dephasing is computed two
-  ways on purpose. The closed-form expression as usually printed is kept
-  verbatim (its bracket's eps2:eps3 coefficient ratio is the robust content;
-  the prefactor h H/(m v^2 d) is dimensionally a time, so its absolute value
-  should not be over-read). The companion route differentiates the Coriolis
-  shift y_c with respect to the longitudinal velocity numerically and demands
-  |dy_c/dv| * dv <= fringe period h H/(d m v); that bound is dimensionless and
-  is the one the feasibility verdict uses.
+* The velocity-selection criterion against Coriolis dephasing is reported
+  two ways. The closed form as usually printed is kept verbatim:
+  h H/(m v^2 d) over the bracket eps2 sin(lat) (v + g t)/(v - g t)
+  + eps3 cos(lat). Its eps2:eps3 coefficient ratio is the robust content;
+  the prefactor is dimensionally a time, so its absolute value should not
+  be over-read. The derived bound demands |dy_c/dv| * dv <= fringe period
+  h H/(d m v); it is dimensionless, and the feasibility verdict uses it.
+  Since the flight time has dt/dv = -t/(v - g t), dy_c/dv is exactly
+  Omega t^2 times the printed bracket: the derived bound is the printed
+  one over Omega t^2.
 * The symbol L in the gravity criterion is ambiguous between the
-  grating-to-screen distance and the full machine length; it is exposed as an
-  explicit convention argument, default the grating-to-screen reading.
+  grating-to-screen distance and the full machine length;
+  gravity_velocity_criterion has no argument for it and fixes L = L2.
 """
 
 import math
@@ -153,8 +155,10 @@ class CoriolisCriterion:
 def coriolis_velocity_criterion(setup, particle):
     """Velocity spread bound from the Coriolis fringe shift; see module docs.
 
-    Returns a CoriolisCriterion carrying the literal closed-form value and the
-    numerically derived bound. Both are +inf when eps2 = eps3 = 0.
+    Returns a CoriolisCriterion carrying the literal closed-form value and
+    the derived bound, literal / (Omega t^2). Both are +inf when
+    eps2 = eps3 = 0. Raises ValueError if the beam cannot climb to H, or
+    reaches it only at its apex, where dy_c/dv diverges.
     """
     v_L = particle.v_long
     m = particle.mass_kg
@@ -162,29 +166,20 @@ def coriolis_velocity_criterion(setup, particle):
     t = ballistic_rise_time(v_L, setup.H)
     lat = setup.latitude
 
-    # literal printed form
-    if v_L == g * t:
-        stretch = math.inf
-    else:
-        stretch = (v_L + g * t) / (v_L - g * t)
-    lit_c2 = stretch * math.sin(lat)
+    # dt/dv = -t/(v - g t) diverges at the apex, v = g t
+    if not v_L > g * t:
+        raise ValueError(f"particle at v_L={v_L} m/s reaches height "
+                         f"H={setup.H} m at its apex")
+    lit_c2 = (v_L + g * t) / (v_L - g * t) * math.sin(lat)
     lit_c3 = math.cos(lat)
     pref = CONST.h * setup.H / (m * v_L * v_L * setup.d)
     bracket = lit_c2 * setup.eps2 + lit_c3 * setup.eps3
     literal = math.inf if bracket == 0.0 else pref / bracket
 
-    # derived form: differentiate y_c(v) (flight time recomputed per v)
-    def dy_dv(e2, e3):
-        h = 1e-6 * v_L
-        lo, hi = v_L - h, v_L + h
-        y_lo = coriolis_shift(lo, ballistic_rise_time(lo, setup.H), e2, e3, lat)
-        y_hi = coriolis_shift(hi, ballistic_rise_time(hi, setup.H), e2, e3, lat)
-        return (y_hi - y_lo) / (2.0 * h)
-
-    fringe = CONST.h * setup.H / (setup.d * m * v_L)
-    scale = fringe / v_L  # bound = fringe / (v |dy/dv|) = 1/(A2 e2 + A3 e3)
-    A2 = abs(dy_dv(1.0, 0.0)) / scale
-    A3 = abs(dy_dv(0.0, 1.0)) / scale
+    # dy_c/dv = Omega t^2 * bracket, so the derived coefficients are the
+    # printed ones over the prefactor, times Omega t^2
+    scale = CONST.omega_earth * t * t / pref
+    A2, A3 = lit_c2 * scale, lit_c3 * scale
     denom = A2 * setup.eps2 + A3 * setup.eps3
     derived = math.inf if denom == 0.0 else 1.0 / denom
 

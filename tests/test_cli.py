@@ -16,7 +16,7 @@ import arago.interaction
 import arago.poisson
 from arago.cli import (
     PRESET_NAMES,
-    _write_profile_csv,
+    _profile_csv,
     load_preset,
     main,
     parse_config,
@@ -334,18 +334,17 @@ def test_rerun_byte_identical(tmp_path):
                        shallow=False)
 
 
-def test_profile_csv_rows_are_the_format_spec_bytes(tmp_path):
+def test_profile_csv_rows_are_the_format_spec_bytes():
     # each row is f"{u:.8e},{w:.8e}", byte for byte, at signed zeros, the
     # smallest subnormal, the exponent extremes and the non-finite values
     # (which no RadialProfile holds, so the writer gets bare arrays)
     values = [0.0, -0.0, 5e-324, 1e-300, 1e300, math.inf, -math.inf, math.nan]
     profile = types.SimpleNamespace(u=np.array(values),
                                     w=np.array(values[::-1]))
-    _write_profile_csv(tmp_path / "p.csv", profile)
-    rows = (tmp_path / "p.csv").read_bytes().split(b"\n", 2)[2]
+    rows = _profile_csv(profile).split("\n", 2)[2]
     assert rows == "".join(f"{a:.8e},{b:.8e}\n"
-                           for a, b in zip(values, values[::-1])).encode()
-    assert rows.split(b"\n")[1] == b"-0.00000000e+00,-inf"
+                           for a, b in zip(values, values[::-1]))
+    assert rows.split("\n")[1] == "-0.00000000e+00,-inf"
 
 
 def _small_fig3_sphere(**overrides):
@@ -656,3 +655,58 @@ def test_main_refuses_an_out_on_or_under_a_file(tmp_path, capsys, below,
     assert err.count("\n") == 1
     assert blocker.read_text() == "not a directory\n"
     assert list(tmp_path.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize("stage", ["run", "sweep", "write"])
+def test_interrupted_run_removes_what_it_made(tmp_path, monkeypatch, stage):
+    # a KeyboardInterrupt inside the quantum profile of fig3-disc (a single
+    # run's one call, or a four-velocity sweep's third, after two scenarios
+    # were written), or right after a single run's writer has made its
+    # second file. The interrupt propagates, and kept/deep/x, the finished
+    # scenarios and every file go; kept, which was there before, stays
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    calls = []
+    if stage == "write":
+        def interrupted(path, *args, **kwargs):
+            calls.append(path)
+            fh = open(path, *args, **kwargs)
+            if len(calls) == 2:
+                fh.close()
+                raise KeyboardInterrupt
+            return fh
+        monkeypatch.setattr(arago.cli, "open", interrupted, raising=False)
+    else:
+        averaged_pattern = arago.poisson.averaged_pattern
+
+        def interrupted(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == (3 if stage == "sweep" else 1):
+                raise KeyboardInterrupt
+            return averaged_pattern(*args, **kwargs)
+        monkeypatch.setattr(arago.poisson, "averaged_pattern", interrupted)
+    args = ["--preset", "fig3-disc", "--out", str(kept / "deep" / "x")]
+    if stage == "sweep":
+        args += ["--sweep", "particle.v_long=1.5,2,3,4"]
+    with pytest.raises(KeyboardInterrupt):
+        main(args)
+    assert len(calls) == (3 if stage == "sweep" else 1 if stage == "run"
+                          else 2)
+    assert not list(kept.iterdir())
+
+
+def test_failed_rerun_keeps_the_old_outputs(tmp_path, capsys):
+    # fig2b starved to 2 subdivisions fails while computing, so the files
+    # an earlier run left in --out stay byte for byte
+    out = tmp_path / "out"
+    out.mkdir()
+    old = {"visibility.kv": b"old visibility\n",
+           "profile_ideal.csv": b"old profile\n"}
+    for name, data in old.items():
+        (out / name).write_bytes(data)
+    hard = tmp_path / "hard.cfg"
+    hard.write_text(load_preset("fig2b").rstrip("\n") + "\n"
+                    "numerics.max_subdivisions = 2\n")
+    assert main([str(hard), "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == old

@@ -147,6 +147,44 @@ def test_coriolis_criterion_coefficients():
     assert crit.literal_bound > 0
 
 
+@pytest.mark.parametrize("v_L, eps2, eps3, lat", [
+    (4.5, 1e-3, 1e-3, 0.8378),   # the fountain
+    (4.5, 1e-3, 0.0, 0.3),
+    (4.43, 0.0, 2e-3, 1.2),      # just above the apex speed sqrt(2 g H)
+    (18.0, 5e-4, 1e-3, 0.0),
+])
+def test_coriolis_criterion_is_the_exact_derivative(v_L, eps2, eps3, lat):
+    # the derived bound is the fringe period over v |dy_c/dv|, with dy_c/dv
+    # from a central difference of coriolis_shift along the flight time
+    setup = FarFieldSetup(D=4e-6, Y=100e-6, L1=1.0, L2=1.0, d=100e-9,
+                          b=100e-9, eps2=eps2, eps3=eps3, latitude=lat,
+                          H=1.0)
+    p = ParticleSpecies("Au5000", 1e6, 2.5e-26, v_L, 0.05)
+    crit = coriolis_velocity_criterion(setup, p)
+
+    def shift(v):
+        return coriolis_shift(v, ballistic_rise_time(v, 1.0), eps2, eps3, lat)
+    h = 1e-6 * v_L
+    dy_dv = (shift(v_L + h) - shift(v_L - h)) / (2.0 * h)
+    fringe = CONST.h * setup.H / (setup.d * p.mass_kg * v_L)
+    assert crit.derived_bound == pytest.approx(fringe / (v_L * abs(dy_dv)),
+                                               rel=1e-6)
+    omega_t2 = CONST.omega_earth * crit.flight_time ** 2
+    assert crit.derived_bound * omega_t2 == pytest.approx(crit.literal_bound,
+                                                          rel=1e-12)
+
+
+def test_coriolis_criterion_refuses_the_apex():
+    # at v = sqrt(2 g H) the beam reaches H at its apex, where dt/dv, and
+    # so dy_c/dv, diverges: a ValueError, never a nan
+    v_apex = math.sqrt(2.0 * CONST.g * FOUNTAIN.H)
+    t = ballistic_rise_time(v_apex, FOUNTAIN.H)
+    assert v_apex == CONST.g * t
+    with pytest.raises(ValueError, match="apex"):
+        coriolis_velocity_criterion(
+            FOUNTAIN, ParticleSpecies("Au5000", 1e6, 2.5e-26, v_apex, 0.05))
+
+
 def test_coherence_width_value():
     assert coherence_width(0.7e-12, 1.0, 4e-6) == pytest.approx(
         175e-9, rel=1e-12)
