@@ -53,7 +53,13 @@ _NEAR_FIELD_PROFILES = {
     "poisson_compare": ("quantum", "classical"),
 }
 
-_MODES = ("farfield",) + tuple(_NEAR_FIELD_PROFILES)
+# the config sections each mode reads; a key of any other section is
+# refused, since nothing would read it
+_MODE_SECTIONS = {
+    "farfield": ("particle", "farfield"),
+    **dict.fromkeys(_NEAR_FIELD_PROFILES, (
+        "particle", "poisson", "numerics", "grid", "averaging")),
+}
 
 # float-valued poisson.* keys, passed to PoissonSetup under the same names
 _POISSON_LENGTHS = ("R0", "R", "L1", "L2")
@@ -86,6 +92,7 @@ class ScenarioConfig:
     particle: ParticleSpecies
     farfield: object        # FarFieldSetup or None
     poisson: object         # PoissonSetup or None
+    # the near-field knobs: None and off in far-field mode
     quad: QuadratureSpec
     n_u: int
     u_max: float            # None = 3 ell default
@@ -127,26 +134,24 @@ def _parse_flag(items, key, default):
 
 
 def parse_config(text):
-    """Parse and validate scenario text into a ScenarioConfig."""
+    """Parse and validate scenario text into a ScenarioConfig. A mode
+    refuses the keys of every section it does not read (_MODE_SECTIONS)."""
     items = parse_kv(text)
     unknown = set(items) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
     mode = items.get("mode")
-    if mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
+    if mode not in _MODE_SECTIONS:
+        raise ConfigError(f"mode must be one of {tuple(_MODE_SECTIONS)}, "
+                          f"got {mode!r}")
 
-    poisson_keys = {k for k in items if k.startswith("poisson.")}
-    farfield_keys = {k for k in items if k.startswith("farfield.")}
-    if mode == "farfield" and poisson_keys:
-        raise ConfigError(f"farfield mode does not accept {sorted(poisson_keys)}")
-    if mode != "farfield" and farfield_keys:
-        raise ConfigError(f"{mode} mode does not accept {sorted(farfield_keys)}")
+    refused = sorted(k for k in items if k != "mode" and
+                     k.partition(".")[0] not in _MODE_SECTIONS[mode])
+    if refused:
+        raise ConfigError(f"{mode} mode does not accept {refused}")
 
     particle = _parse_particle(items)
 
-    ff = None
-    ps = None
     if mode == "farfield":
         kwargs = {}
         for short in _SECTIONS["farfield"]:
@@ -157,24 +162,28 @@ def parse_config(text):
             ff = FarFieldSetup(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"farfield setup: {exc}") from None
-    else:
-        kind = items.get("poisson.obstacle")
-        if kind not in ("sphere", "disc"):
-            raise ConfigError("poisson.obstacle must be 'sphere' or 'disc'")
-        if kind == "disc" and "poisson.thickness" not in items:
-            raise ConfigError("disc obstacle requires poisson.thickness")
-        if kind == "sphere" and "poisson.thickness" in items:
-            raise ConfigError("poisson.thickness applies to disc obstacles only")
-        try:
-            obstacle = Obstacle(kind, as_float(items, "poisson.R"),
-                                as_float(items, "poisson.thickness")
-                                if kind == "disc" else None)
-            ps = psn.PoissonSetup(
-                obstacle=obstacle, particle=particle,
-                **{n: as_float(items, f"poisson.{n}")
-                   for n in _POISSON_LENGTHS})
-        except ValueError as exc:
-            raise ConfigError(f"poisson setup: {exc}") from None
+        return ScenarioConfig(mode=mode, particle=particle, farfield=ff,
+                              poisson=None, quad=None, n_u=None, u_max=None,
+                              source_averaging=False,
+                              velocity_averaging=False, raw=dict(items))
+
+    kind = items.get("poisson.obstacle")
+    if kind not in ("sphere", "disc"):
+        raise ConfigError("poisson.obstacle must be 'sphere' or 'disc'")
+    if kind == "disc" and "poisson.thickness" not in items:
+        raise ConfigError("disc obstacle requires poisson.thickness")
+    if kind == "sphere" and "poisson.thickness" in items:
+        raise ConfigError("poisson.thickness applies to disc obstacles only")
+    try:
+        obstacle = Obstacle(kind, as_float(items, "poisson.R"),
+                            as_float(items, "poisson.thickness")
+                            if kind == "disc" else None)
+        ps = psn.PoissonSetup(
+            obstacle=obstacle, particle=particle,
+            **{n: as_float(items, f"poisson.{n}")
+               for n in _POISSON_LENGTHS})
+    except ValueError as exc:
+        raise ConfigError(f"poisson setup: {exc}") from None
 
     try:
         # each field's type (float or int) picks its reader
@@ -198,12 +207,12 @@ def parse_config(text):
     vel_avg = _parse_flag(items, "averaging.velocity", default=False)
     if vel_avg and particle.dv_rel == 0.0:
         raise ConfigError("averaging.velocity = on needs particle.dv_rel > 0")
-    if mode != "farfield" and source_avg and ps.R0 == 0.0:
+    if source_avg and ps.R0 == 0.0:
         raise ConfigError("averaging.source = on needs poisson.R0 > 0")
     if mode == "poisson_quantum" and particle.alpha == 0.0:
         raise ConfigError("poisson_quantum needs particle.alpha > 0")
 
-    return ScenarioConfig(mode=mode, particle=particle, farfield=ff,
+    return ScenarioConfig(mode=mode, particle=particle, farfield=None,
                           poisson=ps, quad=quad, n_u=n_u, u_max=u_max,
                           source_averaging=source_avg,
                           velocity_averaging=vel_avg, raw=dict(items))

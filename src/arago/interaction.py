@@ -13,10 +13,8 @@ which is the point of sharing it as one object.
 
 The capture radius follows from the same potential: for a sphere from the
 minimum of the effective potential barrier (capture_eta), for a disc from
-the transit-time cutoff. capture_eta_shooting integrates trajectories
-instead and serves only as the reference the tests compare against; it is
-the package's one user of scipy, whose scipy.integrate it imports on its
-first call, so the package itself needs numpy alone.
+the transit-time cutoff. The tests check the sphere's against trajectory
+shooting (tests/references.py). The package needs numpy alone.
 """
 
 import math
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants_units import CONST, amu_to_kg
-from .numerics import NumericsError, bisect
+from .numerics import bisect
 
 
 @dataclass(frozen=True)
@@ -80,10 +78,10 @@ class EikonalPhase:
 
     The prefactor is C4 b / (hbar v_z R^4) for a disc and C4 / (hbar v_z R^3)
     for a sphere, so phi scales exactly as 1/v_z. Exposes phi(s) and
-    dphi_ds(s) for s > 1, and crossing(level, ...), where phi equals a level.
+    dphi_ds(s) for s > 1, and crossing(level, ...), where phi equals a
+    level: in closed form for the disc, by Newton steps for the sphere.
     eta = capture_eta(obstacle, particle, v_z), which both engines read, is
-    computed once here. s_negligible is where phi falls to phase_floor, in
-    closed form for the disc and by crossing for the sphere; integrals
+    computed once here. s_negligible is the crossing of phase_floor; integrals
     against (e^{i phi} - 1) truncate there. The floor bounds the dropped
     integrand's phase factor |e^{i phi} - 1|, not the dropped integral: the
     point pattern's truncation error at the spot measures 1-3x the floor.
@@ -105,7 +103,8 @@ class EikonalPhase:
 
         if obstacle.kind == "disc":
             self.prefactor = C4 * obstacle.b / (CONST.hbar * v_z * R ** 4)
-            self.s_negligible = 1.0 + (self.prefactor / phase_floor) ** 0.25
+            # the closed form needs no bracket
+            lo = hi = None
         else:
             self.prefactor = C4 / (CONST.hbar * v_z * R ** 3)
             # the shape exceeds its far tail pi/(2 s^3), so phi is still above
@@ -114,23 +113,33 @@ class EikonalPhase:
             hi = max(4.0, 2.0 * s_far)
             while self.phi(hi) > phase_floor:
                 hi *= 2.0
-            self.s_negligible = float(self.crossing(
-                phase_floor, max(s_far, 1.0 + 1e-9), hi, 1e-6))
+            lo = max(s_far, 1.0 + 1e-9)
+        self.s_negligible = float(self.crossing(phase_floor, lo, hi, 1e-6))
         self.eta = capture_eta(obstacle, particle, v_z)
 
     def crossing(self, level, lo, hi, tol):
-        """s in [lo, hi] where phi(s) = level, elementwise over level, to
-        tol in s; phi(lo) >= level >= phi(hi) > 0 is required.
+        """s where phi(s) = level, elementwise over level (> 0).
 
-        Solved as log phi = log level in x = log(s - 1), by bisect with
-        the closed-form slope d log phi / dx = (s - 1) dphi_ds / phi. Near
-        the wall phi spans many decades, as (s - 1)^-4 for the disc and
-        (s - 1)^-3.5 for the sphere, and far out the sphere's falls as
-        s^-3; in these variables log phi is close to linear, so Newton
-        steps converge from the start, and every iterate stays at s > 1. A
-        step dx moves s by at most (hi - 1) dx, so x is solved to
+        The disc's phase P (s - 1)^-4 inverts in closed form, s = 1 +
+        (P / level)^(1/4), so lo, hi and tol are not used. It is evaluated
+        one level at a time in scalar arithmetic: numpy's vectorized power
+        differs from it in the last bit for some inputs.
+
+        The sphere's crossing is found in [lo, hi] to tol in s, and
+        phi(lo) >= level >= phi(hi) is required. It is solved as log phi =
+        log level in x = log(s - 1), by bisect with the closed-form slope
+        d log phi / dx = (s - 1) dphi_ds / phi. Near the wall phi spans
+        many decades, as (s - 1)^-3.5, and far out it falls as s^-3; in
+        these variables log phi is close to linear, so Newton steps
+        converge from the start, and every iterate stays at s > 1. A step
+        dx moves s by at most (hi - 1) dx, so x is solved to
         tol / (hi - 1).
         """
+        if self.obstacle.kind == "disc":
+            levels = np.asarray(level, dtype=float)
+            return np.reshape([1.0 + (self.prefactor / lvl) ** 0.25
+                               for lvl in levels.ravel().tolist()],
+                              levels.shape)[()]
         log_level = np.log(level)
 
         def log_phi(x):
@@ -214,68 +223,12 @@ def capture_eta(obstacle, particle, v_z):
     return r_min * math.sqrt(1.0 + half_A / (r_min - 1.0) ** 4) - 1.0
 
 
-# scipy.integrate (and the scipy.optimize, scipy.sparse and scipy.linalg it
-# pulls in) is imported on first use: only the test reference below solves
-# ODEs. The name stays bound here: perfbench/spans.py wraps
-# interaction.solve_ivp by this name to count the reference's solves.
+# Nothing in the package calls this wrapper. The name stays bound only
+# because perfbench/test_perfbench.py deletes interaction.solve_ivp by name
+# and perfbench/spans.py wraps it to count the solves of the trajectory
+# reference in tests/references.py, which calls it. scipy.integrate is
+# imported on first use, so the package runs on numpy alone.
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on its first call."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(*args, **kwargs)
-
-
-def capture_eta_shooting(obstacle, particle, v_z):
-    """Reference for capture_eta on a sphere, by shooting trajectories.
-
-    Integrates planar rays, incident parallel to z at impact parameter b,
-    through the attractive potential and bisects the boundary between
-    wall-hitting and escaping rays; approaches within the surface roughness
-    count as captured. The step is capped at 0.02 R so the solver cannot
-    step across the sphere in fast beams. Slow (seconds per call); the
-    tests compare capture_eta with it.
-    """
-    R = obstacle.R
-    A = 4.0 * particle.C4 / (particle.mass_kg * v_z ** 2 * R ** 4)
-    delta = _ROUGHNESS / R
-
-    def rhs(t, y):
-        x, z, vx, vz = y
-        r = math.hypot(x, z)
-        f = -A / (r - 1.0) ** 5 / r
-        return (vx, vz, f * x, f * z)
-
-    def hit(t, y):
-        return math.hypot(y[0], y[1]) - (1.0 + delta)
-    hit.terminal = True
-    hit.direction = -1
-
-    def escaped(t, y):
-        return y[1] - 20.0
-    escaped.terminal = True
-    escaped.direction = 1
-
-    def outcome(b_imp):
-        sol = solve_ivp(rhs, (0.0, 200.0), (b_imp, -20.0, 0.0, 1.0),
-                        events=(hit, escaped), rtol=1e-10, atol=1e-12,
-                        max_step=0.02)
-        if not sol.success:
-            raise NumericsError(f"trajectory integration failed: {sol.message}")
-        if sol.t_events[1].size:
-            return 1.0
-        # wall contact, or still orbiting at the time cap: both count captured
-        return -1.0
-
-    lo = 1.0 + 2.0 * delta
-    while outcome(lo) > 0:
-        # fast passage: even a ray skimming the wall escapes, so the
-        # capture boundary sits between the wall and lo. Close in on it.
-        gap = lo - (1.0 + delta)
-        if gap < 1e-3 * delta:
-            return lo - 1.0
-        lo = 1.0 + delta + 0.25 * gap
-    hi = 1.2
-    while outcome(hi) < 0:
-        hi *= 1.3
-        if hi > 10.0:
-            raise NumericsError("no escaping trajectory found out to 10 R")
-    return bisect(outcome, lo, hi, 1e-5 * delta) - 1.0

@@ -1,5 +1,5 @@
 """Shared numerical machinery: Bessel J0, adaptive Hankel quadrature, a
-bracketed root finder, in numpy alone.
+bracketed Newton root finder, in numpy alone.
 
 J0 has two regimes that meet at |x| = 8: below, a polynomial in x^2; above,
 the modulus and phase form sqrt(2/(pi x)) M cos(x - pi/4 + delta/x), with M
@@ -35,10 +35,10 @@ g, since J0 has none. A lone panel that no rung below 31 points meets
 reads J0 at its 31 Kronrod nodes.
 
 The root finder bisect is elementwise, so one call finds the crossings of
-many levels. Without a derivative it bisects, step for step as
-scipy.optimize.bisect; given the derivative, it takes Newton steps that stay
-inside each element's bisection bracket (the rtsafe rule), which converge
-quadratically where the function is smooth.
+many levels. It takes Newton steps with the derivative that its caller
+supplies, kept inside each element's bisection bracket (the rtsafe rule):
+they converge quadratically where the function is smooth, and the bracket's
+midpoint stands in for a step that would leave it or fails to halve.
 
 Semi-infinite oscillatory integrals never reach this module; the callers reduce
 them to finite intervals plus analytic closed forms first, so only robust
@@ -451,32 +451,29 @@ def integrate_adaptive(g, a, b, scales, spec=None, points=()):
 _BISECT_RTOL = 4.0 * np.finfo(float).eps
 
 
-def bisect(f, lo, hi, tol, df=None):
-    """Root of f in [lo, hi], which must bracket a sign change: by
-    bisection, or with df, the derivative of f, by Newton steps kept inside
-    the bisection bracket.
+def bisect(f, lo, hi, tol, df):
+    """Root of f in [lo, hi], which must bracket a sign change, by Newton
+    steps with df, the derivative of f, kept inside the bisection bracket.
 
     Elementwise over arrays: lo and hi may be arrays, and f and df may
     return an array (say, one phase minus an array of levels); each element
     keeps its own bracket, and f and df are called once per step with every
     element. A single root takes the same steps on Python floats.
 
-    Without df every step is scipy.optimize.bisect's: the step dm halves,
-    xm = xa + dm, and an element stops at xm once f(xm) == 0 or |dm| < tol
-    + 4 eps |xm|.
-
-    With df an element steps by the rule of rtsafe (Press et al., Numerical
+    An element steps by the rule of rtsafe (Press et al., Numerical
     Recipes, 3rd ed., sec. 9.4): from its last iterate x, at first the
     bracket end where |f| is smaller, it takes the Newton point x - f/df if
     that lies strictly inside its sign bracket and the Newton step is below
     half the last step, when that was one, and the bracket's midpoint
-    otherwise. It stops where f is 0, by scipy's test after a midpoint, or
-    at the Newton point once a Newton step below tol + 4 eps |x| halves the
-    last one. Near a simple root the steps converge quadratically, so that
-    point is far closer than tol; near a multiple root a step below tol
-    does not bound the error, and there the steps fail to halve. No iterate
-    leaves its bracket, and none stalls: Newton steps in a row at least
-    halve, and a midpoint halves the bracket.
+    otherwise. It stops where f is 0; at a midpoint xm once the half
+    bracket that reached it is below tol + 4 eps |xm|, the stopping test of
+    scipy.optimize.bisect; or at the Newton point once a Newton step below
+    tol + 4 eps |x| halves the last one. Near a simple root the steps
+    converge quadratically, so that point is far closer than tol; near a
+    multiple root a step below tol does not bound the error, and there the
+    steps fail to halve. No iterate leaves its bracket, and none stalls:
+    Newton steps in a row at least halve, and a midpoint halves the
+    bracket.
 
     Raises ValueError if f(lo) and f(hi) do not bracket a root, or if f or
     df returns NaN.
@@ -507,33 +504,31 @@ def bisect(f, lo, hi, tol, df=None):
     last = np.full(root.shape, np.inf)
     while todo.any():
         half = dm * 0.5
-        xm, midpoint = xa + half, True
-        if df is not None:
-            dfx = df(x)
-            if np.isnan(dfx).any():
-                raise ValueError("df returned NaN")
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dx = -fx / dfx
-            xn, xb = x + dx, xa + dm
-            fast = np.abs(dx) < 0.5 * last
-            # a fast Newton step below the tolerance ends at its point
-            close = todo & fast & (last < np.inf) & (
-                np.abs(dx) < tol + _BISECT_RTOL * np.abs(xn))
-            root = np.where(close, xn, root)
-            todo = todo & ~close
-            if not todo.any():
-                break
-            newton = fast & ((xn - xa) * (xn - xb) < 0)
-            xm, midpoint = np.where(newton, xn, xm), ~newton
-            last = np.where(newton, np.abs(dx), np.inf)
+        dfx = df(x)
+        if np.isnan(dfx).any():
+            raise ValueError("df returned NaN")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = -fx / dfx
+        xn, xb = x + dx, xa + dm
+        fast = np.abs(dx) < 0.5 * last
+        # a fast Newton step below the tolerance ends at its point
+        close = todo & fast & (last < np.inf) & (
+            np.abs(dx) < tol + _BISECT_RTOL * np.abs(xn))
+        root = np.where(close, xn, root)
+        todo = todo & ~close
+        if not todo.any():
+            break
+        newton = fast & ((xn - xa) * (xn - xb) < 0)
+        xm = np.where(newton, xn, xa + half)
+        last = np.where(newton, np.abs(dx), np.inf)
         x, fx = xm, f(xm)
         if np.isnan(fx).any():
             raise ValueError("f returned NaN inside the bracket")
         move = fx * fa >= 0
-        # scipy's dm halves; a Newton point splits the bracket unevenly
-        dm = half if df is None else np.where(move, xb - xm, xm - xa)
+        # a Newton point splits the bracket unevenly
+        dm = np.where(move, xb - xm, xm - xa)
         xa = np.where(move, xm, xa)
-        stop = todo & ((fx == 0) | (midpoint & (
+        stop = todo & ((fx == 0) | (~newton & (
             np.abs(half) < tol + _BISECT_RTOL * np.abs(xm))))
         root = np.where(stop, xm, root)
         todo = todo & ~stop
@@ -548,26 +543,23 @@ def _bisect_scalar(f, df, xa, xb, fa, fb, tol):
     last = math.inf
     while True:
         half = dm * 0.5
-        xm, newton = xa + half, False
-        if df is not None:
-            dfx = df(x)
-            if np.isnan(dfx):
-                raise ValueError("df returned NaN")
-            dx = -fx / dfx if dfx else math.inf
-            xn, xb = x + dx, xa + dm
-            fast = abs(dx) < 0.5 * last
-            if (fast and last < math.inf
-                    and abs(dx) < tol + _BISECT_RTOL * abs(xn)):
-                return xn
-            newton = fast and (xn - xa) * (xn - xb) < 0
-            if newton:
-                xm = xn
-            last = abs(dx) if newton else math.inf
+        dfx = df(x)
+        if np.isnan(dfx):
+            raise ValueError("df returned NaN")
+        dx = -fx / dfx if dfx else math.inf
+        xn, xb = x + dx, xa + dm
+        fast = abs(dx) < 0.5 * last
+        if (fast and last < math.inf
+                and abs(dx) < tol + _BISECT_RTOL * abs(xn)):
+            return xn
+        newton = fast and (xn - xa) * (xn - xb) < 0
+        xm = xn if newton else xa + half
+        last = abs(dx) if newton else math.inf
         x, fx = xm, f(xm)
         if np.isnan(fx):
             raise ValueError("f returned NaN inside the bracket")
         move = fx * fa >= 0
-        dm = half if df is None else xb - xm if move else xm - xa
+        dm = xb - xm if move else xm - xa
         if move:
             xa = xm
         if fx == 0 or (not newton

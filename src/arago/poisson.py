@@ -179,10 +179,10 @@ def _phase_breakpoints(phase, a, spec):
     seeds only save rounds; the error test is unchanged. The step widens to
     2 phi(a) / n for the seed allowance n = spec.max_subdivisions // 2, so
     the equal steps take at most half of it, and the ladder stops at n
-    seeds in any case. The disc phase P (s-1)^-4 crosses a level in closed
-    form; the sphere's crossings are found by EikonalPhase.crossing, all
-    levels in one elementwise call, to 1e-10 in s. The ladder sees phi
-    only; _free_phase_split then splits its gaps by the free phase.
+    seeds in any case. EikonalPhase.crossing finds the crossings of all
+    levels in one elementwise call, in closed form for the disc and to
+    1e-10 in s for the sphere. The ladder sees phi only; _free_phase_split
+    then splits its gaps by the free phase.
     """
     lo = max(a, 1.0 + 1e-9)
     levels = [phase.phi(lo)]
@@ -191,8 +191,6 @@ def _phase_breakpoints(phase, a, spec):
     step = max(_PHASE_STEP, 2.0 * levels[0] / max(allowance, 1))
     while levels[-1] > floor and len(levels) <= allowance:
         levels.append(max(levels[-1] - step, levels[-1] / 4.0))
-    if phase.obstacle.kind == "disc":
-        return [1.0 + (phase.prefactor / lvl) ** 0.25 for lvl in levels[1:]]
     return phase.crossing(np.array(levels[1:]), lo, phase.s_negligible,
                           1e-10).tolist()
 

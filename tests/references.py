@@ -3,10 +3,14 @@
 import math
 
 import numpy as np
+import scipy.optimize
 
+import arago.interaction
 from arago.classical import _POLAR_RULE
 from arago.config import serialize_kv
 from arago.constants_units import CONST, amu_to_kg
+from arago.interaction import _ROUGHNESS
+from arago.numerics import NumericsError
 from arago.poisson import _amplitude_grid, _arc_rule
 
 
@@ -83,3 +87,62 @@ def thermal_wavelength(mass, T):
     if not (mass > 0 and T > 0):
         raise ValueError("mass and temperature must be positive")
     return CONST.h / math.sqrt(2.0 * CONST.kB * T * amu_to_kg(mass))
+
+
+def capture_eta_shooting(obstacle, particle, v_z):
+    """Reference for interaction.capture_eta on a sphere, by shooting
+    trajectories.
+
+    Integrates planar rays, incident parallel to z at impact parameter b,
+    through the attractive potential and bisects the boundary between
+    wall-hitting and escaping rays with scipy.optimize.bisect; approaches
+    within the surface roughness count as captured. The rays are solved by
+    arago.interaction.solve_ivp, which perfbench/spans.py counts. The step
+    is capped at 0.02 R so the solver cannot step across the sphere in fast
+    beams. Slow (seconds per call).
+    """
+    R = obstacle.R
+    A = 4.0 * particle.C4 / (particle.mass_kg * v_z ** 2 * R ** 4)
+    delta = _ROUGHNESS / R
+
+    def rhs(t, y):
+        x, z, vx, vz = y
+        r = math.hypot(x, z)
+        f = -A / (r - 1.0) ** 5 / r
+        return (vx, vz, f * x, f * z)
+
+    def hit(t, y):
+        return math.hypot(y[0], y[1]) - (1.0 + delta)
+    hit.terminal = True
+    hit.direction = -1
+
+    def escaped(t, y):
+        return y[1] - 20.0
+    escaped.terminal = True
+    escaped.direction = 1
+
+    def outcome(b_imp):
+        sol = arago.interaction.solve_ivp(
+            rhs, (0.0, 200.0), (b_imp, -20.0, 0.0, 1.0),
+            events=(hit, escaped), rtol=1e-10, atol=1e-12, max_step=0.02)
+        if not sol.success:
+            raise NumericsError(f"trajectory integration failed: {sol.message}")
+        if sol.t_events[1].size:
+            return 1.0
+        # wall contact, or still orbiting at the time cap: both count captured
+        return -1.0
+
+    lo = 1.0 + 2.0 * delta
+    while outcome(lo) > 0:
+        # fast passage: even a ray skimming the wall escapes, so the
+        # capture boundary sits between the wall and lo. Close in on it.
+        gap = lo - (1.0 + delta)
+        if gap < 1e-3 * delta:
+            return lo - 1.0
+        lo = 1.0 + delta + 0.25 * gap
+    hi = 1.2
+    while outcome(hi) < 0:
+        hi *= 1.3
+        if hi > 10.0:
+            raise NumericsError("no escaping trajectory found out to 10 R")
+    return scipy.optimize.bisect(outcome, lo, hi, xtol=1e-5 * delta) - 1.0

@@ -34,8 +34,9 @@ def _package_env():
 
 def test_cli_import_loads_no_scipy():
     # the package needs numpy alone: a fresh interpreter importing the
-    # command line must load no scipy module. scipy.integrate is imported
-    # on first use by the test-only shooting reference.
+    # command line must load no scipy module. Only the tests use scipy: the
+    # trajectory reference of tests/references.py solves its rays with
+    # interaction.solve_ivp, which imports scipy.integrate on its first call.
     out = subprocess.run(
         [sys.executable, "-c", "import json, sys, arago.cli; "
          "print(json.dumps(sorted(sys.modules)))"],
@@ -63,8 +64,7 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("preset", ["fig3-disc", "fig3-sphere", "fig2b",
-                                    "farfield-30k"])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_presets_run_without_scipy(tmp_path, preset):
     # a preset run imports no scipy module, and writes the same bytes as a
     # run that could
@@ -129,6 +129,35 @@ def test_parse_rejects_cross_mode_keys():
             + "\nfarfield.d = 100e-9\n")
     with pytest.raises(ConfigError, match="farfield"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("numerics.rel_tol", "5"), ("grid.n_u", "3"), ("grid.n_u", "10"),
+    ("grid.u_max", "4"), ("averaging.source", "on"), ("poisson.R", "5e-7")])
+def test_farfield_refuses_near_field_keys(tmp_path, capsys, key, value):
+    # far field reads only the particle and farfield sections: a key of any
+    # other section is a configuration error that names it, valid value or
+    # not, and nothing is written
+    items = parse_kv(load_preset("farfield-30k"))
+    items[key] = value
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(serialize_kv(items))
+    out = tmp_path / "out"
+    assert main([str(cfg_path), "--out", str(out)]) == 2
+    assert f"farfield mode does not accept ['{key}']" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_farfield_refuses_a_near_field_sweep(tmp_path, capsys):
+    # a sweep validates every value first, so a far-field sweep over a key
+    # it would not read writes no scenario
+    out = tmp_path / "out"
+    assert main(["--preset", "farfield-30k", "--out", str(out),
+                 "--sweep", "grid.n_u=10,20"]) == 2
+    assert "farfield mode does not accept ['grid.n_u']" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_parse_requires_particle_fields():

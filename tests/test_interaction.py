@@ -7,17 +7,14 @@ import sys
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 
 import arago
 from arago.constants_units import CONST
-from arago.interaction import (
-    EikonalPhase,
-    Obstacle,
-    capture_eta,
-    capture_eta_shooting,
-)
+from arago.interaction import EikonalPhase, Obstacle, capture_eta
 from arago.numerics import bisect
 from arago.particles import ParticleSpecies, species_preset
+from references import capture_eta_shooting
 
 AU = species_preset("au100")          # 19700 amu, alpha 5e-28 m^3, v 2 m/s
 SPHERE = Obstacle("sphere", 500e-9)
@@ -169,21 +166,22 @@ EPS = np.finfo(float).eps
 @pytest.mark.parametrize("v", ORACLE_VELOCITIES)
 def test_s_negligible_is_the_floor_crossing(v):
     # s_negligible is the root of phi = phase_floor, solved by Newton steps
-    # in log(s - 1): phi there is the floor to 1e-12, and bisection without
-    # the slope lands within its 1e-6 tolerance in s of it
+    # in log(s - 1): phi there is the floor to 1e-12, and scipy's bisection
+    # without the slope lands within its 1e-6 tolerance in s of it
     phase = EikonalPhase(SPHERE, AU, v)
     floor = phase.phase_floor
     assert phase.phi(phase.s_negligible) == pytest.approx(floor, rel=1e-12)
     s_far = (phase.prefactor * math.pi / (2.0 * floor)) ** (1.0 / 3.0)
-    ref = bisect(lambda s: phase.phi(s) - floor, s_far, 4.0 * s_far, 1e-6)
+    ref = scipy.optimize.bisect(lambda s: phase.phi(s) - floor, s_far,
+                                4.0 * s_far, xtol=1e-6)
     assert abs(phase.s_negligible - ref) <= 1e-6 + 4.0 * EPS * ref
 
 
 @pytest.mark.parametrize("v", ORACLE_VELOCITIES)
 def test_capture_minimum_is_a_root_to_rounding(v, monkeypatch):
     # r* solves (r - 1)^5 = (A/2)(r + 1): its residual is below what one
-    # ulp of r moves it (measured 0.17-0.29 of that), and bisection without
-    # the slope lands within its 1e-12 tolerance of it
+    # ulp of r moves it (measured 0.17-0.29 of that), and scipy's bisection
+    # without the slope lands within its 1e-12 tolerance of it
     roots = []
 
     def recorded(*args):
@@ -198,8 +196,8 @@ def test_capture_minimum_is_a_root_to_rounding(v, monkeypatch):
     slope = 5.0 * (r - 1.0) ** 4 - half_A
     assert len(roots) == 1
     assert abs(residual) <= abs(slope) * np.spacing(r)
-    ref = bisect(lambda r: (r - 1.0) ** 5 - half_A * (r + 1.0), 1.0,
-                 3.0 + (2.0 * half_A) ** 0.25, 1e-12)
+    ref = scipy.optimize.bisect(lambda r: (r - 1.0) ** 5 - half_A * (r + 1.0),
+                                1.0, 3.0 + (2.0 * half_A) ** 0.25, xtol=1e-12)
     assert abs(r - ref) <= 1e-12 + 4.0 * EPS * ref
 
 
@@ -212,7 +210,7 @@ def test_crossing_converts_its_tolerance_to_log_distance(monkeypatch):
     phase = EikonalPhase(SPHERE, AU, 2.0)
     tols = []
 
-    def recorded(f, lo, hi, tol, df=None):
+    def recorded(f, lo, hi, tol, df):
         tols.append(tol)
         return bisect(f, lo, hi, tol, df)
 
@@ -221,6 +219,28 @@ def test_crossing_converts_its_tolerance_to_log_distance(monkeypatch):
     s = phase.crossing(np.array([1.0, 1e-2]), 1.1, hi, 1e-6)
     assert tols == [1e-6 / (hi - 1.0)] and hi - 1.0 > 5.0
     np.testing.assert_allclose(phase.phi(s), [1.0, 1e-2], rtol=1e-12)
+
+
+@pytest.mark.parametrize("v", (2.0, np.float64(20.2553946)))
+def test_disc_crossing_is_the_closed_form(v, monkeypatch):
+    # the disc phase P (s - 1)^-4 crosses a level L at 1 + (P / L)^(1/4),
+    # in scalar arithmetic and bit for bit, for a scalar level and for
+    # every level of an array, whatever the bracket and tolerance; no root
+    # finder runs. A velocity node's v is a numpy float, as is P then.
+    # numpy's vectorized power moves some of these 1000 roots by an ulp
+    # where it differs from the scalar power (9 at 2 m/s with numpy 2.4.6
+    # on an AVX-512 Xeon)
+    phase = EikonalPhase(DISC, AU, v)
+    monkeypatch.setattr(arago.interaction, "bisect", None)
+    P = phase.prefactor
+    assert phase.s_negligible == 1.0 + (P / phase.phase_floor) ** 0.25
+    assert phase.crossing(0.3, None, None, None) == 1.0 + (P / 0.3) ** 0.25
+    levels = np.geomspace(1e-3, 1e4, 1000)
+    s = phase.crossing(levels, 1.0, 2.0, 1e-10)
+    assert s.shape == levels.shape
+    assert s.tolist() == [1.0 + (P / lvl) ** 0.25 for lvl in levels.tolist()]
+    grid = phase.crossing(levels.reshape(50, 20), None, None, None)
+    assert grid.shape == (50, 20) and grid.ravel().tolist() == s.tolist()
 
 def test_dphi_ds_consistency():
     phase = EikonalPhase(SPHERE, AU, AU.v_long)
@@ -271,9 +291,10 @@ def test_capture_eta_shrinks_with_velocity():
 
 
 def test_solver_is_imported_on_first_use():
-    # importing the interaction module must not load scipy.integrate; the
-    # shooting reference's solve_ivp imports it on its first call and
-    # returns scipy's own result, whose nfev perfbench/spans.py reads
+    # importing the interaction module must not load scipy.integrate;
+    # solve_ivp, which the trajectory reference of tests/references.py
+    # calls, imports it on its first call and returns scipy's own result,
+    # whose nfev perfbench/spans.py reads
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(arago.__file__)))
     out = subprocess.run(

@@ -3,13 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import arago.numerics
 import arago.poisson
 from arago.classical import _polar_rule
 from arago.interaction import EikonalPhase, Obstacle, capture_eta
 from arago.numerics import (_CALL_SIZE, NumericsError, QuadratureSpec,
-                            bessel_j0, bisect)
+                            bessel_j0)
 from arago.particles import ParticleSpecies, velocity_nodes
 from arago.poisson import (
     DimensionlessParams,
@@ -744,7 +745,7 @@ def test_phase_breakpoints_step_the_wall_phase():
 def test_sphere_seeds_are_the_level_crossings(v, a):
     # the sphere's seeds are found by Newton steps in log(s - 1), at the
     # fig3 capture radius and at the seed-allowance wall a = 1 + 1e-6: each
-    # is within the 1e-10 tolerance in s of the bisection without the
+    # is within the 1e-10 tolerance in s of scipy's bisection without the
     # slope, and phi there is its level to 1e-12 plus what one ulp of s
     # moves phi (below 4e-14 at the capture radii, 7.5e-10 at s - 1 = 1e-6)
     setup, phase = _fig3_source("sphere", v)
@@ -761,10 +762,29 @@ def test_sphere_seeds_are_the_level_crossings(v, a):
         phase, a, QuadratureSpec()))
     (levels, lo, hi, tol), = calls
     assert tol == 1e-10 and seeds.size == levels.size > 30
-    ref = bisect(lambda s: phase.phi(s) - levels, lo, hi, tol)
+    ref = np.array([scipy.optimize.bisect(lambda s: phase.phi(s) - level,
+                                          lo, hi, xtol=tol)
+                    for level in levels.tolist()])
     assert np.all(np.abs(seeds - ref) <= tol + 4.0 * np.spacing(ref))
     ulp = np.abs(phase.dphi_ds(seeds)) * np.spacing(seeds) / levels
     assert np.all(np.abs(phase.phi(seeds) / levels - 1.0) <= 1e-12 + ulp)
+
+
+@pytest.mark.parametrize("v", [2.0, np.float64(20.2553946)])
+def test_disc_seeds_are_the_closed_form_crossings(v):
+    # the disc's seeds are 1 + (P / L)^(1/4) at each level L of the ladder,
+    # bit for bit, at the fig3 capture radius; a velocity node's v is a
+    # numpy float
+    setup, phase = _fig3_source("disc", v)
+    a = 1.0 + phase.eta
+    levels = [phase.phi(a)]
+    while levels[-1] > 1e-3:
+        levels.append(max(levels[-1] - arago.poisson._PHASE_STEP,
+                          levels[-1] / 4.0))
+    seeds = arago.poisson._phase_breakpoints(phase, a, QuadratureSpec())
+    assert len(seeds) > 40
+    assert seeds == [1.0 + (phase.prefactor / lvl) ** 0.25
+                     for lvl in levels[1:]]
 
 
 @pytest.mark.parametrize("kind,a", [("disc", 1.0 + 1e-4),
